@@ -21,8 +21,8 @@ every defining relation act on every basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 from .errors import (
@@ -56,24 +56,6 @@ def l_letter(index: int) -> Letter:
 def word_degree(word: tuple) -> int:
     """L-letter count; the filtration degree of a monomial word."""
     return sum(1 for x in word if x.kind == L_KIND)
-
-
-def word_measure(word: tuple) -> tuple:
-    """(L-count, R-count, inversions).  Inversions are L-before-R pairs
-    plus out-of-order L-L pairs; every rewrite step strictly decreases
-    this triple lexicographically."""
-    l_count = word_degree(word)
-    r_count = len(word) - l_count
-    inversions = 0
-    for p in range(len(word)):
-        for q in range(p + 1, len(word)):
-            a, b = word[p], word[q]
-            if a.kind == L_KIND and b.kind == R_KIND:
-                inversions += 1
-            elif a.kind == L_KIND and b.kind == L_KIND \
-                    and a.index > b.index:
-                inversions += 1
-    return (l_count, r_count, inversions)
 
 
 class NCElement:
@@ -155,7 +137,12 @@ def _word_sort_key(word):
 @dataclass(frozen=True)
 class RewriteSystem:
     """Rule tables copied out of the source data so that tests can tamper
-    with a single family without rebuilding the structure underneath."""
+    with a single family without rebuilding the structure underneath.
+
+    `normal_forms` memoises fully reduced words, one dict per reduction
+    strategy.  It belongs to this object alone: a copy made with
+    `dataclasses.replace` starts empty, and the strategies never share
+    results, so comparing them stays a real cross-check."""
 
     field: object
     r_labels: tuple
@@ -165,6 +152,8 @@ class RewriteSystem:
     action_tensor: tuple  # R3: t[i][a] = coeffs of e_i.xi_a in L
     bracket_table: tuple  # R4: f[a][b] = coeffs of [xi_a, xi_b] in L
     source: LieRinehartData
+    normal_forms: dict = dc_field(default_factory=dict, init=False,
+                                  compare=False, repr=False)
 
     @property
     def r_dim(self) -> int:
@@ -287,60 +276,62 @@ def rewrite_once_at(word: tuple, pos: int,
     return NCElement(system.field, terms)
 
 
-# Per-system memo of fully reduced words, keyed by identity so tampered
-# copies of a system never share entries with the original.
-_NF_CACHE = {}
-
-
-def _word_cache(system: RewriteSystem, strategy: str) -> dict:
-    key = (id(system), strategy)
-    entry = _NF_CACHE.get(key)
-    if entry is None or entry[0] is not system:
-        entry = (system, {})
-        _NF_CACHE[key] = entry
-    return entry[1]
-
-
 def normal_form(elem: NCElement, system: RewriteSystem,
                 strategy: str = "leftmost") -> NCElement:
-    """Reduce every term to irreducible words.  The step budget is the
-    number of distinct words no longer than the longest input term, which
-    the strictly decreasing measure makes a hard upper bound; exceeding
-    it means the rule tables are broken and is treated as internal."""
-    cache = _word_cache(system, strategy)
-    alphabet = max(1, (system.r_dim - 1) + system.l_dim)
-    longest = max((len(w) for w in elem.terms), default=0)
-    budget = sum(alphabet ** t for t in range(longest + 1)) + 16
-    steps = [0]
+    """Reduce every term to irreducible words, memoising each reduced word
+    on the system.  One loop over an explicit stack: a word is rewritten
+    once, waits for its successors, then combines their normal forms.
 
-    def reduce_word(word: tuple) -> dict:
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        pos = find_redex(word, system, strategy)
-        if pos < 0:
-            cache[word] = {word: system.field.one}
-            return cache[word]
-        steps[0] += 1
-        if steps[0] > budget:
+    Every rule shape lowers the measure (L-count, R-count, inversions)
+    whatever the table coefficients, so only words no longer than the
+    longest input term occur, each rewritten once and revisited once.
+    The step budget counts every loop iteration against that bound, so
+    rule code that fails to shrink, even by cycling, raises
+    RewriteBudgetError, an internal error."""
+    memo = system.normal_forms.setdefault(strategy, {})
+    zero = system.field.zero
+    longest = max((len(w) for w in elem.terms), default=0)
+    words = sum((system.r_dim + system.l_dim) ** t
+                for t in range(longest + 1))
+    widest = 1 + max(system.r_dim, system.l_dim)  # longest rule RHS
+    budget = len(elem.terms) + words * (widest + 1)
+    steps = 0
+    pending = {}  # rewritten word -> its one-step reduct
+    stack = list(elem.terms)
+    while stack:
+        steps += 1
+        if steps > budget:
             raise RewriteBudgetError(
                 f"rewrite exceeded its step budget of {budget}; the rule "
                 f"tables cannot come from a terminating presentation")
-        stepped = rewrite_once_at(word, pos, system)
-        here = word_measure(word)
+        word = stack[-1]
+        if word in memo:
+            stack.pop()
+            continue
+        stepped = pending.get(word)
+        if stepped is None:
+            pos = find_redex(word, system, strategy)
+            if pos < 0:
+                memo[word] = {word: system.field.one}
+                stack.pop()
+                continue
+            stepped = rewrite_once_at(word, pos, system).terms
+            pending[word] = stepped
+        missing = [w for w in stepped if w not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
         out = {}
-        for w, c in stepped.terms.items():
-            assert word_measure(w) < here, "rewrite step failed to shrink"
-            for w2, c2 in reduce_word(w).items():
-                out[w2] = out.get(w2, system.field.zero) + c * c2
-        out = {w: c for w, c in out.items() if c}
-        cache[word] = out
-        return out
+        for w, c in stepped.items():
+            for w2, c2 in memo[w].items():
+                out[w2] = out.get(w2, zero) + c * c2
+        memo[word] = {w: c for w, c in out.items() if c}
+        stack.pop()
 
     total = {}
     for word, coeff in elem.terms.items():
-        for w, c in reduce_word(word).items():
-            total[w] = total.get(w, system.field.zero) + coeff * c
+        for w, c in memo[word].items():
+            total[w] = total.get(w, zero) + coeff * c
     return NCElement(system.field, total)
 
 
@@ -416,10 +407,7 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     letters += [l_letter(a) for a in range(system.l_dim)]
     examined = 0
     for length in (2, 3):
-        words = sorted(
-            ((x,) + rest for x in letters
-             for rest in combinations_or_products(letters, length - 1)),
-            key=_word_sort_key)
+        words = sorted(product(letters, repeat=length), key=_word_sort_key)
         for word in words:
             redexes = [p for p in range(length - 1)
                        if pair_rule(system, word[p], word[p + 1]) is not None]
@@ -441,14 +429,6 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
                                     system.render_element(right)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"{examined} overlapping redex pairs examined, all joins agree"])
-
-
-def combinations_or_products(letters, length):
-    """All words of the given length over the alphabet (plain product)."""
-    if length == 0:
-        return [()]
-    shorter = combinations_or_products(letters, length - 1)
-    return [(x,) + rest for x in letters for rest in shorter]
 
 
 # ---------------------------------------------------------------------------
@@ -486,39 +466,18 @@ def relation_elements(system: RewriteSystem) -> list:
     LHS minus RHS.  Normalizing any of these must give zero, and each must
     act as zero on the base algebra."""
     fld = system.field
+    rs = [(r_letter(i), system.r_labels[i]) for i in range(1, system.r_dim)]
+    ls = [(l_letter(a), system.l_labels[a]) for a in range(system.l_dim)]
     out = []
-    for i in range(1, system.r_dim):
-        for j in range(1, system.r_dim):
-            lhs = NCElement.from_word(fld, (r_letter(i), r_letter(j)))
-            rhs = NCElement(fld, {})
-            for word, c in pair_rule(system, r_letter(i), r_letter(j)):
-                rhs = rhs + NCElement.from_word(fld, word, c)
-            out.append((f"merge[{system.r_labels[i]},{system.r_labels[j]}]",
-                        lhs - rhs))
-    for a in range(system.l_dim):
-        for i in range(1, system.r_dim):
-            lhs = NCElement.from_word(fld, (l_letter(a), r_letter(i)))
-            rhs = NCElement(fld, {})
-            for word, c in pair_rule(system, l_letter(a), r_letter(i)):
-                rhs = rhs + NCElement.from_word(fld, word, c)
-            out.append((f"straighten[{system.l_labels[a]},"
-                        f"{system.r_labels[i]}]", lhs - rhs))
-    for i in range(1, system.r_dim):
-        for a in range(system.l_dim):
-            lhs = NCElement.from_word(fld, (r_letter(i), l_letter(a)))
-            rhs = NCElement(fld, {})
-            for word, c in pair_rule(system, r_letter(i), l_letter(a)):
-                rhs = rhs + NCElement.from_word(fld, word, c)
-            out.append((f"absorb[{system.r_labels[i]},"
-                        f"{system.l_labels[a]}]", lhs - rhs))
-    for a in range(system.l_dim):
-        for b in range(a):
-            lhs = NCElement.from_word(fld, (l_letter(a), l_letter(b)))
-            rhs = NCElement(fld, {})
-            for word, c in pair_rule(system, l_letter(a), l_letter(b)):
-                rhs = rhs + NCElement.from_word(fld, word, c)
-            out.append((f"bracket[{system.l_labels[a]},"
-                        f"{system.l_labels[b]}]", lhs - rhs))
+    for family, lefts, rights in (("merge", rs, rs), ("straighten", ls, rs),
+                                  ("absorb", rs, ls), ("bracket", ls, ls)):
+        for x, x_label in lefts:
+            for y, y_label in rights:
+                rule = pair_rule(system, x, y)
+                if rule is not None:
+                    out.append((f"{family}[{x_label},{y_label}]",
+                                NCElement.from_word(fld, (x, y))
+                                - NCElement(fld, dict(rule))))
     return out
 
 

@@ -62,12 +62,3 @@ def _fmt(obj) -> str:
         return "(" + ", ".join(_fmt(x) for x in obj) + ")"
     return str(obj)
 
-
-def passed(name: str, narrative: list = None) -> VerdictReport:
-    return VerdictReport(name=name, verdict=PASS,
-                         narrative=list(narrative or []))
-
-
-def failed(name: str, witness, narrative: list = None) -> VerdictReport:
-    return VerdictReport(name=name, verdict=FAIL, witnesses=[witness],
-                         narrative=list(narrative or []))

@@ -179,21 +179,6 @@ class Scalar:
         return f"Scalar({self.field}, {self.value})"
 
 
-Vector = tuple  # tuple[Scalar, ...]; a type alias, nothing more
-
-
-def zero_vector(fld: Field, n: int) -> Vector:
-    return (fld.zero,) * n
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    assert len(u) == len(v)
-    total = u[0].field.zero if u else None
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Sparse exact linear system A.x = rhs.
@@ -223,17 +208,6 @@ class LinearSystem:
         for s in self.rhs:
             if s.field != self.field:
                 raise FieldMismatchError("rhs entry over wrong field")
-
-    @classmethod
-    def from_dense(cls, matrix: Sequence[Sequence[Scalar]],
-                   rhs: Sequence[Scalar], fld: Field) -> "LinearSystem":
-        entries = []
-        for r, row in enumerate(matrix):
-            for c, s in enumerate(row):
-                if s:
-                    entries.append((r, c, s))
-        return cls(rows=len(matrix), cols=len(matrix[0]) if matrix else 0,
-                   entries=tuple(entries), rhs=tuple(rhs), field=fld)
 
     def dense_matrix(self) -> list:
         a = [[self.field.zero] * self.cols for _ in range(self.rows)]

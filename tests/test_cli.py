@@ -1,9 +1,15 @@
 """Problem files and the command-line surface."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrhopf
 from lrhopf import Field, LrhInputError, ProblemFileError
 from lrhopf.cli import main, parse_field_flag
 from lrhopf.problemfile import (
@@ -248,6 +254,44 @@ def test_bad_field_flag_is_input_error(capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+# R = K[x]/(x^2), abelian L = {a, b}, anchor a: x -> 1 (not a derivation,
+# since D(x^2) = 2x) and b: x -> x.  The anchor commutator of two
+# non-derivations need not be a derivation; the checks must report that,
+# not trip over it.
+BROKEN_ANCHOR = {
+    "field": {"kind": "rationals"},
+    "algebra": {"kind": "monomial-quotient", "variables": ["x"],
+                "relations": ["x^2"]},
+    "lie": {"dim": 2, "labels": ["a", "b"], "brackets": []},
+    "anchor": {"a": {"x": "1"}, "b": {"x": "x"}},
+    "action": {"kind": "character", "values": {"x": "0"}},
+}
+
+
+@pytest.fixture
+def broken_anchor(tmp_path):
+    path = tmp_path / "broken-anchor.lrh"
+    path.write_text(json.dumps(BROKEN_ANCHOR))
+    return str(path)
+
+
+def test_broken_anchor_check_reports_failure(broken_anchor, capsys):
+    assert main(["check", broken_anchor, "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {r["name"]: r["verdict"] for r in doc["reports"]}
+    assert verdicts["derivation[a]"] == "fail"
+    assert verdicts["derivation[b]"] == "pass"
+    assert verdicts["anchor-lie-homomorphism"] == "fail"
+
+
+def test_broken_anchor_refused_by_solvers(broken_anchor, capsys):
+    for argv in (["partial", broken_anchor],
+                 ["divide", broken_anchor, "--left", "a", "--target", "b",
+                  "--degree", "2"]):
+        assert main(argv) == 2
+        assert "derivation[a]" in capsys.readouterr().err
+
+
 def test_internal_errors_exit_three(monkeypatch, capsys):
     from lrhopf.errors import PipelineError
     import lrhopf.cli as cli_mod
@@ -260,3 +304,37 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error" in err
     assert "truncated-basis" in err
+
+
+# ------------------------------------------------------ interpreter flags
+
+def _run_cli(args, *flags):
+    src = str(Path(lrhopf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *flags, "-m", "lrhopf.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_optimize_flag_changes_nothing(broken_anchor):
+    """No invariant lives in an assert, so -O gives the same runs."""
+    for args in (["theorem1", "--degree", "8", "--format", "structured"],
+                 ["check", broken_anchor]):
+        plain = _run_cli(args)
+        assert plain[0] == 0
+        assert plain[1]
+        assert _run_cli(args, "-O") == plain
+
+
+def test_package_has_no_assert_statements():
+    package = Path(lrhopf.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

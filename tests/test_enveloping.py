@@ -1,7 +1,9 @@
 """Rewriting, truncated bases, confluence, the induced action, division."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from lrhopf import (
     DegreeOverflowError,
     LrhInputError,
     NCElement,
+    RewriteBudgetError,
     build_rewrite_system,
     certify_left_action,
     check_local_confluence,
@@ -21,6 +24,8 @@ from lrhopf import (
     r_letter,
     relation_elements,
 )
+import lrhopf.enveloping as enveloping
+from lrhopf.cli import main
 from lrhopf.enveloping import find_redex, pair_rule, word_degree
 
 import oracles
@@ -143,6 +148,51 @@ def test_filtration_respected(obstructed):
         out = normal_form(a.concat(b), system)
         if out:
             assert out.degree <= a.degree + b.degree
+
+
+def test_long_abelian_word_needs_no_recursion(classical, q):
+    """b^40 a^40 takes 1600 rewrites down a single chain; the engine runs
+    on an explicit stack, so the word length is not capped by recursion."""
+    system = build_rewrite_system(classical(("a", "b"), {}))
+    word = (l_letter(1),) * 40 + (l_letter(0),) * 40
+    expected = NCElement.from_word(q, (l_letter(0),) * 40
+                                   + (l_letter(1),) * 40)
+    for strategy in ("leftmost", "rightmost"):
+        assert normal_form(NCElement.from_word(q, word), system,
+                           strategy) == expected
+
+
+def test_memo_belongs_to_its_system(classical, q):
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+    normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))), system)
+    assert list(system.normal_forms) == ["leftmost"]
+    assert system.normal_forms["leftmost"]
+    tampered = dataclasses.replace(system)
+    assert tampered.normal_forms == {}
+    probe = weakref.ref(system)
+    del system, tampered
+    gc.collect()
+    assert probe() is None
+
+
+def _cyclic_rule(system, x, y):
+    """A broken rule family that swaps any two distinct letters back and
+    forth, so rewriting never shrinks the word."""
+    return [((y, x), system.field.one)] if x != y else None
+
+
+def test_cyclic_rule_trips_the_step_budget(classical, q, monkeypatch,
+                                           capsys):
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+    monkeypatch.setattr(enveloping, "pair_rule", _cyclic_rule)
+    with pytest.raises(RewriteBudgetError):
+        normal_form(NCElement.from_word(q, (l_letter(0), l_letter(1))),
+                    system)
+    assert main(["divide", "obstructed-example", "--left", "a",
+                 "--target", "y", "--degree", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "step budget" in err
 
 
 def test_relations_normalize_to_zero(obstructed):
