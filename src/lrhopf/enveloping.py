@@ -349,15 +349,20 @@ class TruncatedEnvelope:
     def dim(self) -> int:
         return len(self.basis)
 
+    def position(self, word: tuple) -> int:
+        """Index of a normal word in the basis; a word beyond the
+        truncation raises DegreeOverflowError."""
+        pos = self.index.get(word)
+        if pos is None:
+            raise DegreeOverflowError(
+                f"term {self.system.render_word(word)} lies outside the "
+                f"degree-{self.degree} basis")
+        return pos
+
     def coords(self, elem: NCElement) -> tuple:
         out = [self.system.field.zero] * self.dim
         for w, c in elem.terms.items():
-            pos = self.index.get(w)
-            if pos is None:
-                raise DegreeOverflowError(
-                    f"term {self.system.render_word(w)} lies outside the "
-                    f"degree-{self.degree} basis")
-            out[pos] = out[pos] + c
+            out[self.position(w)] = c
         return tuple(out)
 
     def element(self, coords) -> NCElement:
@@ -505,8 +510,9 @@ def left_divide(g: NCElement, t: NCElement,
                 env: TruncatedEnvelope) -> SolveOutcome:
     """Decide whether t = g.z has a solution z in the truncated basis.
     Products g.(basis word) are computed in an internally extended
-    envelope so nothing is cut off; the outcome carries a witness z or an
-    exact infeasibility certificate."""
+    envelope so nothing is cut off, and each one's terms enter the sparse
+    system directly as the entries of its column; the outcome carries a
+    witness z or an exact infeasibility certificate."""
     system = env.system
     g = normal_form(g, system)
     t = normal_form(t, system)
@@ -519,9 +525,8 @@ def left_divide(g: NCElement, t: NCElement,
     for col, word in enumerate(env.basis):
         product = normal_form(g.concat(NCElement.from_word(system.field,
                                                            word)), system)
-        for row, c in enumerate(extended.coords(product)):
-            if c:
-                entries.append((row, col, c))
+        entries.extend((extended.position(w), col, c)
+                       for w, c in product.terms.items())
     rhs = extended.coords(t)
     problem = LinearSystem(rows=extended.dim, cols=env.dim,
                            entries=tuple(entries), rhs=tuple(rhs),

@@ -6,12 +6,15 @@ prime field GF(p).  All arithmetic is exact -- rationals are stdlib
 elements are residues in [0, p).  There is no floating point anywhere
 in this package.
 
-``solve_linear`` decides A.x = b by deterministic exact row reduction
-and always hands back checkable evidence: a particular witness plus a
-nullspace basis when feasible, or a Farkas-style row vector u with
-u.A = 0 and u.b != 0 when infeasible.  ``verify_witness`` and
-``verify_certificate`` recheck that evidence from the sparse input,
-independently of the elimination path that produced it.
+``Scalar`` is the boundary type: systems come in and evidence goes out
+as Scalars.  ``solve_linear`` decides A.x = b by deterministic exact
+sparse Gauss-Jordan elimination, run on the raw field values (Fraction
+or int) in {col: value} rows, and always hands back checkable evidence:
+a particular witness plus a nullspace basis when feasible, or a
+Farkas-style row vector u with u.A = 0 and u.b != 0 when infeasible.
+``verify_witness`` and ``verify_certificate`` recheck that evidence
+from the sparse input in Scalar arithmetic, independently of the
+elimination path that produced it.
 """
 
 from __future__ import annotations
@@ -209,12 +212,6 @@ class LinearSystem:
             if s.field != self.field:
                 raise FieldMismatchError("rhs entry over wrong field")
 
-    def dense_matrix(self) -> list:
-        a = [[self.field.zero] * self.cols for _ in range(self.rows)]
-        for r, c, s in self.entries:
-            a[r][c] = s
-        return a
-
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -237,27 +234,65 @@ class SolveOutcome:
 
 
 def solve_linear(system: LinearSystem) -> SolveOutcome:
-    """Exact Gauss-Jordan elimination with deterministic pivoting.
+    """Exact sparse Gauss-Jordan elimination with deterministic pivoting.
 
-    Pivot choice is the first nonzero in row-major order, so witnesses
-    and certificates are reproducible.  Row operations are mirrored on
-    an identity block T; when elimination produces a zero row with a
+    Columns are taken left to right.  Each takes as pivot the first row
+    at or below the current rank with a nonzero entry in that column,
+    swapped up to the rank; the pivot row is scaled to a leading one and
+    the column is cleared from every other row.  So witnesses, nullspace
+    bases and certificates are reproducible.
+
+    Rows are sparse {col: value} dicts of plain field values (Fraction
+    over Q, ints in [0, p) over GF(p)); zeros are never stored, including
+    explicit zero entries of the input.  Row operations are mirrored on a
+    sparse identity block T of {row: value} dicts, which grows only in
+    rows that were combined; when elimination leaves a zero row with a
     nonzero right-hand side, the matching row of T is the Farkas
-    certificate.
+    certificate.  Only the returned evidence is wrapped back into Scalar.
     """
     fld = system.field
+    p = fld.characteristic
     nrows, ncols = system.rows, system.cols
-    a = system.dense_matrix()
-    b = list(system.rhs)
-    t = [[fld.one if i == j else fld.zero for j in range(nrows)]
-         for i in range(nrows)]
+    if p:
+        one, zero = 1, 0
+
+        def reduce(v):
+            return v % p
+
+        def inverse(v):
+            return pow(v, p - 2, p)
+    else:
+        one, zero = Fraction(1), Fraction(0)
+
+        def reduce(v):
+            return v
+
+        def inverse(v):
+            return one / v
+
+    def axpy(row, f, pivot):
+        """row -= f * pivot in place, dropping entries that cancel."""
+        for c, y in pivot.items():
+            x = reduce(row.get(c, zero) - f * y)
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+    a = [{} for _ in range(nrows)]
+    for r, c, s in system.entries:
+        v = reduce(s.value)
+        if v:
+            a[r][c] = v
+    b = [reduce(s.value) for s in system.rhs]
+    t = [{r: one} for r in range(nrows)]
 
     pivots = []  # (row, col)
     rank = 0
     for col in range(ncols):
         pivot_row = None
         for r in range(rank, nrows):
-            if a[r][col]:
+            if col in a[r]:
                 pivot_row = r
                 break
         if pivot_row is None:
@@ -266,37 +301,44 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
             a[rank], a[pivot_row] = a[pivot_row], a[rank]
             b[rank], b[pivot_row] = b[pivot_row], b[rank]
             t[rank], t[pivot_row] = t[pivot_row], t[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [x * inv for x in a[rank]]
-        b[rank] = b[rank] * inv
-        t[rank] = [x * inv for x in t[rank]]
+        inv = inverse(a[rank][col])
+        a[rank] = {c: reduce(v * inv) for c, v in a[rank].items()}
+        b[rank] = reduce(b[rank] * inv)
+        t[rank] = {k: reduce(v * inv) for k, v in t[rank].items()}
         for r in range(nrows):
-            if r != rank and a[r][col]:
+            if r != rank and col in a[r]:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-                b[r] = b[r] - f * b[rank]
-                t[r] = [x - f * y for x, y in zip(t[r], t[rank])]
+                axpy(a[r], f, a[rank])
+                b[r] = reduce(b[r] - f * b[rank])
+                axpy(t[r], f, t[rank])
         pivots.append((rank, col))
         rank += 1
+
+    zero_s = Scalar(fld, zero)
+
+    def wrap(sparse, size):
+        out = [zero_s] * size
+        for k, v in sparse.items():
+            out[k] = Scalar(fld, v)
+        return tuple(out)
 
     for r in range(rank, nrows):
         if b[r]:
             return SolveOutcome(verdict="infeasible",
-                                certificate=tuple(t[r]))
+                                certificate=wrap(t[r], nrows))
 
-    witness = [fld.zero] * ncols
-    for r, c in pivots:
-        witness[c] = b[r]
+    witness = wrap({c: b[r] for r, c in pivots}, ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace = []
     for f in free_cols:
-        v = [fld.zero] * ncols
-        v[f] = fld.one
+        v = {f: one}
         for r, c in pivots:
-            v[c] = -a[r][f]
-        nullspace.append(tuple(v))
-    return SolveOutcome(verdict="feasible", witness=tuple(witness),
+            x = a[r].get(f)
+            if x:
+                v[c] = reduce(-x)
+        nullspace.append(wrap(v, ncols))
+    return SolveOutcome(verdict="feasible", witness=witness,
                         nullity=len(free_cols), nullspace=tuple(nullspace))
 
 

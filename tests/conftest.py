@@ -48,12 +48,13 @@ def euler(q):
 @pytest.fixture
 def classical(q):
     """Factory for R = K structures with anchor zero: classical
-    enveloping algebras of plain Lie algebras."""
-    K = make_base_field_algebra(q)
-    chi = Character(K, (q.one,))
+    enveloping algebras of plain Lie algebras, over Q unless another
+    field is given."""
 
-    def build(labels, brackets):
-        L = lie_algebra_from_brackets(q, labels, brackets)
+    def build(labels, brackets, fld=q):
+        K = make_base_field_algebra(fld)
+        chi = Character(K, (fld.one,))
+        L = lie_algebra_from_brackets(fld, labels, brackets)
         anchor = Anchor(tuple(Derivation.zero(K) for _ in labels))
         return make_character_module(K, L, anchor, chi)
 

@@ -5,7 +5,9 @@ algorithms: rational systems are decided by a plain Fraction echelon
 with a different pivot order, prime-field systems by exhaustive
 enumeration in raw integers, monomial products by direct exponent
 arithmetic, and basis sizes by binomial counting.  Tests compare the
-package's answers against these.
+package's answers against these.  The one exception is ``dense_solve``,
+the package's former dense elimination kept verbatim as a reference:
+the sparse solver must reproduce its outcomes exactly.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from lrhopf import (
     Derivation,
     Field,
     LieRinehartData,
+    SolveOutcome,
     character_action,
     check_derivation,
     lie_algebra_from_brackets,
@@ -83,6 +86,67 @@ def gf_exhaustive(matrix, rhs, p):
         if ok:
             count += 1
     return count > 0, count
+
+
+def dense_solve(system):
+    """Reference copy of the package's former dense solver, kept for the
+    equality test only: the same pivot rule and row operations, on a
+    dense Scalar matrix with a dense rows x rows identity block T."""
+    fld = system.field
+    nrows, ncols = system.rows, system.cols
+    a = [[fld.zero] * ncols for _ in range(nrows)]
+    for r, c, s in system.entries:
+        a[r][c] = s
+    b = list(system.rhs)
+    t = [[fld.one if i == j else fld.zero for j in range(nrows)]
+         for i in range(nrows)]
+
+    pivots = []  # (row, col)
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, nrows):
+            if a[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            b[rank], b[pivot_row] = b[pivot_row], b[rank]
+            t[rank], t[pivot_row] = t[pivot_row], t[rank]
+        inv = a[rank][col].inverse()
+        a[rank] = [x * inv for x in a[rank]]
+        b[rank] = b[rank] * inv
+        t[rank] = [x * inv for x in t[rank]]
+        for r in range(nrows):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+                b[r] = b[r] - f * b[rank]
+                t[r] = [x - f * y for x, y in zip(t[r], t[rank])]
+        pivots.append((rank, col))
+        rank += 1
+
+    for r in range(rank, nrows):
+        if b[r]:
+            return SolveOutcome(verdict="infeasible",
+                                certificate=tuple(t[r]))
+
+    witness = [fld.zero] * ncols
+    for r, c in pivots:
+        witness[c] = b[r]
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    nullspace = []
+    for f in free_cols:
+        v = [fld.zero] * ncols
+        v[f] = fld.one
+        for r, c in pivots:
+            v[c] = -a[r][f]
+        nullspace.append(tuple(v))
+    return SolveOutcome(verdict="feasible", witness=tuple(witness),
+                        nullity=len(free_cols), nullspace=tuple(nullspace))
 
 
 def raw_matrix(system):

@@ -9,6 +9,7 @@ import pytest
 
 from lrhopf import (
     DegreeOverflowError,
+    Field,
     LrhInputError,
     NCElement,
     RewriteBudgetError,
@@ -431,3 +432,33 @@ def test_left_divide_infeasible_with_replay(obstructed, q):
                 x.concat(NCElement.from_word(q, word)), system)
             assert not functional(product)
         assert functional(y)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_left_divide_sl2_infeasible_with_replay(classical, p):
+    """h is not a left multiple of e in U(sl2): U(g) is a domain and e, h
+    both have degree 1, so z would be a scalar.  At degree 8 the system
+    has 165 columns; its certificate is replayed against products
+    normalised afresh, by the other strategy in a new rewrite system."""
+    fld = Field(p)
+    data = classical(("e", "f", "h"),
+                     {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
+                      (2, 1): (0, -2, 0)}, fld)
+    e = NCElement.from_word(fld, (l_letter(0),))
+    h = NCElement.from_word(fld, (l_letter(2),))
+    env = enumerate_basis(build_rewrite_system(data), 8)
+    assert env.dim == 165
+    out = left_divide(e, h, env)
+    assert not out.feasible
+    cert = out.certificate
+
+    fresh = build_rewrite_system(data)
+    extended = enumerate_basis(fresh, 9)  # deg(e) = 1
+    assert len(cert) == extended.dim
+    functional = lambda elem: sum(
+        (u * c for u, c in zip(cert, extended.coords(
+            normal_form(elem, fresh, "rightmost")))),
+        fld.zero)
+    for word in env.basis:
+        assert not functional(e.concat(NCElement.from_word(fld, word)))
+    assert functional(h)
