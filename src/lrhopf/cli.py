@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from dataclasses import replace
+from itertools import accumulate
 
 from .errors import ConstructionRefusedError, LrhInputError, LrhInternalError
 from .lierinehart import character_criterion, validate_lie_rinehart
@@ -30,6 +31,7 @@ from .enveloping import (
     check_local_confluence,
     enumerate_basis,
     left_divide,
+    word_degree,
 )
 from .obstruction import (
     partial_map_from_witness,
@@ -96,9 +98,11 @@ def _cmd_envelope(args) -> int:
     data = _validated(pf)
     system = build_rewrite_system(data)
     env = enumerate_basis(system, args.degree)
-    narrative = [f"degree {d}: dimension "
-                 f"{enumerate_basis(system, d).dim}"
-                 for d in range(args.degree + 1)]
+    per_degree = [0] * (args.degree + 1)
+    for word in env.basis:
+        per_degree[word_degree(word)] += 1
+    narrative = [f"degree {d}: dimension {dim}"
+                 for d, dim in enumerate(accumulate(per_degree))]
     if args.basis:
         narrative.append("basis: " + ", ".join(env.basis_labels()))
     summary = VerdictReport(name="truncated-envelope", verdict=PASS,

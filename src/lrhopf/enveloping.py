@@ -31,10 +31,10 @@ from .errors import (
     LrhInputError,
     RewriteBudgetError,
 )
-from .finalg import AlgebraElement
+from .finalg import AlgebraElement, render_linear
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
-from .scalars import LinearSystem, Scalar, SolveOutcome, solve_linear
+from .scalars import LinearSystem, SolveOutcome, solve_linear
 
 R_KIND = "R"
 L_KIND = "L"
@@ -174,24 +174,11 @@ class RewriteSystem:
         return " ".join(self.letter_text(x) for x in word)
 
     def render_element(self, elem: NCElement) -> str:
-        if not elem:
-            return "0"
-        parts = []
-        for w in sorted(elem.terms, key=_word_sort_key):
-            text = str(elem.terms[w])
-            negative = text.startswith("-")
-            mag = text[1:] if negative else text
-            if not w:
-                body = mag
-            elif mag == "1":
-                body = self.render_word(w)
-            else:
-                body = f"{mag}*{self.render_word(w)}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        words = sorted(elem.terms, key=_word_sort_key)
+        unit = words.index(()) if () in elem.terms else None
+        return render_linear([elem.terms[w] for w in words],
+                             [self.render_word(w) for w in words],
+                             unit_index=unit)
 
 
 def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:

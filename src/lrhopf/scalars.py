@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 from .errors import FieldMismatchError, LrhInputError
 
@@ -78,11 +79,12 @@ class Field:
             value = value.numerator
         return Scalar(self, value % p)
 
-    @property
+    # Scalars are immutable, so all callers can share one zero and one one.
+    @cached_property
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
         return self.scalar(1)
 

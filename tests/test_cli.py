@@ -3,17 +3,26 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import lrhopf
-from lrhopf import Field, LrhInputError, ProblemFileError
+from lrhopf import (
+    Field,
+    LrhInputError,
+    ProblemFileError,
+    build_rewrite_system,
+    enumerate_basis,
+)
 from lrhopf.cli import main, parse_field_flag
 from lrhopf.problemfile import (
     PRESETS,
+    ProblemFile,
     parse_generator_expression,
     parse_problem,
     parse_problem_text,
@@ -167,6 +176,29 @@ def test_envelope_command_basis_listing(capsys):
     assert "degree 3: dimension 6" in out
     assert "ā ā ā" in out
     assert "local-confluence" in out
+
+
+@pytest.mark.parametrize("problem", sorted(PRESETS) + ["sl2"])
+def test_envelope_dimensions_match_enumeration(problem, classical, tmp_path,
+                                               capsys):
+    """The per-degree dimensions, counted from the one degree-6 basis,
+    are those of the truncated basis at each degree."""
+    if problem == "sl2":
+        data = classical(("e", "f", "h"),
+                         {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
+                          (2, 1): (0, -2, 0)})
+        path = tmp_path / "sl2.lrh"
+        path.write_text(render_problem(ProblemFile(
+            field=data.R.field, R=data.R, L=data.L, anchor=data.anchor,
+            action=data.action)))
+        problem = str(path)
+    assert main(["envelope", problem, "--degree", "6"]) == 0
+    found = re.findall(r"degree (\d+): dimension (\d+)",
+                       capsys.readouterr().out)
+    system = build_rewrite_system(
+        replace(parse_problem(problem).to_data(), validated=True))
+    assert [(int(d), int(n)) for d, n in found] == [
+        (d, enumerate_basis(system, d).dim) for d in range(7)]
 
 
 def test_envelope_refuses_axiom_failures(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Partial-map solving, right-action certification, the full pipeline."""
 
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -10,6 +12,8 @@ from lrhopf import (
     Derivation,
     Field,
     NCElement,
+    PipelineError,
+    SolveOutcome,
     UnsupportedInputError,
     build_and_verify_right_action,
     build_rewrite_system,
@@ -18,6 +22,7 @@ from lrhopf import (
     lie_algebra_from_brackets,
     make_character_module,
     make_monomial_quotient,
+    normal_form,
     obstructed_example,
     partial_map_from_witness,
     partial_map_system,
@@ -27,6 +32,8 @@ from lrhopf import (
     theorem1_pipeline,
     verify_partial,
 )
+from lrhopf import obstruction
+from lrhopf.cli import main
 from lrhopf.lierinehart import LieRinehartData
 from lrhopf.obstruction import PartialMap, right_act_word
 
@@ -256,3 +263,71 @@ def test_obstructed_example_is_reusable(q):
     assert L.labels == ("a",)
     assert str(anchor.rho(0).column(1)) == "y"
     assert str(anchor.rho(0).column(2)) == "0"
+
+
+def _counted(calls, name, real, *args):
+    calls.append(name)
+    return real(*args)
+
+
+def test_pipeline_solves_divisibility_once(q, monkeypatch):
+    """One solve and one replay at the top degree decide every degree."""
+    calls = []
+    for name in ("left_divide", "_replay_divide_certificate"):
+        monkeypatch.setattr(obstruction, name, partial(
+            _counted, calls, name, getattr(obstruction, name)))
+    assert theorem1_pipeline(q, degree=8).ok
+    assert calls == ["left_divide", "_replay_divide_certificate"]
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_top_certificate_prefixes_refute_every_lower_degree(p):
+    """The nesting behind the single solve: the degree-8 functional cut
+    to the degree-d basis still kills every x.w with deg w <= d and not
+    y, replayed against products normalised by the other strategy in a
+    fresh rewrite system."""
+    fld = Field(p)
+    cert = theorem1_pipeline(fld, degree=8).divisibility_outcome.certificate
+    fresh = build_rewrite_system(
+        make_character_module(*obstructed_example(fld)))
+    assert len(cert) == enumerate_basis(fresh, 8).dim
+    x = NCElement.from_word(fld, (r_letter(1),))
+    y = NCElement.from_word(fld, (r_letter(2),))
+    for d in range(1, 9):
+        env = enumerate_basis(fresh, d)  # deg(x) = 0: rows = columns
+        cut = cert[:env.dim]
+        functional = lambda elem: sum(
+            (u * c for u, c in zip(cut, env.coords(
+                normal_form(elem, fresh, "rightmost")))),
+            fld.zero)
+        for word in env.basis:
+            assert not functional(x.concat(NCElement.from_word(fld, word)))
+        assert functional(y)
+
+
+def _zero_certificate(real, g, t, env):
+    out = real(g, t, env)
+    return replace(out, certificate=(env.system.field.zero,)
+                   * len(out.certificate))
+
+
+def _claim_feasible(real, g, t, env):
+    zero = env.system.field.zero
+    return SolveOutcome(verdict="feasible", witness=(zero,) * env.dim,
+                        nullity=0, nullspace=())
+
+
+@pytest.mark.parametrize("fake", [_zero_certificate, _claim_feasible])
+def test_divisibility_replay_still_guards_the_pipeline(fake, q, monkeypatch,
+                                                        capsys):
+    """A refusal the replay cannot confirm, or a claimed witness, stops
+    the pipeline at the divisibility step, named with the top degree."""
+    monkeypatch.setattr(obstruction, "left_divide",
+                        partial(fake, obstruction.left_divide))
+    with pytest.raises(PipelineError) as caught:
+        theorem1_pipeline(q, degree=6)
+    assert caught.value.step == "left-divisibility"
+    assert "at degree 6" in str(caught.value)
+    assert main(["theorem1", "--degree", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "left-divisibility" in err and "degree 5" in err

@@ -25,6 +25,18 @@ def test_field_kinds():
     assert str(Field(5)) == "GF(5)"
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_zero_and_one_are_shared(p):
+    f = Field(p)
+    assert f.one is f.one
+    assert f.zero is f.zero
+    assert f.zero.value == 0 and f.one.value == 1
+    # the cache is invisible to equality, hashing and repr
+    g = Field(p)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f != Field(2) and {f: 1}[g] == 1
+
+
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 15, -3])
 def test_nonprime_characteristic_rejected(bad):
     with pytest.raises(LrhInputError):
