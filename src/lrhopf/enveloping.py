@@ -31,7 +31,7 @@ from .errors import (
     LrhInputError,
     RewriteBudgetError,
 )
-from .finalg import AlgebraElement, render_linear
+from .finalg import AlgebraElement, combine, render_linear
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import LinearSystem, SolveOutcome, solve_linear
@@ -430,27 +430,21 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
                      env: TruncatedEnvelope) -> AlgebraElement:
     """Act on the base algebra: an R-letter multiplies, an L-letter applies
     its anchor derivation, letters applied right to left along each word."""
-    system = env.system
     alg = env.system.source.R
     if r.algebra != alg:
         raise LrhInputError("element does not live in the base algebra")
-    total = alg.zero
-    for word, coeff in v.terms.items():
-        acc = r
+    zero = alg.field.zero
+    images = []
+    for word in v.terms:
+        acc = r.coeffs
         for letter in reversed(word):
-            if letter.kind == R_KIND:
-                acc = alg.basis_element(letter.index) * acc
-            else:
-                out = [alg.field.zero] * alg.dim
-                for j, c in enumerate(acc.coeffs):
-                    if not c:
-                        continue
-                    for k, rk in enumerate(system.rho_table[letter.index][j]):
-                        if rk:
-                            out[k] = out[k] + c * rk
-                acc = alg.element(out)
-        total = total + coeff * acc
-    return total
+            # e_i.r and rho_a(r) are both r contracted with a table row
+            table = alg.mul_table if letter.kind == R_KIND \
+                else env.system.rho_table
+            acc = combine(table[letter.index], acc, alg.dim, zero)
+        images.append(acc)
+    return AlgebraElement(alg, combine(images, v.terms.values(), alg.dim,
+                                       zero))
 
 
 def relation_elements(system: RewriteSystem) -> list:

@@ -36,6 +36,7 @@ from .finalg import (
     AlgebraElement,
     Character,
     Derivation,
+    combine,
     make_monomial_quotient,
     multiplication_operator,
 )
@@ -177,11 +178,9 @@ def verify_partial(p: PartialMap) -> VerdictReport:
                     "lhs": str(lhs), "rhs": str(rhs)}])
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            bracket = L.bracket_basis(a, b)
-            lhs = R.zero
-            for c, f in enumerate(bracket):
-                if f:
-                    lhs = lhs + f * p.values[c]
+            lhs = R.element(combine([v.coeffs for v in p.values],
+                                    L.bracket_basis(a, b), R.dim,
+                                    R.field.zero))
             rhs = data.anchor.rho(a).apply(p.values[b]) \
                 - data.anchor.rho(b).apply(p.values[a])
             if lhs.coeffs != rhs.coeffs:
@@ -383,15 +382,14 @@ def _replay_divide_certificate(g: NCElement, t: NCElement,
     extended = enumerate_basis(system, env.degree + g.degree)
     if len(certificate) != extended.dim:
         return False
-    for word in env.basis:
-        product = normal_form(
-            g.concat(NCElement.from_word(fld, word)), system)
-        value = fld.zero
-        for u, c in zip(certificate, extended.coords(product)):
-            value = value + u * c
-        if value:
-            return False
-    target = fld.zero
-    for u, c in zip(certificate, extended.coords(normal_form(t, system))):
-        target = target + u * c
-    return bool(target)
+
+    def value(elem):
+        # only the normal form's few terms meet the certificate
+        return sum((certificate[extended.position(w)] * c
+                    for w, c in normal_form(elem, system).terms.items()),
+                   fld.zero)
+
+    if any(value(g.concat(NCElement.from_word(fld, word)))
+           for word in env.basis):
+        return False
+    return bool(value(t))

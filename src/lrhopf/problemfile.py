@@ -143,20 +143,35 @@ class ProblemFile:
                                anchor=self.anchor)
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ProblemFileError(f"missing key {key!r} in section {where!r}")
-    return section[key]
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
+_MISSING = object()
+
+
+def _require(section: dict, key: str, where: str, kind, default=_MISSING):
+    """section[key], of JSON type `kind` (dict, list, str or int), or an
+    array of that type for kind = [type]; `default` stands in for a
+    missing key.  `where` is the enclosing section, "" at the top."""
+    value = section.get(key, default)
+    if value is _MISSING:
+        raise ProblemFileError(f"missing key {key!r} in section {where!r}"
+                               if where else f"missing section {key!r}")
+    item = kind[0] if isinstance(kind, list) else None
+    # type(), not isinstance(): JSON true and false are no integers
+    if type(value) is not (list if item else kind) or (
+            item and any(type(x) is not item for x in value)):
+        wanted = f"array of {_JSON_NAMES[item]}s" if item \
+            else _JSON_NAMES[kind]
+        raise ProblemFileError(
+            f"{where}.{key}".lstrip(".") + f" must be a JSON {wanted}")
+    return value
 
 
 def _parse_field(section) -> Field:
-    kind = _require(section, "kind", "field")
+    kind = _require(section, "kind", "field", str)
     if kind == "rationals":
         return Field(0)
     if kind == "prime-field":
-        p = _require(section, "p", "field")
-        if not isinstance(p, int):
-            raise ProblemFileError("field.p must be an integer")
+        p = _require(section, "p", "field", int)
         try:
             return Field(p)
         except LrhInputError as exc:
@@ -165,20 +180,24 @@ def _parse_field(section) -> Field:
 
 
 def _parse_algebra(section, fld: Field) -> CommAlgebra:
-    kind = _require(section, "kind", "algebra")
+    kind = _require(section, "kind", "algebra", str)
     if kind == "monomial-quotient":
-        variables = _require(section, "variables", "algebra")
-        relations = _require(section, "relations", "algebra")
+        variables = _require(section, "variables", "algebra", [str])
+        relations = _require(section, "relations", "algebra", [str])
         return make_monomial_quotient(tuple(variables), tuple(relations),
                                       fld)
     if kind == "structure-constants":
-        dim = _require(section, "dim", "algebra")
-        labels = tuple(_require(section, "labels", "algebra"))
+        dim = _require(section, "dim", "algebra", int)
+        labels = tuple(_require(section, "labels", "algebra", [str]))
         if len(labels) != dim:
             raise ProblemFileError("algebra.dim does not match its labels")
+        if dim < 1:
+            raise ProblemFileError(
+                "algebra.dim must be at least 1: basis element 0 is the unit")
         constants = {}
-        for entry in section.get("constants", []):
-            if len(entry) != 4:
+        for entry in _require(section, "constants", "algebra", [list], []):
+            if len(entry) != 4 or any(type(x) is not int
+                                      for x in entry[:3]):
                 raise ProblemFileError(
                     f"algebra constant {entry!r} is not [i, j, k, coeff]")
             i, j, k, coeff = entry
@@ -188,8 +207,8 @@ def _parse_algebra(section, fld: Field) -> CommAlgebra:
 
 
 def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
-    dim = _require(section, "dim", "lie")
-    labels = tuple(_require(section, "labels", "lie"))
+    dim = _require(section, "dim", "lie", int)
+    labels = tuple(_require(section, "labels", "lie", [str]))
     if len(labels) != dim:
         raise ProblemFileError("lie.dim does not match its labels")
     if len(set(labels)) != dim:
@@ -205,7 +224,7 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
         return labels.index(label)
 
     sparse = {}
-    for entry in section.get("brackets", []):
+    for entry in _require(section, "brackets", "lie", [list], []):
         if len(entry) != 4:
             raise ProblemFileError(
                 f"bracket entry {entry!r} is not [a, b, c, coeff]")
@@ -224,7 +243,7 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
         if key not in known:
             raise ProblemFileError(f"anchor names unknown Lie label {key!r}")
     for label in L.labels:
-        values = section.get(label, {})
+        values = _require(section, label, "anchor", dict, {})
         if R.variables is not None:
             for var in values:
                 if var not in R.variables:
@@ -252,9 +271,9 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
 
 
 def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
-    kind = _require(section, "kind", "action")
-    values = _require(section, "values", "action")
+    kind = _require(section, "kind", "action", str)
     if kind == "character":
+        values = _require(section, "values", "action", dict)
         if R.variables is not None and set(values) <= set(R.variables):
             parsed = {var: R.field.parse(str(values.get(var, "0")))
                       for var in R.variables}
@@ -270,7 +289,7 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
         return character_action(chi, L.dim)
     if kind == "tensor":
         entries = {}
-        for entry in values:
+        for entry in _require(section, "values", "action", [list]):
             if len(entry) != 4:
                 raise ProblemFileError(
                     f"action entry {entry!r} is not [r, a, b, coeff]")
@@ -296,14 +315,14 @@ def parse_problem_text(text: str) -> ProblemFile:
             f"column {exc.colno}") from None
     if not isinstance(tree, dict):
         raise ProblemFileError("problem document must be a JSON object")
-    for key in ("field", "algebra", "lie", "anchor", "action"):
-        if key not in tree:
-            raise ProblemFileError(f"missing section {key!r}")
-    fld = _parse_field(tree["field"])
-    R = _parse_algebra(tree["algebra"], fld)
-    L = _parse_lie(tree["lie"], fld, R.labels)
-    anchor = _parse_anchor(tree["anchor"], R, L)
-    action = _parse_action(tree["action"], R, L)
+    field, algebra, lie, anchor, action = (
+        _require(tree, key, "", dict)
+        for key in ("field", "algebra", "lie", "anchor", "action"))
+    fld = _parse_field(field)
+    R = _parse_algebra(algebra, fld)
+    L = _parse_lie(lie, fld, R.labels)
+    anchor = _parse_anchor(anchor, R, L)
+    action = _parse_action(action, R, L)
     return ProblemFile(field=fld, R=R, L=L, anchor=anchor, action=action)
 
 

@@ -4,10 +4,12 @@ The solvers and counters here deliberately avoid the package's own
 algorithms: rational systems are decided by a plain Fraction echelon
 with a different pivot order, prime-field systems by exhaustive
 enumeration in raw integers, monomial products by direct exponent
-arithmetic, and basis sizes by binomial counting.  Tests compare the
-package's answers against these.  The one exception is ``dense_solve``,
-the package's former dense elimination kept verbatim as a reference:
-the sparse solver must reproduce its outcomes exactly.
+arithmetic, basis sizes by binomial counting, and structure-constant
+contractions, with the axiom checks built on them, by dense loops over
+raw values.  Tests compare the package's answers against these.  The
+one exception is ``dense_solve``, the package's former dense
+elimination kept verbatim as a reference: the sparse solver must
+reproduce its outcomes exactly.
 """
 
 from fractions import Fraction
@@ -183,6 +185,110 @@ def kills_columns(system, certificate):
             return False
     total = sum(certificate[r].value * rhs[r] for r in range(system.rows))
     return (total % p if p else total) != 0
+
+
+# ---------------------------------------------------------------------------
+# structure constants on raw values
+#
+# Tables, tensors, matrices and vectors here are nested lists of plain
+# Fractions (p = 0) or ints (p prime); every sum runs over every index,
+# zero or not, and is reduced mod p once at the end.
+
+def raw(obj):
+    """Plain values out of a Scalar or any nesting of Scalar tuples."""
+    if hasattr(obj, "value"):
+        return obj.value
+    return [raw(x) for x in obj]
+
+
+def _reduced(vec, p):
+    return [x % p if p else x for x in vec]
+
+
+def naive_contract(table, u, v, size, p):
+    """sum_{i,j} u[i] v[j] table[i][j] (products, brackets, actions)."""
+    return _reduced([sum(u[i] * v[j] * table[i][j][k]
+                         for i in range(len(u)) for j in range(len(v)))
+                     for k in range(size)], p)
+
+
+def naive_apply(matrix, vec, p):
+    """Matrix times vector: a derivation applied to coordinates."""
+    return _reduced([sum(row[j] * vec[j] for j in range(len(vec)))
+                     for row in matrix], p)
+
+
+def naive_of_vector(matrices, vec, p):
+    """sum_a vec[a] matrices[a]: the anchor of a general Lie element."""
+    n = len(matrices[0])
+    return [_reduced([sum(vec[a] * matrices[a][i][j]
+                          for a in range(len(vec))) for j in range(n)], p)
+            for i in range(n)]
+
+
+def _basis(t, size):
+    return [int(k == t) for k in range(size)]
+
+
+def naive_lie_check(table, p):
+    """First failure of check_lie_algebra in its order: ("antisymmetry",
+    (a, b), None) or ("jacobi", (a, b, c), value), or None."""
+    m = len(table)
+    for a in range(m):
+        for b in range(a, m):
+            mirrored = _reduced([-x for x in table[b][a]], p)
+            if (a == b and any(table[a][a])) or (
+                    a != b and _reduced(table[a][b], p) != mirrored):
+                return "antisymmetry", (a, b), None
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                value = [sum(x) for x in zip(
+                    naive_contract(table, _basis(a, m), table[b][c], m, p),
+                    naive_contract(table, _basis(b, m), table[c][a], m, p),
+                    naive_contract(table, _basis(c, m), table[a][b], m, p))]
+                value = _reduced(value, p)
+                if any(value):
+                    return "jacobi", (a, b, c), value
+    return None
+
+
+def naive_action_check(mul_table, tensor, p):
+    """First failure of check_module_action: ("unit-acts-as-identity",
+    (a,)) or ("action-associativity", (i, j, a)), or None."""
+    n, m = len(mul_table), len(tensor[0])
+    for a in range(m):
+        if _reduced(tensor[0][a], p) != _basis(a, m):
+            return "unit-acts-as-identity", (a,)
+    for i in range(n):
+        for j in range(n):
+            for a in range(m):
+                lhs = naive_contract(tensor, mul_table[i][j], _basis(a, m),
+                                     m, p)
+                rhs = naive_contract(tensor, _basis(i, n), tensor[j][a], m,
+                                     p)
+                if lhs != rhs:
+                    return "action-associativity", (i, j, a)
+    return None
+
+
+def naive_leibniz_check(bracket_table, tensor, anchor_matrices, p):
+    """First (i, a, b) with [xi_a, e_i.xi_b] != e_i.[xi_a, xi_b] +
+    anchor(xi_a)(e_i).xi_b, with both sides, or None."""
+    n, m = len(tensor), len(bracket_table)
+    for i in range(n):
+        for a in range(m):
+            image = naive_apply(anchor_matrices[a], _basis(i, n), p)
+            for b in range(m):
+                lhs = naive_contract(bracket_table, _basis(a, m),
+                                     tensor[i][b], m, p)
+                rhs = _reduced([x + y for x, y in zip(
+                    naive_contract(tensor, _basis(i, n), bracket_table[a][b],
+                                   m, p),
+                    naive_contract(tensor, image, _basis(b, m), m, p))], p)
+                if lhs != rhs:
+                    return (i, a, b), lhs, rhs
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,86 @@ def test_missing_section_reported():
         }))
 
 
+MONOMIAL_DOC = {
+    "field": {"kind": "rationals"},
+    "algebra": {"kind": "monomial-quotient", "variables": ["x", "y"],
+                "relations": ["x*y", "x^2", "y^2"]},
+    "lie": {"dim": 1, "labels": ["a"], "brackets": [["a", "a", "a", "0"]]},
+    "anchor": {"a": {"x": "y"}},
+    "action": {"kind": "character", "values": {"x": "0"}},
+}
+CONSTANTS_DOC = dict(
+    MONOMIAL_DOC,
+    algebra={"kind": "structure-constants", "dim": 2, "labels": ["1", "x"],
+             "constants": [[1, 1, 0, "0"]]},
+    anchor={"a": {"x": "x"}},
+    action={"kind": "tensor", "values": [["x", "a", "a", "0"]]})
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in (doc.items() if isinstance(doc, dict)
+                       else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("algebra", "relations"), 5, "algebra.relations"),
+    (("algebra", "variables"), [1], "algebra.variables"),
+    (("algebra", "variables"), "xy", "algebra.variables"),
+    (("lie", "labels"), "a", "lie.labels"),
+    (("anchor",), [], "anchor"),
+    (("anchor", "a"), "x", "anchor.a"),
+    (("action", "values"), "x", "action.values"),
+], ids=["relations-5", "variables-[1]", "variables-xy", "labels-a",
+        "anchor-[]", "anchor.a-x", "values-x"])
+def test_wrong_json_types_are_input_errors(path, value, named, tmp_path,
+                                           capsys):
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(json.dumps(_with(MONOMIAL_DOC, path, value)))
+    assert main(["check", str(bad)]) == 2
+    assert f"error: {named} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra, named", [
+    ({"kind": "structure-constants", "dim": 2, "labels": ["1", "x"],
+      "constants": [["1", 1, 0, "0"]]}, "algebra constant"),
+    ({"kind": "structure-constants", "dim": 0, "labels": [],
+      "constants": []}, "algebra.dim must be at least 1"),
+], ids=["string-index", "zero-dimensional"])
+def test_bad_structure_constants_are_input_errors(algebra, named, tmp_path,
+                                                  capsys):
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(json.dumps(dict(CONSTANTS_DOC, algebra=algebra)))
+    assert main(["check", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [MONOMIAL_DOC, CONSTANTS_DOC],
+                         ids=["monomial", "constants"])
+def test_any_value_of_the_wrong_type_exits_cleanly(doc, tmp_path, capsys):
+    """Every key and list item of a valid file, replaced by values of other
+    JSON types: the check either runs or exits 2, never a traceback."""
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 0
+    for path in _key_paths(doc):
+        for value in (5, "x", True, None, [], [1], {}, {"x": 1}):
+            bad.write_text(json.dumps(_with(doc, path, value)))
+            assert main(["check", str(bad)]) in (0, 2), (path, value)
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------ command: main
 
 def test_check_command_exit_zero(capsys):

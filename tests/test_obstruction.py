@@ -19,6 +19,7 @@ from lrhopf import (
     build_rewrite_system,
     enumerate_basis,
     l_letter,
+    left_divide,
     lie_algebra_from_brackets,
     make_character_module,
     make_monomial_quotient,
@@ -303,6 +304,30 @@ def test_top_certificate_prefixes_refute_every_lower_degree(p):
         for word in env.basis:
             assert not functional(x.concat(NCElement.from_word(fld, word)))
         assert functional(y)
+
+
+def test_divisibility_replay_refuses_tampered_certificates(q):
+    """The replay rejects a functional of the wrong length, and one with a
+    single entry changed at a row that some column x.w touches."""
+    system = build_rewrite_system(
+        make_character_module(*obstructed_example(q)))
+    env = enumerate_basis(system, 5)
+    x = NCElement.from_word(q, (r_letter(1),))
+    y = NCElement.from_word(q, (r_letter(2),))
+    cert = left_divide(x, y, env).certificate
+    replay = obstruction._replay_divide_certificate
+    assert replay(x, y, env, cert)
+    assert not replay(x, y, env, cert[:-1])
+    assert not replay(x, y, env, cert + (q.zero,))
+    touched = sorted({env.position(w) for word in env.basis
+                      for w in normal_form(
+                          x.concat(NCElement.from_word(q, word)),
+                          system).terms})
+    assert touched
+    for row in touched:
+        changed = list(cert)
+        changed[row] = changed[row] + q.one
+        assert not replay(x, y, env, tuple(changed))
 
 
 def _zero_certificate(real, g, t, env):
