@@ -48,7 +48,7 @@ from .problemfile import (
 from .reports import FEASIBLE, INFEASIBLE, PASS, VerdictReport
 from .scalars import Field, verify_certificate
 
-_FIELD_FLAG_RE = re.compile(r"^(?:Q|GF\(?(\d+)\)?)$")
+_FIELD_FLAG_RE = re.compile(r"^(?:Q|GF(\d+)|GF\((\d+)\))$")
 
 
 def parse_field_flag(text: str) -> Field:
@@ -56,9 +56,8 @@ def parse_field_flag(text: str) -> Field:
     if not match:
         raise LrhInputError(
             f"unknown field {text!r}; use Q or GF<p>, e.g. GF2 or GF(5)")
-    if match.group(1) is None:
-        return Field(0)
-    return Field(int(match.group(1)))
+    p = match.group(1) or match.group(2)
+    return Field(0) if p is None else Field.prime(int(p))
 
 
 def _validated(pf):

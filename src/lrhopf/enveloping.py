@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement, product
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -38,6 +39,8 @@ from .scalars import LinearSystem, SolveOutcome, solve_linear
 
 R_KIND = "R"
 L_KIND = "L"
+# A stored basis costs about 70 bytes per letter: 1 M letters is ~70 MB.
+MAX_BASIS_LETTERS = 1_000_000
 
 
 class Letter(NamedTuple):
@@ -367,6 +370,13 @@ def enumerate_basis(system: RewriteSystem, degree: int) -> TruncatedEnvelope:
     by degree and then lexicographically."""
     if degree < 0:
         raise LrhInputError("truncation degree must be nonnegative")
+    # C(m+t-1, t) words of degree t hold m C(m+D, m+1) letters up to D
+    m = system.l_dim
+    letters = system.r_dim - 1 + m * comb(m + degree, m + 1)
+    if letters > MAX_BASIS_LETTERS:
+        raise LrhInputError(
+            f"the degree-{degree} basis would hold {letters} letters, over "
+            f"the limit of {MAX_BASIS_LETTERS} (MAX_BASIS_LETTERS)")
     basis = [()]
     basis.extend((r_letter(i),) for i in range(1, system.r_dim))
     for t in range(1, degree + 1):

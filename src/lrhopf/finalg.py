@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -96,20 +97,20 @@ class CommAlgebra:
         return AlgebraElement(self, coeffs)
 
     def basis_element(self, k: int) -> "AlgebraElement":
-        return self.element(tuple(
+        return AlgebraElement(self, tuple(
             self.field.one if i == k else self.field.zero
             for i in range(self.dim)))
 
     @property
     def zero(self) -> "AlgebraElement":
-        return self.element((self.field.zero,) * self.dim)
+        return AlgebraElement(self, (self.field.zero,) * self.dim)
 
     @property
     def unit(self) -> "AlgebraElement":
         return self.basis_element(0)
 
     def basis_product(self, i: int, j: int) -> "AlgebraElement":
-        return self.element(self.mul_table[i][j])
+        return AlgebraElement(self, self.mul_table[i][j])
 
     def __str__(self):
         return f"algebra<{', '.join(self.labels)} over {self.field}>"
@@ -255,30 +256,22 @@ def make_monomial_quotient(variables: Sequence[str],
             raise InfiniteDimensionalError(v)
         bounds.append(min(pure))
 
-    def boxed(prefix, remaining):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for e in range(remaining[0]):
-            yield from boxed(prefix + [e], remaining[1:])
-
-    basis = [m for m in boxed([], bounds)
+    basis = [m for m in product(*(range(b) for b in bounds))
              if not any(_divisible(m, r) for r in rel_exps)]
     basis.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
     index = {m: k for k, m in enumerate(basis)}
 
-    zero_vec = (fld.zero,) * len(basis)
+    n = len(basis)
+    units = [tuple(fld.one if t == k else fld.zero for t in range(n))
+             for k in range(n)]
+    zero_vec = (fld.zero,) * n
     table = []
     for mi in basis:
         row = []
         for mj in basis:
-            prod = tuple(a + b for a, b in zip(mi, mj))
-            k = index.get(prod)
-            if k is None:
-                row.append(zero_vec)  # product lies in the ideal
-            else:
-                row.append(tuple(fld.one if t == k else fld.zero
-                                 for t in range(len(basis))))
+            k = index.get(tuple(a + b for a, b in zip(mi, mj)))
+            # a product outside the basis lies in the ideal
+            row.append(zero_vec if k is None else units[k])
         table.append(tuple(row))
 
     labels = tuple(monomial_label(m, variables) for m in basis)
@@ -336,7 +329,8 @@ class Derivation:
             zip(*self.matrix), elem.coeffs, alg.dim, alg.field.zero))
 
     def column(self, j: int) -> AlgebraElement:
-        return self.algebra.element(tuple(row[j] for row in self.matrix))
+        return AlgebraElement(self.algebra,
+                              tuple(row[j] for row in self.matrix))
 
     @classmethod
     def zero(cls, algebra: CommAlgebra) -> "Derivation":
@@ -354,20 +348,23 @@ class Derivation:
         if algebra.monomials is None:
             raise UnsupportedInputError(
                 "Leibniz extension needs a monomial-quotient algebra")
+        if any(image.algebra != algebra for image in images.values()):
+            raise AlgebraMismatchError("variable image in another algebra")
         fld = algebra.field
         n = algebra.dim
         cols = []
         for m in algebra.monomials:
-            col = algebra.zero
+            # D(m) = sum_v m_v (m / v) D(v): rows of the table of m / v
+            rows, coeffs = [], []
             for v_idx, v in enumerate(algebra.variables):
                 if m[v_idx] == 0:
                     continue
                 lowered = tuple(e - 1 if t == v_idx else e
                                 for t, e in enumerate(m))
-                cofactor = algebra.basis_element(
-                    algebra.monomials.index(lowered))
-                col = col + fld.scalar(m[v_idx]) * (cofactor * images[v])
-            cols.append(col.coeffs)
+                rows += algebra.mul_table[algebra.monomials.index(lowered)]
+                exponent = fld.scalar(m[v_idx])
+                coeffs += [exponent * c for c in images[v].coeffs]
+            cols.append(combine(rows, coeffs, n, fld.zero))
         matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         return cls(algebra, matrix)
 
@@ -380,11 +377,8 @@ class Character:
     values: tuple
 
     def apply(self, elem: AlgebraElement) -> Scalar:
-        fld = self.algebra.field
-        out = fld.zero
-        for v, c in zip(self.values, elem.coeffs):
-            out = out + v * c
-        return out
+        return sum((v * c for v, c in zip(self.values, elem.coeffs)),
+                   self.algebra.field.zero)
 
     @classmethod
     def from_variable_values(cls, algebra: CommAlgebra,
@@ -409,7 +403,8 @@ def multiplication_operator(a: AlgebraElement) -> tuple:
     """Matrix of left multiplication by `a`; column j is coeffs(a.e_j).
     Divisibility questions in the algebra are range questions here."""
     alg = a.algebra
-    cols = [(a * alg.basis_element(j)).coeffs for j in range(alg.dim)]
+    cols = [combine([row[j] for row in alg.mul_table], a.coeffs, alg.dim,
+                    alg.field.zero) for j in range(alg.dim)]
     return tuple(tuple(cols[j][i] for j in range(alg.dim))
                  for i in range(alg.dim))
 
@@ -503,13 +498,14 @@ def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
     n = algebra.dim
     if len(values) != n:
         raise LrhInputError("character vector has wrong length")
-    chi = Character(algebra, values)
     if values[0] != algebra.field.one:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-value", "value": str(values[0])}])
     for i in range(n):
         for j in range(n):
-            lhs = chi.apply(algebra.basis_product(i, j))
+            # chi(e_i e_j) against chi(e_i) chi(e_j)
+            lhs = sum((v * c for v, c in zip(values, algebra.mul_table[i][j])
+                       if c), algebra.field.zero)
             rhs = values[i] * values[j]
             if (lhs - rhs):
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{

@@ -351,47 +351,41 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     The verdict is the conjunction; witnesses carry the first failure of
     each condition."""
     name = "character-criterion"
+
+    def r_linearity_failure():
+        for i in range(R.dim):
+            for a in range(anchor.lie_dim):
+                for j in range(R.dim):
+                    img = anchor.rho(a).column(j).coeffs
+                    lhs = tuple(chi.values[i] * c for c in img)
+                    rhs = combine(R.mul_table[i], img, R.dim, R.field.zero)
+                    if lhs != rhs:
+                        return {"condition": "r-linearity",
+                                "triple": [R.labels[i], L.labels[a],
+                                           R.labels[j]],
+                                "lhs": str(R.element(lhs)),
+                                "rhs": str(R.element(rhs))}
+
+    def kernel_failure():
+        for a in range(anchor.lie_dim):
+            for i in range(R.dim):
+                value = chi.apply(anchor.rho(a).column(i))
+                if value:
+                    return {"condition": "anchor-into-kernel",
+                            "pair": [L.labels[a], R.labels[i]],
+                            "value": str(value)}
+
     witnesses = []
     narrative = []
-
-    found_a = None
-    for i in range(R.dim):
-        for a in range(anchor.lie_dim):
-            for j in range(R.dim):
-                img = anchor.rho(a).column(j)
-                lhs = chi.values[i] * img
-                rhs = combine(R.mul_table[i], img.coeffs, R.dim,
-                              R.field.zero)
-                if lhs.coeffs != rhs:
-                    found_a = {"condition": "r-linearity",
-                               "triple": [R.labels[i], L.labels[a],
-                                          R.labels[j]],
-                               "lhs": str(lhs), "rhs": str(R.element(rhs))}
-                    break
-            if found_a:
-                break
-        if found_a:
-            break
-    if found_a:
-        witnesses.append(found_a)
-    else:
-        narrative.append("(a) anchor is R-linear for the character action")
-
-    found_b = None
-    for a in range(anchor.lie_dim):
-        for i in range(R.dim):
-            value = chi.apply(anchor.rho(a).column(i))
-            if value:
-                found_b = {"condition": "anchor-into-kernel",
-                           "pair": [L.labels[a], R.labels[i]],
-                           "value": str(value)}
-                break
-        if found_b:
-            break
-    if found_b:
-        witnesses.append(found_b)
-    else:
-        narrative.append("(b) every anchor value is annihilated by chi")
+    for found, held in (
+            (r_linearity_failure(),
+             "(a) anchor is R-linear for the character action"),
+            (kernel_failure(),
+             "(b) every anchor value is annihilated by chi")):
+        if found:
+            witnesses.append(found)
+        else:
+            narrative.append(held)
 
     verdict = PASS if not witnesses else FAIL
     return VerdictReport(name=name, verdict=verdict, witnesses=witnesses,

@@ -38,7 +38,6 @@ from .finalg import (
     Derivation,
     combine,
     make_monomial_quotient,
-    multiplication_operator,
 )
 from .lierinehart import (
     Anchor,
@@ -94,47 +93,42 @@ def partial_map_system(data: LieRinehartData) -> LinearSystem:
     def col(a, j):
         return a * n + j
 
-    rows = []      # list of (row dict col->Scalar, rhs Scalar)
+    table = R.mul_table
+    # mult[i][j][k]: coefficient k of (e_i - chi(e_i) 1) e_j
+    mult = [[combine((table[i][j], table[0][j]), (fld.one, -chi.values[i]),
+                     n, fld.zero) for j in range(n)] for i in range(n)]
+    entries, rhs = [], []
+
+    def emit(row, target):
+        """One equation from a {col: Scalar} row; zero entries are dropped."""
+        entries.extend((len(rhs), c, v) for c, v in row.items() if v)
+        rhs.append(target)
+
     for a in range(m):
-        rho_a = data.anchor.rho(a)
+        rho_a = data.anchor.rho(a).matrix
         for i in range(n):
-            shifted = R.basis_element(i) - chi.values[i] * R.unit
-            mult = multiplication_operator(shifted)
-            target = rho_a.column(i)
             for k in range(n):
-                row = {}
-                for j in range(n):
-                    if mult[k][j]:
-                        row[col(a, j)] = row.get(col(a, j), fld.zero) \
-                            + mult[k][j]
-                rows.append((row, target.coeffs[k]))
+                emit({col(a, j): mult[i][j][k] for j in range(n)},
+                     rho_a[k][i])
     for a in range(m):
         for b in range(a + 1, m):
             bracket = L.bracket_basis(a, b)
-            rho_a = data.anchor.rho(a)
-            rho_b = data.anchor.rho(b)
+            rho_a = data.anchor.rho(a).matrix
+            rho_b = data.anchor.rho(b).matrix
             for k in range(n):
                 row = {}
                 for c, f in enumerate(bracket):
                     if f:
                         row[col(c, k)] = row.get(col(c, k), fld.zero) + f
                 for j in range(n):
-                    ca = rho_a.column(j).coeffs[k]
+                    ca = rho_a[k][j]
                     if ca:
                         row[col(b, j)] = row.get(col(b, j), fld.zero) - ca
-                    cb = rho_b.column(j).coeffs[k]
+                    cb = rho_b[k][j]
                     if cb:
                         row[col(a, j)] = row.get(col(a, j), fld.zero) + cb
-                rows.append((row, fld.zero))
-
-    entries = []
-    rhs = []
-    for r, (row, target) in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                entries.append((r, c, v))
-        rhs.append(target)
-    return LinearSystem(rows=len(rows), cols=m * n, entries=tuple(entries),
+                emit(row, fld.zero)
+    return LinearSystem(rows=len(rhs), cols=m * n, entries=tuple(entries),
                         rhs=tuple(rhs), field=fld)
 
 
@@ -148,7 +142,7 @@ def partial_map_from_witness(data: LieRinehartData,
         raise LrhInputError("outcome carries no witness to repackage")
     n = data.R.dim
     values = tuple(
-        data.R.element(outcome.witness[a * n:(a + 1) * n])
+        AlgebraElement(data.R, outcome.witness[a * n:(a + 1) * n])
         for a in range(data.L.dim))
     return PartialMap(data=data, values=values,
                       free_parameters=outcome.nullity)
@@ -220,7 +214,6 @@ def build_and_verify_right_action(p: PartialMap,
         raise LrhInputError("candidate and envelope come from different "
                             "structures")
     R = p.data.R
-    fld = R.field
     for rel_name, rel in relation_elements(env.system):
         for i in range(R.dim):
             image = R.zero
@@ -275,7 +268,6 @@ def obstructed_example(fld: Field):
     both variables."""
     R = make_monomial_quotient(("x", "y"), ("x*y", "x^2", "y^2"), fld)
     L = lie_algebra_from_brackets(fld, ("a",), {})
-    x = R.basis_element(R.index_of("x"))
     y = R.basis_element(R.index_of("y"))
     deriv = Derivation.from_variable_images(R, {"x": y, "y": R.zero})
     chi = Character.from_variable_values(

@@ -32,6 +32,7 @@ from importlib import resources
 
 from .errors import LrhInputError, ProblemFileError
 from .finalg import (
+    AlgebraElement,
     Character,
     CommAlgebra,
     Derivation,
@@ -96,13 +97,13 @@ def _term_pieces(term: str, fld: Field):
 def parse_algebra_expression(text: str, algebra: CommAlgebra):
     """Linear expression over the algebra's basis labels; a bare scalar
     means that multiple of the unit."""
-    out = algebra.zero
+    coeffs = [algebra.field.zero] * algebra.dim
     for term in _split_terms(str(text)):
         coeff, label = _term_pieces(term, algebra.field)
         index = algebra.unit_index if label is None \
             else algebra.index_of(label)
-        out = out + coeff * algebra.basis_element(index)
-    return out
+        coeffs[index] = coeffs[index] + coeff
+    return AlgebraElement(algebra, tuple(coeffs))
 
 
 def parse_generator_expression(text: str, system: RewriteSystem) -> NCElement:
@@ -173,7 +174,7 @@ def _parse_field(section) -> Field:
     if kind == "prime-field":
         p = _require(section, "p", "field", int)
         try:
-            return Field(p)
+            return Field.prime(p)
         except LrhInputError as exc:
             raise ProblemFileError(str(exc)) from None
     raise ProblemFileError(f"unknown field.kind {kind!r}")

@@ -6,12 +6,17 @@ prime field GF(p).  All arithmetic is exact -- rationals are stdlib
 elements are residues in [0, p).  There is no floating point anywhere
 in this package.
 
+``Field`` owns the arithmetic on these raw values (``reduce``,
+``inverse``, ``zero.value``, ``one.value``); ``Field.scalar`` coerces
+values from outside the package, and nothing else.
+
 ``Scalar`` is the boundary type: systems come in and evidence goes out
-as Scalars.  ``solve_linear`` decides A.x = b by deterministic exact
-sparse Gauss-Jordan elimination, run on the raw field values (Fraction
-or int) in {col: value} rows, and always hands back checkable evidence:
-a particular witness plus a nullspace basis when feasible, or a
-Farkas-style row vector u with u.A = 0 and u.b != 0 when infeasible.
+as Scalars, and its operators work through the field's raw operations.
+``solve_linear`` decides A.x = b by deterministic exact sparse
+Gauss-Jordan elimination on raw values in {col: value} rows, and
+always hands back checkable evidence: a particular witness plus a
+nullspace basis when feasible, or a Farkas-style row vector u with
+u.A = 0 and u.b != 0 when infeasible.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
 from the sparse input in Scalar arithmetic, independently of the
 elimination path that produced it.
@@ -22,12 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import FieldMismatchError, LrhInputError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
@@ -47,7 +51,8 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class Field:
     """Exact coefficient field: characteristic 0 means the rationals,
-    a prime p means GF(p)."""
+    a prime p means GF(p).  Scalars are immutable, so all callers share
+    the `zero` and `one` made with the field."""
 
     characteristic: int = 0
 
@@ -56,18 +61,41 @@ class Field:
             raise LrhInputError(
                 f"characteristic must be 0 or prime, got {self.characteristic}"
             )
+        object.__setattr__(self, "zero", self.scalar(0))
+        object.__setattr__(self, "one", self.scalar(1))
+
+    @classmethod
+    def prime(cls, p: int) -> "Field":
+        """GF(p); Field(0) is the rationals, so p = 0 is refused here."""
+        if p == 0:
+            raise LrhInputError("GF(0) is not a field; characteristic 0 is Q")
+        return cls(p)
 
     @property
     def kind(self) -> str:
         return "rationals" if self.characteristic == 0 else "prime-field"
 
+    def reduce(self, v):
+        """Canonical form of a sum, difference or product of raw values:
+        the residue mod p; over Q the Fraction itself, in lowest terms."""
+        p = self.characteristic
+        return v % p if p else v
+
+    def inverse(self, v):
+        """Raw inverse of a nonzero raw value."""
+        p = self.characteristic
+        return pow(v, p - 2, p) if p else 1 / v
+
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
+        """Coerce a value from outside the package into this field."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatchError(
                     f"scalar over {value.field} used in {self}"
                 )
             return value
+        if not isinstance(value, (int, Fraction)):
+            raise FieldMismatchError(f"{value!r} is not an exact value")
         p = self.characteristic
         if p == 0:
             return Scalar(self, Fraction(value))
@@ -77,16 +105,7 @@ class Field:
                     f"fraction {value} is not a GF({p}) literal"
                 )
             value = value.numerator
-        return Scalar(self, value % p)
-
-    # Scalars are immutable, so all callers can share one zero and one one.
-    @cached_property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @cached_property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
+        return Scalar(self, self.reduce(value))
 
     def parse(self, text: str) -> "Scalar":
         """Parse a scalar literal: decimal integers and p/q fractions over
@@ -106,9 +125,6 @@ class Field:
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
-
-
-RATIONALS = Field(0)
 
 
 @dataclass(frozen=True)
@@ -133,7 +149,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.scalar(self.value + other.value)
+        fld = self.field
+        return Scalar(fld, fld.reduce(self.value + other.value))
 
     __radd__ = __add__
 
@@ -141,7 +158,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.scalar(self.value - other.value)
+        fld = self.field
+        return Scalar(fld, fld.reduce(self.value - other.value))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -153,7 +171,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.scalar(self.value * other.value)
+        fld = self.field
+        return Scalar(fld, fld.reduce(self.value * other.value))
 
     __rmul__ = __mul__
 
@@ -163,16 +182,16 @@ class Scalar:
             return NotImplemented
         if not other:
             raise ZeroDivisionError(f"division by zero in {self.field}")
-        p = self.field.characteristic
-        if p == 0:
-            return self.field.scalar(self.value / other.value)
-        return self.field.scalar(self.value * pow(other.value, p - 2, p))
+        fld = self.field
+        quotient = self.value * fld.inverse(other.value)
+        return Scalar(fld, fld.reduce(quotient))
 
     def inverse(self) -> "Scalar":
         return self.field.one / self
 
     def __neg__(self):
-        return self.field.scalar(-self.value)
+        fld = self.field
+        return Scalar(fld, fld.reduce(-self.value))
 
     def __bool__(self):
         return self.value != 0
@@ -182,6 +201,9 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.field}, {self.value})"
+
+
+RATIONALS = Field(0)
 
 
 @dataclass(frozen=True)
@@ -253,24 +275,9 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     certificate.  Only the returned evidence is wrapped back into Scalar.
     """
     fld = system.field
-    p = fld.characteristic
+    reduce, inverse = fld.reduce, fld.inverse
+    zero, one = fld.zero.value, fld.one.value
     nrows, ncols = system.rows, system.cols
-    if p:
-        one, zero = 1, 0
-
-        def reduce(v):
-            return v % p
-
-        def inverse(v):
-            return pow(v, p - 2, p)
-    else:
-        one, zero = Fraction(1), Fraction(0)
-
-        def reduce(v):
-            return v
-
-        def inverse(v):
-            return one / v
 
     def axpy(row, f, pivot):
         """row -= f * pivot in place, dropping entries that cancel."""
@@ -316,10 +323,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         pivots.append((rank, col))
         rank += 1
 
-    zero_s = Scalar(fld, zero)
-
     def wrap(sparse, size):
-        out = [zero_s] * size
+        out = [fld.zero] * size
         for k, v in sparse.items():
             out[k] = Scalar(fld, v)
         return tuple(out)
@@ -365,7 +370,5 @@ def verify_certificate(system: LinearSystem, u: Sequence[Scalar]) -> bool:
         ua[c] = ua[c] + u[r] * s
     if any(ua):
         return False
-    ub = system.field.zero
-    for r, s in enumerate(system.rhs):
-        ub = ub + u[r] * s
-    return bool(ub)
+    return bool(sum((u[r] * s for r, s in enumerate(system.rhs)),
+                    system.field.zero))

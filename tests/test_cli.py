@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +38,8 @@ def test_parse_field_flag():
     assert parse_field_flag("GF2").characteristic == 2
     assert parse_field_flag("GF(5)").characteristic == 5
     assert parse_field_flag(" GF7 ").characteristic == 7
-    for bad in ("R7", "GF", "Z/5", "gfx"):
+    for bad in ("R7", "GF", "Z/5", "gfx", "GF0", "GF(0)", "GF00", "GF(5",
+                "GF5)"):
         with pytest.raises(LrhInputError):
             parse_field_flag(bad)
 
@@ -124,6 +126,43 @@ def test_scalar_literals_respect_the_field():
     }
     with pytest.raises(LrhInputError):
         parse_problem_text(json.dumps(doc))
+
+
+def test_prime_field_of_characteristic_zero_is_refused(tmp_path, capsys):
+    doc = {
+        "field": {"kind": "prime-field", "p": 0},
+        "algebra": {"kind": "monomial-quotient", "variables": ["x"],
+                    "relations": ["x^2"]},
+        "lie": {"dim": 1, "labels": ["a"], "brackets": []},
+        "anchor": {"a": {"x": "x"}},
+        "action": {"kind": "character", "values": {"x": "0"}},
+    }
+    with pytest.raises(ProblemFileError, match="GF\\(0\\)"):
+        parse_problem_text(json.dumps(doc))
+    path = tmp_path / "gf0.lrh"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert "GF(0)" in capsys.readouterr().err
+
+
+def test_zero_denominators_are_input_errors(tmp_path, capsys):
+    """A Q literal with a zero denominator names the literal and exits 2,
+    from the command line and from a problem file."""
+    assert main(["divide", "obstructed-example", "--left", "1/0*x",
+                 "--target", "y"]) == 2
+    assert "'1/0'" in capsys.readouterr().err
+    doc = {
+        "field": {"kind": "rationals"},
+        "algebra": {"kind": "structure-constants", "dim": 2,
+                    "labels": ["1", "e"], "constants": [[1, 1, 1, "3/00"]]},
+        "lie": {"dim": 1, "labels": ["b"], "brackets": []},
+        "anchor": {"b": {"e": "0"}},
+        "action": {"kind": "character", "values": {"1": "1", "e": "0"}},
+    }
+    path = tmp_path / "zero-denominator.lrh"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert "'3/00'" in capsys.readouterr().err
 
 
 def test_malformed_json_reports_position():
@@ -352,6 +391,29 @@ def test_theorem1_command(capsys):
     assert doc["command"] == "theorem1"
     assert doc["verdict"] == "pass"
     assert len(doc["steps"]) == 5
+
+
+def test_oversized_bases_are_refused_up_front(tmp_path, capsys):
+    """Both requests used to run until the memory ran out; the second is
+    over U(L) for an abelian L of dimension 2."""
+    path = tmp_path / "abelian2.lrh"
+    path.write_text(json.dumps({
+        "field": {"kind": "rationals"},
+        "algebra": {"kind": "structure-constants", "dim": 1,
+                    "labels": ["1"], "constants": [[0, 0, 0, "1"]]},
+        "lie": {"dim": 2, "labels": ["a", "b"], "brackets": []},
+        "anchor": {"a": {}, "b": {}},
+        "action": {"kind": "character", "values": {"1": "1"}},
+    }))
+    for argv in (["envelope", "obstructed-example", "--degree",
+                  str(10 ** 20)],
+                 ["divide", str(path), "--left", "a", "--target", "b",
+                  "--degree", "1100"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "MAX_BASIS_LETTERS" in err and "1000000" in err
 
 
 def test_missing_file_is_input_error(capsys):

@@ -255,6 +255,24 @@ def test_negative_degree_refused(obstructed):
         enumerate_basis(obstructed[5], -1)
 
 
+def test_basis_letter_limit_is_exact(obstructed, classical, monkeypatch):
+    """The letter count taken before enumerating is the number of letters
+    the basis stores, so the limit refuses exactly the bases above it."""
+    systems = [obstructed[5]] + [build_rewrite_system(classical(labels, {}))
+                                 for labels in (("b1",), ("b1", "b2"),
+                                                ("b1", "b2", "b3"))]
+    for system in systems:
+        for degree in range(6):
+            basis = enumerate_basis(system, degree).basis
+            letters = sum(len(word) for word in basis)
+            monkeypatch.setattr(enveloping, "MAX_BASIS_LETTERS", letters)
+            assert enumerate_basis(system, degree).basis == basis
+            monkeypatch.setattr(enveloping, "MAX_BASIS_LETTERS", letters - 1)
+            with pytest.raises(LrhInputError, match="MAX_BASIS_LETTERS"):
+                enumerate_basis(system, degree)
+            monkeypatch.undo()
+
+
 def test_coords_roundtrip_and_overflow(obstructed_env, q):
     env = obstructed_env
     elem = NCElement.from_word(q, (l_letter(0),)) \

@@ -11,8 +11,17 @@ from lrhopf import (
     LinearSystem,
     LrhInputError,
     solve_linear,
+    solve_partial,
+    validate_lie_rinehart,
     verify_certificate,
     verify_witness,
+)
+
+from lrhopf.problemfile import (
+    ProblemFile,
+    parse_problem,
+    parse_problem_text,
+    render_problem,
 )
 
 import oracles
@@ -66,6 +75,44 @@ def test_prime_field_arithmetic():
     assert a.inverse().value == 2
 
 
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+def test_operators_return_canonical_raw_values(p):
+    """Every operator, on Scalars and on mixed int operands, gives a
+    Fraction over Q and an int in [0, p) over GF(p)."""
+    f = Field(p)
+    values = [f.scalar(v) for v in (-7, -1, 0, 1, 2, 5, 12)]
+    values += [f.parse("-3"), f.parse("11"), f.zero, f.one]
+    if p == 0:
+        values += [f.scalar(Fraction(-5, 6)), f.parse("4/6")]
+    results = list(values)
+    for a in values:
+        results += [-a, a + 3, 3 + a, a - 3, 3 - a, a * -4, -4 * a]
+        for b in values:
+            results += [a + b, a - b, a * b] + ([a / b] if b else [])
+        if a:
+            results.append(a.inverse())
+    for r in results:
+        assert r.field == f
+        if p == 0:
+            assert type(r.value) is Fraction
+        else:
+            assert type(r.value) is int and 0 <= r.value < p
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+def test_field_raw_operations(p):
+    """reduce canonicalises raw results; inverse inverts nonzero ones."""
+    f = Field(p)
+    raws = [Fraction(-5, 6), Fraction(7), Fraction(1, 3)] if p == 0 \
+        else list(range(1, p))
+    for v in raws:
+        assert f.reduce(v * f.inverse(v)) == f.one.value
+    if p:
+        assert [f.reduce(v) for v in (-1, p, 2 * p + 1)] == [p - 1, 0, 1]
+    else:
+        assert f.reduce(Fraction(-4, 6)) == Fraction(-2, 3)
+
+
 def test_mixed_fields_refused():
     with pytest.raises(FieldMismatchError):
         Field(0).scalar(1) + Field(3).scalar(1)
@@ -96,6 +143,15 @@ def test_gf_fraction_scalar_refused():
     with pytest.raises(FieldMismatchError):
         Field(3).scalar(Fraction(1, 2))
     assert Field(3).scalar(Fraction(4, 1)).value == 1
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_inexact_values_refused(p):
+    """Floats and text are no field values: GF(5) used to store 2.5 as
+    it came, and Q read it as 5/2."""
+    for bad in (2.5, 1e-3, "1/2", None):
+        with pytest.raises(FieldMismatchError):
+            Field(p).scalar(bad)
 
 
 def test_system_validation():
@@ -269,3 +325,32 @@ def test_explicit_zero_entries_never_pivot():
     assert out.feasible and out.nullity == 0
     assert [s.value for s in out.witness] == [2, 3]
     assert oracles.substitute(system, out.witness)
+
+
+# ------------------------------------------------- coercion at the boundary
+
+def test_kernel_does_not_coerce_values_it_built(classical, monkeypatch):
+    """Field.scalar coerces outside values only: once problems are parsed,
+    the axiom checks and the extension solve never call it."""
+    problems = [parse_problem(name)
+                for name in ("obstructed-example", "euler-example")]
+    for fld in (Field(0), Field(7)):
+        data = classical(("e", "f", "h"),
+                         {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
+                          (2, 1): (0, -2, 0)}, fld)
+        problems.append(parse_problem_text(render_problem(ProblemFile(
+            field=fld, R=data.R, L=data.L, anchor=data.anchor,
+            action=data.action))))
+    calls = []
+    original = Field.scalar
+
+    def counting(self, value):
+        calls.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(Field, "scalar", counting)
+    for pf in problems:
+        data = pf.to_data()
+        assert all(report.ok for report in validate_lie_rinehart(data))
+        solve_partial(data)
+    assert calls == []
