@@ -74,6 +74,8 @@ from .enveloping import (
     normal_form,
     r_letter,
     relation_elements,
+    verify_divide_certificate,
+    verify_divide_witness,
 )
 from .obstruction import (
     ObstructionReport,

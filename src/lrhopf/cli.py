@@ -18,19 +18,23 @@ document carrying exactly the data of the text report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from dataclasses import replace
 from itertools import accumulate
 
-from .errors import ConstructionRefusedError, LrhInputError, LrhInternalError
+from .errors import (ConstructionRefusedError, LrhInputError,
+                     LrhInternalError, PipelineError)
 from .lierinehart import character_criterion, validate_lie_rinehart
 from .enveloping import (
     build_rewrite_system,
     check_local_confluence,
     enumerate_basis,
     left_divide,
+    verify_divide_certificate,
+    verify_divide_witness,
     word_degree,
 )
 from .obstruction import (
@@ -149,6 +153,7 @@ def _cmd_divide(args) -> int:
     t = parse_generator_expression(args.target, system)
     outcome = left_divide(g, t, env)
     if outcome.feasible:
+        replayed = verify_divide_witness(g, t, env, outcome.witness)
         witness = system.render_element(env.element(outcome.witness))
         report = VerdictReport(
             name="left-divisibility", verdict=FEASIBLE,
@@ -158,6 +163,7 @@ def _cmd_divide(args) -> int:
                        f"solution space has {outcome.nullity} free "
                        f"parameter(s)"])
     else:
+        replayed = verify_divide_certificate(g, t, env, outcome.certificate)
         report = VerdictReport(
             name="left-divisibility", verdict=INFEASIBLE,
             degree_used=args.degree,
@@ -167,6 +173,9 @@ def _cmd_divide(args) -> int:
                            f"({args.left}) but not on {args.target}"}],
             narrative=[f"{args.target} is not a left multiple of "
                        f"({args.left}) at degree {args.degree}"])
+    if not replayed:
+        raise PipelineError("left-divisibility",
+                            f"replay failed at degree {args.degree}")
     _emit([report], args.format, "divide")
     return 0
 
@@ -181,6 +190,7 @@ def _cmd_theorem1(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrhopf",

@@ -22,7 +22,7 @@ every defining relation act on every basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 from math import comb
 from typing import NamedTuple
 
@@ -143,9 +143,10 @@ class RewriteSystem:
     with a single family without rebuilding the structure underneath.
 
     `normal_forms` memoises fully reduced words, one dict per reduction
-    strategy.  It belongs to this object alone: a copy made with
-    `dataclasses.replace` starts empty, and the strategies never share
-    results, so comparing them stays a real cross-check."""
+    strategy, and `basis_words` and `basis_index` hold the PBW basis that
+    every truncated basis is a prefix of.  They belong to this object
+    alone: a `dataclasses.replace` copy starts empty, and the strategies
+    never share results, so comparing them stays a real cross-check."""
 
     field: object
     r_labels: tuple
@@ -157,6 +158,10 @@ class RewriteSystem:
     source: LieRinehartData
     normal_forms: dict = dc_field(default_factory=dict, init=False,
                                   compare=False, repr=False)
+    basis_words: list = dc_field(default_factory=list, init=False,
+                                 compare=False, repr=False)
+    basis_index: dict = dc_field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
 
     @property
     def r_dim(self) -> int:
@@ -165,6 +170,19 @@ class RewriteSystem:
     @property
     def l_dim(self) -> int:
         return len(self.l_labels)
+
+    def grow_basis(self, size: int) -> list:
+        """The basis words, extended by whole degrees to at least `size`."""
+        words = self.basis_words
+        while len(words) < size:
+            degree = word_degree(words[-1]) + 1 if words else 0
+            new = [tuple(map(l_letter, combo)) for combo in
+                   combinations_with_replacement(range(self.l_dim), degree)]
+            if degree == 0:
+                new += [(r_letter(i),) for i in range(1, self.r_dim)]
+            self.basis_index.update(zip(new, count(len(words))))
+            words += new
+        return words
 
     def letter_text(self, letter: Letter) -> str:
         if letter.kind == R_KIND:
@@ -330,20 +348,27 @@ def normal_form(elem: NCElement, system: RewriteSystem,
 
 @dataclass(frozen=True, eq=False)
 class TruncatedEnvelope:
+    """The words of L-degree <= `degree`, a prefix of the system's basis."""
+
     system: RewriteSystem
     degree: int
-    basis: tuple
-    index: dict
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.system.r_dim - 1 + comb(self.system.l_dim + self.degree,
+                                            self.degree)
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(self.system.grow_basis(self.dim)[:self.dim])
 
     def position(self, word: tuple) -> int:
         """Index of a normal word in the basis; a word beyond the
         truncation raises DegreeOverflowError."""
-        pos = self.index.get(word)
-        if pos is None:
+        dim = self.dim
+        self.system.grow_basis(dim)
+        pos = self.system.basis_index.get(word, dim)
+        if pos >= dim:
             raise DegreeOverflowError(
                 f"term {self.system.render_word(word)} lies outside the "
                 f"degree-{self.degree} basis")
@@ -367,7 +392,7 @@ class TruncatedEnvelope:
 def enumerate_basis(system: RewriteSystem, degree: int) -> TruncatedEnvelope:
     """All irreducible words of L-degree at most `degree`: the empty word,
     each non-unit R-letter, and every nondecreasing L-letter word, ordered
-    by degree and then lexicographically."""
+    by degree and then lexicographically, built when first read."""
     if degree < 0:
         raise LrhInputError("truncation degree must be nonnegative")
     # C(m+t-1, t) words of degree t hold m C(m+D, m+1) letters up to D
@@ -377,14 +402,7 @@ def enumerate_basis(system: RewriteSystem, degree: int) -> TruncatedEnvelope:
         raise LrhInputError(
             f"the degree-{degree} basis would hold {letters} letters, over "
             f"the limit of {MAX_BASIS_LETTERS} (MAX_BASIS_LETTERS)")
-    basis = [()]
-    basis.extend((r_letter(i),) for i in range(1, system.r_dim))
-    for t in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(system.l_dim), t):
-            basis.append(tuple(l_letter(a) for a in combo))
-    index = {w: k for k, w in enumerate(basis)}
-    return TruncatedEnvelope(system=system, degree=degree,
-                             basis=tuple(basis), index=index)
+    return TruncatedEnvelope(system=system, degree=degree)
 
 
 def multiply_truncated(a: NCElement, b: NCElement,
@@ -523,3 +541,37 @@ def left_divide(g: NCElement, t: NCElement,
                            entries=tuple(entries), rhs=tuple(rhs),
                            field=system.field)
     return solve_linear(problem)
+
+
+def verify_divide_certificate(g: NCElement, t: NCElement,
+                              env: TruncatedEnvelope,
+                              certificate: tuple) -> bool:
+    """Independent check that the functional kills every column g.w and
+    does not kill the target."""
+    system = env.system
+    fld = system.field
+    g = normal_form(g, system)  # rows sized as in left_divide
+    extended = enumerate_basis(system, env.degree + g.degree)
+    if len(certificate) != extended.dim:
+        return False
+
+    def value(elem):
+        # only the normal form's few terms meet the certificate
+        return sum((certificate[extended.position(w)] * c
+                    for w, c in normal_form(elem, system).terms.items()),
+                   fld.zero)
+
+    if any(value(g.concat(NCElement.from_word(fld, word)))
+           for word in env.basis):
+        return False
+    return bool(value(t))
+
+
+def verify_divide_witness(g: NCElement, t: NCElement,
+                          env: TruncatedEnvelope, witness: tuple) -> bool:
+    """Independent check that g.z, normalised, equals t normalised, where
+    z has the witness as its coordinates in the truncated basis."""
+    if len(witness) != env.dim:
+        return False
+    z = NCElement(env.system.field, dict(zip(env.basis, witness)))
+    return normal_form(g.concat(z), env.system) == normal_form(t, env.system)

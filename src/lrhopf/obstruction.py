@@ -54,9 +54,9 @@ from .enveloping import (
     check_local_confluence,
     enumerate_basis,
     left_divide,
-    normal_form,
     r_letter,
     relation_elements,
+    verify_divide_certificate,
 )
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import (
@@ -308,14 +308,14 @@ def theorem1_pipeline(fld: Field = Field(0),
 
     expected_dim = degree + 3
     labels = env.basis_labels()
-    if env.dim != expected_dim or labels[:4] != ("1", "x", "y", "ā"):
+    if len(labels) != expected_dim or labels[:4] != ("1", "x", "y", "ā"):
         raise PipelineError("basis-enumeration",
                             f"expected the {expected_dim}-element basis "
                             f"1, x, y, powers of the Lie generator; got "
                             f"{', '.join(labels)}")
     basis_step = VerdictReport(
         name="truncated-basis", verdict=PASS, degree_used=degree,
-        narrative=[f"dimension {env.dim}: {', '.join(labels)}"])
+        narrative=[f"dimension {len(labels)}: {', '.join(labels)}"])
 
     partial_system = partial_map_system(data)
     partial = solve_linear(partial_system)
@@ -341,7 +341,7 @@ def theorem1_pipeline(fld: Field = Field(0),
         raise PipelineError("left-divisibility",
                             f"y became a left multiple of x at degree "
                             f"{degree}")
-    if not _replay_divide_certificate(x, y, env, divisibility.certificate):
+    if not verify_divide_certificate(x, y, env, divisibility.certificate):
         raise PipelineError("left-divisibility",
                             f"divisibility certificate failed replay at "
                             f"degree {degree}")
@@ -362,26 +362,3 @@ def theorem1_pipeline(fld: Field = Field(0),
         narrative=[criterion, confluence, basis_step, partial_step,
                    divide_step],
         degree_used=degree)
-
-
-def _replay_divide_certificate(g: NCElement, t: NCElement,
-                               env: TruncatedEnvelope,
-                               certificate: tuple) -> bool:
-    """Independent check that the functional kills every column g.w and
-    does not kill the target."""
-    system = env.system
-    fld = system.field
-    extended = enumerate_basis(system, env.degree + g.degree)
-    if len(certificate) != extended.dim:
-        return False
-
-    def value(elem):
-        # only the normal form's few terms meet the certificate
-        return sum((certificate[extended.position(w)] * c
-                    for w, c in normal_form(elem, system).terms.items()),
-                   fld.zero)
-
-    if any(value(g.concat(NCElement.from_word(fld, word)))
-           for word in env.basis):
-        return False
-    return bool(value(t))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,11 @@ from lrhopf import (
     Field,
     LrhInputError,
     ProblemFileError,
+    SolveOutcome,
     build_rewrite_system,
     enumerate_basis,
 )
+import lrhopf.cli as cli
 from lrhopf.cli import main, parse_field_flag
 from lrhopf.problemfile import (
     PRESETS,
@@ -496,7 +499,9 @@ def _run_cli(args, *flags):
 def test_optimize_flag_changes_nothing(broken_anchor):
     """No invariant lives in an assert, so -O gives the same runs."""
     for args in (["theorem1", "--degree", "8", "--format", "structured"],
-                 ["check", broken_anchor]):
+                 ["check", broken_anchor],
+                 ["divide", "euler-example", "--left", "x", "--target", "x",
+                  "--degree", "3"]):
         plain = _run_cli(args)
         assert plain[0] == 0
         assert plain[1]
@@ -512,3 +517,28 @@ def test_package_has_no_assert_statements():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def _zeroed_certificate(real, g, t, env):
+    out = real(g, t, env)
+    return replace(out, certificate=(env.system.field.zero,)
+                   * len(out.certificate))
+
+
+def _false_witness(real, g, t, env):
+    out = real(g, t, env)
+    fld = env.system.field
+    return SolveOutcome(verdict="feasible", witness=(fld.one,) * env.dim,
+                        nullity=0, nullspace=())
+
+
+@pytest.mark.parametrize("fake", [_zeroed_certificate, _false_witness])
+def test_divide_replays_its_evidence(fake, monkeypatch, capsys):
+    """divide replays the certificate or witness it prints: evidence that
+    fails its replay is an internal error, exit 3, with nothing printed."""
+    monkeypatch.setattr(cli, "left_divide", partial(fake, cli.left_divide))
+    assert main(["divide", "obstructed-example", "--left", "x",
+                 "--target", "y", "--degree", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "left-divisibility" in err and "degree 3" in err

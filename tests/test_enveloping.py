@@ -24,6 +24,9 @@ from lrhopf import (
     normal_form,
     r_letter,
     relation_elements,
+    theorem1_pipeline,
+    verify_divide_certificate,
+    verify_divide_witness,
 )
 import lrhopf.enveloping as enveloping
 from lrhopf.cli import main
@@ -168,8 +171,11 @@ def test_memo_belongs_to_its_system(classical, q):
     normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))), system)
     assert list(system.normal_forms) == ["leftmost"]
     assert system.normal_forms["leftmost"]
+    enumerate_basis(system, 3).basis
+    assert system.basis_words and system.basis_index
     tampered = dataclasses.replace(system)
     assert tampered.normal_forms == {}
+    assert tampered.basis_words == [] and tampered.basis_index == {}
     probe = weakref.ref(system)
     del system, tampered
     gc.collect()
@@ -239,15 +245,63 @@ def test_basis_frozen_classical(classical, q):
 
 
 def test_basis_dims_match_counting_oracle(obstructed, classical):
+    envs = []
     for degree in range(6):
         env = enumerate_basis(obstructed[5], degree)
         assert env.dim == oracles.pbw_dimension(3, 1, degree)
+        envs.append(env)
     for l_dim, labels in ((1, ("b1",)), (2, ("b1", "b2")),
                           (3, ("b1", "b2", "b3"))):
         system = build_rewrite_system(classical(labels, {}))
         for degree in range(5):
             env = enumerate_basis(system, degree)
             assert env.dim == oracles.pbw_dimension(1, l_dim, degree)
+            envs.append(env)
+    for env in envs:
+        assert len(env.basis) == env.dim
+        for k, w in enumerate(env.basis):
+            assert env.position(w) == k
+
+
+def test_small_envelope_is_a_prefix_of_a_grown_basis(obstructed, q):
+    """A degree-3 envelope reads the first words of a basis grown to
+    degree 6, refuses a degree-4 word and keeps its own length."""
+    system = obstructed[5]
+    small = enumerate_basis(system, 3)
+    big = enumerate_basis(system, 6)
+    assert big.basis[:small.dim] == small.basis
+    assert len(system.basis_words) == big.dim
+    tall = (l_letter(0),) * 4
+    assert big.position(tall) == small.dim
+    with pytest.raises(DegreeOverflowError):
+        small.position(tall)
+    with pytest.raises(DegreeOverflowError):
+        small.coords(NCElement.from_word(q, tall))
+    assert len(small.coords(NCElement.from_word(q, (l_letter(0),) * 3))) \
+        == small.dim
+
+
+def test_each_basis_degree_is_built_once(obstructed, monkeypatch):
+    """theorem1 reads its degree-8 basis three times (its envelope, the
+    solve and the replay) and builds each degree once; an envelope that
+    only multiplies builds none."""
+    degrees = []
+
+    def counting(pool, degree):
+        degrees.append(degree)
+        return real(pool, degree)
+
+    real = enveloping.combinations_with_replacement
+    monkeypatch.setattr(enveloping, "combinations_with_replacement",
+                        counting)
+    assert theorem1_pipeline(Field(0), 8).ok
+    assert sorted(d for d in degrees if d) == list(range(1, 9))
+    degrees.clear()
+    system = build_rewrite_system(obstructed[4])
+    env = enumerate_basis(system, 40)
+    a = NCElement.from_word(Field(0), (l_letter(0),) * 20)
+    assert multiply_truncated(a, a, env)
+    assert degrees == [] and system.basis_words == []
 
 
 def test_negative_degree_refused(obstructed):
@@ -480,3 +534,25 @@ def test_left_divide_sl2_infeasible_with_replay(classical, p):
     for word in env.basis:
         assert not functional(e.concat(NCElement.from_word(fld, word)))
     assert functional(h)
+
+
+def test_divide_replays_accept_a_divisor_that_is_not_normal(classical, q):
+    """ef - fe normalises to h in U(sl2), one degree lower.  Both replays
+    agree with left_divide, which solves with the normal form: the
+    certificate has the rows of degree D + 1, not D + 2."""
+    data = classical(("e", "f", "h"),
+                     {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
+                      (2, 1): (0, -2, 0)})
+    env = enumerate_basis(build_rewrite_system(data), 3)
+    e, f, h = (NCElement.from_word(q, (l_letter(a),)) for a in range(3))
+    g = e.concat(f) - f.concat(e)
+    assert g.degree == 2
+    refused = left_divide(g, e, env)
+    assert not refused.feasible
+    assert len(refused.certificate) == enumerate_basis(env.system, 4).dim
+    assert verify_divide_certificate(g, e, env, refused.certificate)
+    found = left_divide(g, 3 * h, env)
+    assert found.feasible
+    assert verify_divide_witness(g, 3 * h, env, found.witness)
+    assert not verify_divide_witness(g, h, env, found.witness)
+    assert not verify_divide_witness(g, 3 * h, env, found.witness[:-1])

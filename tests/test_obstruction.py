@@ -274,11 +274,11 @@ def _counted(calls, name, real, *args):
 def test_pipeline_solves_divisibility_once(q, monkeypatch):
     """One solve and one replay at the top degree decide every degree."""
     calls = []
-    for name in ("left_divide", "_replay_divide_certificate"):
+    for name in ("left_divide", "verify_divide_certificate"):
         monkeypatch.setattr(obstruction, name, partial(
             _counted, calls, name, getattr(obstruction, name)))
     assert theorem1_pipeline(q, degree=8).ok
-    assert calls == ["left_divide", "_replay_divide_certificate"]
+    assert calls == ["left_divide", "verify_divide_certificate"]
 
 
 @pytest.mark.parametrize("p", [0, 2, 5])
@@ -315,7 +315,7 @@ def test_divisibility_replay_refuses_tampered_certificates(q):
     x = NCElement.from_word(q, (r_letter(1),))
     y = NCElement.from_word(q, (r_letter(2),))
     cert = left_divide(x, y, env).certificate
-    replay = obstruction._replay_divide_certificate
+    replay = obstruction.verify_divide_certificate
     assert replay(x, y, env, cert)
     assert not replay(x, y, env, cert[:-1])
     assert not replay(x, y, env, cert + (q.zero,))
