@@ -2,10 +2,11 @@
 
 Input-side problems (bad files, bad labels, unsupported constructions,
 degree overflows) are LrhInputError and map to CLI exit code 2.
-LrhInternalError marks conditions that should be unreachable (exhausted
-step budgets, pipeline steps returning verdicts the mathematics rules
-out) and maps to exit code 3.  Mathematical verdicts -- a failed axiom
-check, an infeasible system -- are never exceptions; they are reported.
+LrhInternalError marks conditions that should be unreachable (rewriting
+that cycles or lengthens a word, pipeline steps returning verdicts the
+mathematics rules out) and maps to exit code 3.  Mathematical verdicts --
+a failed axiom check, an infeasible system -- are never exceptions; they
+are reported.
 """
 
 
@@ -62,7 +63,9 @@ class LrhInternalError(LrhError):
 
 
 class RewriteBudgetError(LrhInternalError):
-    """Rewriting exceeded its proven step budget (should be unreachable)."""
+    """Rewriting exceeded its step budget of one rewrite per word: a rule
+    led back to a word still being reduced, or to a longer word.  The rule
+    shapes rule both out, so this should be unreachable."""
 
 
 class PipelineError(LrhInternalError):

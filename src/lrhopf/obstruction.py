@@ -55,7 +55,7 @@ from .enveloping import (
     enumerate_basis,
     left_divide,
     r_letter,
-    relation_elements,
+    relations_act_as_zero,
     verify_divide_certificate,
 )
 from .reports import FAIL, PASS, VerdictReport
@@ -209,24 +209,16 @@ def build_and_verify_right_action(p: PartialMap,
     basis element of R.  Because the action is a left-to-right fold and
     the relation check quantifies over all of R, padding relations with
     extra words cannot create new failures."""
-    name = "right-action-well-defined"
     if env.system.source != p.data:
         raise LrhInputError("candidate and envelope come from different "
                             "structures")
-    R = p.data.R
-    for rel_name, rel in relation_elements(env.system):
-        for i in range(R.dim):
-            image = R.zero
-            for word, coeff in rel.terms.items():
-                image = image + coeff * right_act_word(
-                    p, R.basis_element(i), word)
-            if image:
-                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
-                    "relation": rel_name, "argument": R.labels[i],
-                    "image": str(image)}])
-    return VerdictReport(name=name, verdict=PASS, narrative=[
+    return relations_act_as_zero(
+        env.system,
+        lambda rel, r: sum((c * right_act_word(p, r, w)
+                            for w, c in rel.terms.items()), p.data.R.zero),
+        "right-action-well-defined",
         "every defining relation acts as zero on every base basis element "
-        "under the candidate right action"])
+        "under the candidate right action")
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,20 @@ def pbw_dimension(r_dim, l_dim, degree):
                        for t in range(1, degree + 1))
 
 
+def overlap_count(r_dim, l_dim):
+    """Three-letter words xyz over the non-unit R-letters and the L-letters
+    in which (x, y) and (y, z) are both rule left-hand sides.  Every pair
+    is one except a nondecreasing pair of L-letters."""
+    letters = [("R", i) for i in range(1, r_dim)]
+    letters += [("L", a) for a in range(l_dim)]
+
+    def reducible(x, y):
+        return not (x[0] == y[0] == "L" and x[1] <= y[1])
+
+    return sum(1 for x, y, z in product(letters, repeat=3)
+               if reducible(x, y) and reducible(y, z))
+
+
 # ---------------------------------------------------------------------------
 # random structure generators (seeded by the caller)
 

@@ -3,11 +3,15 @@
 import dataclasses
 import gc
 import random
+import signal
+import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrhopf import (
+    ConstructionRefusedError,
     DegreeOverflowError,
     Field,
     LrhInputError,
@@ -20,6 +24,7 @@ from lrhopf import (
     left_action_on_R,
     left_divide,
     l_letter,
+    make_character_module,
     multiply_truncated,
     normal_form,
     r_letter,
@@ -202,6 +207,53 @@ def test_cyclic_rule_trips_the_step_budget(classical, q, monkeypatch,
     assert "step budget" in err
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_cyclic_rule_on_a_long_word_stops_at_its_first_repeat(
+        classical, q, monkeypatch, strategy):
+    """A 20-letter word swapped back and forth comes back after two
+    rewrites.  A 2 s alarm interrupts the loop if it does not stop, so a
+    regression fails here instead of rewriting for hours."""
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+    calls = []
+
+    def counted(system, x, y):
+        calls.append((x, y))
+        return _cyclic_rule(system, x, y)
+
+    def interrupt(signum, frame):
+        raise TimeoutError("rewriting did not stop at the repeat")
+
+    monkeypatch.setattr(enveloping, "pair_rule", counted)
+    word = (l_letter(0), l_letter(1)) * 10
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(RewriteBudgetError, match="step budget"):
+            normal_form(NCElement.from_word(q, word), system, strategy)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert len(calls) == 4  # a redex search and a rewrite, for two words
+
+
+def test_lengthening_rule_trips_the_step_budget(classical, q, monkeypatch):
+    """A rule body longer than the pair it replaces is refused at once,
+    before the longer word is rewritten."""
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+
+    def lengthening(system, x, y):
+        return [((y, x, x), system.field.one)] if x > y else None
+
+    monkeypatch.setattr(enveloping, "pair_rule", lengthening)
+    for strategy in ("leftmost", "rightmost"):
+        with pytest.raises(RewriteBudgetError, match="step budget"):
+            normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))),
+                        system, strategy)
+
+
 def test_relations_normalize_to_zero(obstructed):
     system = obstructed[5]
     rels = relation_elements(system)
@@ -338,6 +390,15 @@ def test_coords_roundtrip_and_overflow(obstructed_env, q):
         env.coords(too_tall)
 
 
+def test_element_refuses_coordinates_of_the_wrong_length(obstructed_env):
+    env = obstructed_env
+    coords = env.coords(NCElement.unit(env.system.field))
+    assert env.element(coords) == NCElement.unit(env.system.field)
+    for bad in (coords[:-1], coords + (env.system.field.one,), ()):
+        with pytest.raises(LrhInputError, match="wrong length"):
+            env.element(bad)
+
+
 def test_multiply_truncated(obstructed_env, q):
     env = obstructed_env
     x = NCElement.from_word(q, (r_letter(1),))
@@ -397,6 +458,37 @@ def test_confluence_detects_corrupted_rule(obstructed, q):
     assert w["positions"] == [0, 1]
     assert w["reduct-at-0"] == "0"
     assert w["reduct-at-1"] == "x"
+
+
+def _random_valid_system(seed, fld):
+    """A rewrite system for a random structure that make_character_module
+    accepts, drawn from the oracle generators."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            data = make_character_module(
+                *oracles.random_character_candidate(rng, fld))
+        except ConstructionRefusedError:
+            continue
+        return rng, build_rewrite_system(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, 2, 3)), st.integers(0, 2 ** 32 - 1))
+def test_random_valid_structures_are_confluent(p, seed):
+    """On random valid structures over Q, GF(2) and GF(3): every overlap
+    joins, the overlaps examined are exactly the triples an independent
+    count finds, and both strategies reach the same normal forms."""
+    rng, system = _random_valid_system(seed, Field(p))
+    report = check_local_confluence(enumerate_basis(system, 3))
+    assert report.ok, report.witnesses
+    examined = oracles.overlap_count(system.r_dim, system.l_dim)
+    assert report.narrative == [
+        f"{examined} overlapping redex pairs examined, all joins agree"]
+    for _ in range(20):
+        elem = oracles.random_nc_element(rng, system)
+        assert normal_form(elem, system, "leftmost") == \
+            normal_form(elem, system, "rightmost")
 
 
 # ------------------------------------------------------------- left action
