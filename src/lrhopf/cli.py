@@ -61,7 +61,14 @@ def parse_field_flag(text: str) -> Field:
         raise LrhInputError(
             f"unknown field {text!r}; use Q or GF<p>, e.g. GF2 or GF(5)")
     p = match.group(1) or match.group(2)
-    return Field(0) if p is None else Field.prime(int(p))
+    if p is None:
+        return Field(0)
+    try:
+        return Field.prime(int(p))
+    except ValueError:  # more digits than int() converts from text
+        raise LrhInputError(
+            f"characteristic of {len(p)} digits is over the limit of 2^32 "
+            f"(MAX_CHARACTERISTIC)") from None
 
 
 def _validated(pf):
@@ -120,7 +127,7 @@ def _cmd_partial(args) -> int:
     outcome = solve_partial(data)
     if outcome.feasible:
         candidate = partial_map_from_witness(data, outcome)
-        replay = verify_partial(candidate)
+        replayed = verify_partial(candidate).ok
         witnesses = [{label: str(value)
                       for label, value in zip(pf.L.labels,
                                               candidate.values)}]
@@ -129,7 +136,7 @@ def _cmd_partial(args) -> int:
             witnesses=witnesses,
             narrative=[f"solution space has {outcome.nullity} free "
                        f"parameter(s)",
-                       f"witness replay: {replay.verdict}"])
+                       f"witness replay: {PASS}"])
     else:
         replayed = verify_certificate(partial_map_system(data),
                                       outcome.certificate)
@@ -137,9 +144,11 @@ def _cmd_partial(args) -> int:
             name="right-extension-system", verdict=INFEASIBLE,
             certificates=[{
                 "combination": [str(c) for c in outcome.certificate],
-                "replay": "pass" if replayed else "fail"}],
+                "replay": PASS}],
             narrative=["no generator images satisfy the extension "
                        "equations"])
+    if not replayed:
+        raise PipelineError("right-extension-system", "replay failed")
     _emit([report], args.format, "partial")
     return 0
 

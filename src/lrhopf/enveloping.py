@@ -22,7 +22,7 @@ every defining relation act on every basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement, count, product
+from itertools import combinations_with_replacement, count
 from math import comb
 from typing import NamedTuple
 
@@ -132,6 +132,11 @@ class NCElement:
         return f"NCElement({self.terms!r})"
 
 
+def _word(kind: str, k: int) -> tuple:
+    """Single letter as a word; the unit R-letter is the empty word."""
+    return () if kind == R_KIND and k == 0 else (Letter(kind, k),)
+
+
 def _word_sort_key(word):
     return (word_degree(word), len(word),
             tuple((0 if x.kind == R_KIND else 1, x.index) for x in word))
@@ -139,8 +144,12 @@ def _word_sort_key(word):
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """Rule tables copied out of the source data so that tests can tamper
-    with a single family without rebuilding the structure underneath.
+    """The four rule families, compiled once from `source` into `rules`:
+    each reducible letter pair, the unit letter's included, maps to its
+    right-hand side, a list of (word, coefficient) over distinct words,
+    family by family and left letter outer.  `rho_table` stays a field
+    so that tests can tamper with the anchor; a `dataclasses.replace`
+    copy recompiles its rules.
 
     `normal_forms` memoises fully reduced words, one dict per reduction
     strategy, and `basis_words` and `basis_index` hold the PBW basis that
@@ -151,17 +160,33 @@ class RewriteSystem:
     field: object
     r_labels: tuple
     l_labels: tuple
-    mul_table: tuple      # R1: c[i][j] coefficient vectors over R
     rho_table: tuple      # R2: rho_table[a][i] = coeffs of rho_a(e_i) in R
-    action_tensor: tuple  # R3: t[i][a] = coeffs of e_i.xi_a in L
-    bracket_table: tuple  # R4: f[a][b] = coeffs of [xi_a, xi_b] in L
     source: LieRinehartData
+    rules: dict = dc_field(default_factory=dict, init=False,
+                           compare=False, repr=False)
     normal_forms: dict = dc_field(default_factory=dict, init=False,
                                   compare=False, repr=False)
     basis_words: list = dc_field(default_factory=list, init=False,
                                  compare=False, repr=False)
     basis_index: dict = dc_field(default_factory=dict, init=False,
                                  compare=False, repr=False)
+
+    def __post_init__(self):
+        rs = [r_letter(i) for i in range(self.r_dim)]
+        ls = [l_letter(a) for a in range(self.l_dim)]
+        for lefts, rights, table, kind, swaps in (
+                (rs, rs, self.source.R.mul_table, R_KIND, False),
+                (ls, rs, self.rho_table, R_KIND, True),
+                (rs, ls, self.source.action.tensor, L_KIND, False),
+                (ls, ls, self.source.L.table, L_KIND, True)):
+            for x in lefts:
+                for y in rights:
+                    if x.kind == y.kind == L_KIND and x.index <= y.index:
+                        continue  # a nondecreasing L-pair is irreducible
+                    rhs = [((y, x), self.field.one)] if swaps else []
+                    rhs += [(_word(kind, k), c) for k, c in
+                            enumerate(table[x.index][y.index]) if c]
+                    self.rules[x, y] = rhs
 
     @property
     def r_dim(self) -> int:
@@ -218,44 +243,15 @@ def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:
         field=data.R.field,
         r_labels=data.R.labels,
         l_labels=data.L.labels,
-        mul_table=data.R.mul_table,
         rho_table=rho,
-        action_tensor=data.action.tensor,
-        bracket_table=data.L.table,
         source=data)
-
-
-def _r_word(k: int) -> tuple:
-    """Single R-letter as a word; the unit letter is the empty word."""
-    return () if k == 0 else (r_letter(k),)
 
 
 def pair_rule(system: RewriteSystem, x: Letter, y: Letter):
     """RHS of the rule rewriting the two-letter word (x, y), as a list of
-    (replacement word, coefficient), or None when the pair is irreducible."""
-    one = system.field.one
-    if x.kind == R_KIND and y.kind == R_KIND:
-        return [(_r_word(k), c)
-                for k, c in enumerate(system.mul_table[x.index][y.index])
-                if c]
-    if x.kind == L_KIND and y.kind == R_KIND:
-        out = [((y, x), one)]
-        out.extend((_r_word(k), c)
-                   for k, c in enumerate(system.rho_table[x.index][y.index])
-                   if c)
-        return out
-    if x.kind == R_KIND and y.kind == L_KIND:
-        return [((l_letter(b),), c)
-                for b, c in enumerate(system.action_tensor[x.index][y.index])
-                if c]
-    if x.index > y.index:
-        out = [((y, x), one)]
-        out.extend(((l_letter(c),), f)
-                   for c, f in enumerate(
-                       system.bracket_table[x.index][y.index])
-                   if f)
-        return out
-    return None
+    (replacement word, coefficient), or None when the pair is irreducible:
+    one lookup in the compiled rules."""
+    return system.rules.get((x, y))
 
 
 def find_redex(word: tuple, system: RewriteSystem, strategy: str) -> int:
@@ -277,11 +273,9 @@ def rewrite_once_at(word: tuple, pos: int,
     if rhs is None:
         raise LrhInputError("no rule applies at the requested position")
     prefix, suffix = word[:pos], word[pos + 2:]
-    terms = {}
-    for body, c in rhs:
-        w = prefix + body + suffix
-        terms[w] = terms.get(w, system.field.zero) + c
-    return NCElement(system.field, terms)
+    # the bodies of one rule are distinct words
+    return NCElement(system.field,
+                     {prefix + body + suffix: c for body, c in rhs})
 
 
 def normal_form(elem: NCElement, system: RewriteSystem,
@@ -419,20 +413,20 @@ def multiply_truncated(a: NCElement, b: NCElement,
 def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     """Reduce every overlap ambiguity both ways and compare normal forms.
     Every left-hand side has length 2, so the ambiguities are exactly the
-    three-letter words xyz with (x, y) and (y, z) both reducible; with
-    termination, their joinability is confluence (Bergman's diamond
-    lemma).  The words are taken in basis order and the first one whose
-    two reducts differ is the witness."""
+    three-letter words xyz with (x, y) and (y, z) both pairs of the
+    compiled rules, the unit letter left out; with termination, their
+    joinability is confluence (Bergman's diamond lemma).  The words are
+    taken in basis order and the first one whose two reducts differ is
+    the witness."""
     system = env.system
     name = "local-confluence"
-    letters = [r_letter(i) for i in range(1, system.r_dim)]
-    letters += [l_letter(a) for a in range(system.l_dim)]
-    examined = 0
-    for word in sorted(product(letters, repeat=3), key=_word_sort_key):
-        if pair_rule(system, *word[:2]) is None \
-                or pair_rule(system, *word[1:]) is None:
-            continue
-        examined += 1
+    pairs = _relation_pairs(system)
+    after = {}
+    for x, y in pairs:
+        after.setdefault(x, []).append(y)
+    overlaps = sorted(((x, y, z) for x, y in pairs
+                       for z in after.get(y, ())), key=_word_sort_key)
+    for word in overlaps:
         left = normal_form(rewrite_once_at(word, 0, system), system)
         right = normal_form(rewrite_once_at(word, 1, system), system)
         if left != right:
@@ -441,7 +435,7 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
                 "reduct-at-0": system.render_element(left),
                 "reduct-at-1": system.render_element(right)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
-        f"{examined} overlapping redex pairs examined, all joins agree"])
+        f"{len(overlaps)} overlapping redex pairs examined, all joins agree"])
 
 
 # ---------------------------------------------------------------------------
@@ -468,24 +462,26 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
                                        zero))
 
 
+def _relation_pairs(system: RewriteSystem) -> list:
+    """The reducible pairs without the unit letter, in rule order."""
+    return [pair for pair in system.rules if r_letter(0) not in pair]
+
+
+_FAMILIES = {(R_KIND, R_KIND): "merge", (L_KIND, R_KIND): "straighten",
+             (R_KIND, L_KIND): "absorb", (L_KIND, L_KIND): "bracket"}
+
+
 def relation_elements(system: RewriteSystem) -> list:
     """The defining relations as (name, element) pairs: for each rule,
     LHS minus RHS.  Normalizing any of these must give zero, and each must
     act as zero on the base algebra."""
     fld = system.field
-    rs = [(r_letter(i), system.r_labels[i]) for i in range(1, system.r_dim)]
-    ls = [(l_letter(a), system.l_labels[a]) for a in range(system.l_dim)]
-    out = []
-    for family, lefts, rights in (("merge", rs, rs), ("straighten", ls, rs),
-                                  ("absorb", rs, ls), ("bracket", ls, ls)):
-        for x, x_label in lefts:
-            for y, y_label in rights:
-                rule = pair_rule(system, x, y)
-                if rule is not None:
-                    out.append((f"{family}[{x_label},{y_label}]",
-                                NCElement.from_word(fld, (x, y))
-                                - NCElement(fld, dict(rule))))
-    return out
+    labels = {R_KIND: system.r_labels, L_KIND: system.l_labels}
+    return [(f"{_FAMILIES[x.kind, y.kind]}"
+             f"[{labels[x.kind][x.index]},{labels[y.kind][y.index]}]",
+             NCElement.from_word(fld, (x, y))
+             - NCElement(fld, dict(system.rules[x, y])))
+            for x, y in _relation_pairs(system)]
 
 
 def relations_act_as_zero(system: RewriteSystem, act, name: str,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -28,6 +29,22 @@ from .reports import FAIL, PASS, VerdictReport
 from .scalars import Field, Scalar
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# A dense structure table holds dim^3 entries: 1 M of them is ~8 MB of
+# references, and the axiom checks take longer than their size.
+MAX_TABLE_ENTRIES = 1_000_000
+# Monomials enumerated for a quotient basis, the product of the
+# pure-power bounds: 100 k of them take about 0.3 s.
+MAX_MONOMIALS = 100_000
+
+
+def check_table_size(what: str, dim: int) -> None:
+    """Refuse a structure of dimension `dim` whose dense table would hold
+    more than MAX_TABLE_ENTRIES entries, before building it."""
+    if dim ** 3 > MAX_TABLE_ENTRIES:
+        raise LrhInputError(
+            f"{what} of dimension {dim} would need a table of {dim ** 3} "
+            f"entries, over the limit of {MAX_TABLE_ENTRIES} "
+            f"(MAX_TABLE_ENTRIES)")
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +217,13 @@ def parse_monomial(text: str, variables: Sequence[str]) -> tuple:
         if "^" in factor:
             base, _, power = factor.partition("^")
             base, power = base.strip(), power.strip()
-            if not power.isdigit() or int(power) < 1:
+            try:
+                e = int(power) if power.isdecimal() else 0
+            except ValueError:  # more digits than int() converts from text
+                e = 0
+            if e < 1:
                 raise UnsupportedInputError(
                     f"bad exponent in monomial {text!r}")
-            e = int(power)
         else:
             base, e = factor, 1
         if base not in variables:
@@ -255,6 +275,11 @@ def make_monomial_quotient(variables: Sequence[str],
         if not pure:
             raise InfiniteDimensionalError(v)
         bounds.append(min(pure))
+    monomials = prod(bounds)
+    if monomials > MAX_MONOMIALS:
+        raise LrhInputError(
+            f"the pure-power relations leave {monomials} monomials to "
+            f"enumerate, over the limit of {MAX_MONOMIALS} (MAX_MONOMIALS)")
 
     basis = [m for m in product(*(range(b) for b in bounds))
              if not any(_divisible(m, r) for r in rel_exps)]
@@ -262,6 +287,7 @@ def make_monomial_quotient(variables: Sequence[str],
     index = {m: k for k, m in enumerate(basis)}
 
     n = len(basis)
+    check_table_size("the quotient algebra", n)
     units = [tuple(fld.one if t == k else fld.zero for t in range(n))
              for k in range(n)]
     zero_vec = (fld.zero,) * n
@@ -293,6 +319,7 @@ def algebra_from_constants(fld: Field, labels: Sequence[str],
     except e_0 which always acts as the unit."""
     labels = tuple(labels)
     n = len(labels)
+    check_table_size("the algebra", n)
     table = [[[fld.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in constants.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):

@@ -34,6 +34,7 @@ from .finalg import (
     check_algebra_axioms,
     check_character,
     check_derivation,
+    check_table_size,
     combine,
     contract,
     derivation_commutator,
@@ -72,6 +73,7 @@ def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
     checker unchanged."""
     labels = tuple(labels)
     m = len(labels)
+    check_table_size("the Lie algebra", m)
     zero = (fld.zero,) * m
     table = [[zero] * m for _ in range(m)]
     for (a, b), vec in brackets.items():

@@ -314,6 +314,9 @@ def parse_problem_text(text: str) -> ProblemFile:
         raise ProblemFileError(
             f"not well-formed JSON: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}") from None
+    except ValueError:  # more digits than int() converts from text
+        raise ProblemFileError(
+            "a JSON number has more digits than can be read") from None
     if not isinstance(tree, dict):
         raise ProblemFileError("problem document must be a JSON object")
     field, algebra, lie, anchor, action = (

@@ -33,6 +33,8 @@ from .errors import FieldMismatchError, LrhInputError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
+# Primality is decided by trial division, about 3 ms at this limit.
+MAX_CHARACTERISTIC = 2 ** 32
 
 
 def _is_prime(n: int) -> bool:
@@ -57,6 +59,10 @@ class Field:
     characteristic: int = 0
 
     def __post_init__(self):
+        if self.characteristic > MAX_CHARACTERISTIC:
+            raise LrhInputError(
+                f"characteristic {self.characteristic} is over the limit "
+                f"of 2^32 (MAX_CHARACTERISTIC)")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise LrhInputError(
                 f"characteristic must be 0 or prime, got {self.characteristic}"
@@ -111,17 +117,21 @@ class Field:
         """Parse a scalar literal: decimal integers and p/q fractions over
         the rationals, decimal integers over GF(p)."""
         text = text.strip()
-        if self.characteristic == 0:
-            if not _RATIONAL_RE.match(text):
-                raise FieldMismatchError(f"bad rational literal {text!r}")
-            return Scalar(self, Fraction(text))
-        if not _INTEGER_RE.match(text):
+        rational = self.characteristic == 0
+        if rational and not _RATIONAL_RE.match(text):
+            raise FieldMismatchError(f"bad rational literal {text!r}")
+        if not rational and not _INTEGER_RE.match(text):
             raise FieldMismatchError(
                 f"bad GF({self.characteristic}) literal {text!r}"
                 + (" (fractions are not prime-field literals)"
                    if "/" in text else "")
             )
-        return self.scalar(int(text))
+        try:
+            value = Fraction(text) if rational else int(text)
+        except ValueError:  # more digits than int() converts from text
+            raise FieldMismatchError(
+                f"literal of {len(text)} characters is too long") from None
+        return Scalar(self, value) if rational else self.scalar(value)
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
@@ -358,13 +368,19 @@ def apply_sparse(system: LinearSystem, x: Sequence[Scalar]) -> list:
 
 
 def verify_witness(system: LinearSystem, witness: Sequence[Scalar]) -> bool:
-    """Exact residual check A.witness == rhs, component-wise."""
+    """Exact residual check A.witness == rhs, component-wise; a witness
+    of the wrong length fails."""
+    if len(witness) != system.cols:
+        return False
     residual = apply_sparse(system, witness)
     return all(not (r - want) for r, want in zip(residual, system.rhs))
 
 
 def verify_certificate(system: LinearSystem, u: Sequence[Scalar]) -> bool:
-    """Farkas check: u.A == 0 and u.rhs != 0, from the sparse entries."""
+    """Farkas check: u.A == 0 and u.rhs != 0, from the sparse entries;
+    a certificate of the wrong length fails."""
+    if len(u) != system.rows:
+        return False
     ua = [system.field.zero] * system.cols
     for r, c, s in system.entries:
         ua[c] = ua[c] + u[r] * s

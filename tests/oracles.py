@@ -325,6 +325,37 @@ def overlap_count(r_dim, l_dim):
                if reducible(x, y) and reducible(y, z))
 
 
+def naive_rules(mul, anchor_matrices, tensor, bracket, p):
+    """The rule table spelled out from raw tables: (x, y) -> [(word,
+    value)], letters as ("R", i) and ("L", a), the unit R-letter as the
+    empty word, in the order merge, straighten, absorb, bracket.  The
+    anchor of xi_a sends e_i to column i of its matrix."""
+    n, m = len(mul), len(bracket)
+
+    def r_word(k):
+        return () if k == 0 else (("R", k),)
+
+    def body(vec, word, swap=None):
+        out = [(swap, 1)] if swap else []
+        return out + [(word(k), c % p if p else c)
+                      for k, c in enumerate(vec) if c]
+
+    rules = {}
+    for i, j in product(range(n), repeat=2):
+        rules[("R", i), ("R", j)] = body(mul[i][j], r_word)
+    for a, i in product(range(m), range(n)):
+        column = [row[i] for row in anchor_matrices[a]]
+        rules[("L", a), ("R", i)] = body(column, r_word, (("R", i), ("L", a)))
+    for i, a in product(range(n), range(m)):
+        rules[("R", i), ("L", a)] = body(tensor[i][a], lambda b: (("L", b),))
+    for a, b in product(range(m), repeat=2):
+        if a > b:
+            rules[("L", a), ("L", b)] = body(bracket[a][b],
+                                             lambda c: (("L", c),),
+                                             (("L", b), ("L", a)))
+    return rules
+
+
 # ---------------------------------------------------------------------------
 # random structure generators (seeded by the caller)
 

@@ -419,6 +419,49 @@ def test_oversized_bases_are_refused_up_front(tmp_path, capsys):
         assert "MAX_BASIS_LETTERS" in err and "1000000" in err
 
 
+def _sized(doc, **sections):
+    return dict(doc, **{name: dict(doc[name], **changes)
+                        for name, changes in sections.items()})
+
+
+@pytest.mark.parametrize("doc, limit", [
+    (_sized(MONOMIAL_DOC, field={"kind": "prime-field",
+                                 "p": 10 ** 30 + 57}),
+     "MAX_CHARACTERISTIC"),
+    (_sized(MONOMIAL_DOC, algebra={"relations": ["x^99999999", "y^2"]}),
+     "MAX_MONOMIALS"),
+    (_sized(CONSTANTS_DOC, algebra={
+        "dim": 101, "labels": ["1", "x"] + [f"e{k}" for k in range(2, 101)]}),
+     "MAX_TABLE_ENTRIES"),
+    (_sized(MONOMIAL_DOC, lie={"dim": 101, "brackets": [],
+                               "labels": [f"b{a}" for a in range(101)]}),
+     "MAX_TABLE_ENTRIES"),
+], ids=["characteristic", "monomials", "algebra-dim", "lie-dim"])
+def test_oversized_structures_are_refused_up_front(doc, limit, tmp_path,
+                                                   capsys):
+    """The first two were still running after 20 s; the last two would
+    build tables of 101^3 entries."""
+    path = tmp_path / "oversized.lrh"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert limit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["GF1000000000000000000000000000057",
+                                  "GF" + "7" * 5000],
+                         ids=["31-digit-prime", "5000-digits"])
+def test_oversized_field_flag_is_refused_up_front(flag, capsys):
+    """The first was still running after 5 s; the second has more digits
+    than int() reads and raised ValueError."""
+    start = time.perf_counter()
+    assert main(["theorem1", "--field", flag]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "MAX_CHARACTERISTIC" in err
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["check", "/nonexistent/path.lrh"]) == 2
     err = capsys.readouterr().err
@@ -542,3 +585,36 @@ def test_divide_replays_its_evidence(fake, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "left-divisibility" in err and "degree 3" in err
+
+
+def _zeroed_partial_certificate(real, data):
+    out = real(data)
+    return replace(out, certificate=(data.R.field.zero,)
+                   * len(out.certificate))
+
+
+def _false_partial_witness(real, data):
+    """The unique solution with its first entry moved by one."""
+    out = real(data)
+    return replace(out, witness=(out.witness[0] + data.R.field.one,)
+                   + out.witness[1:])
+
+
+@pytest.mark.parametrize("fake, problem", [
+    (_zeroed_partial_certificate, "obstructed-example"),
+    (_false_partial_witness, "euler-example"),
+], ids=["zeroed-certificate", "false-witness"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_partial_replays_its_evidence(fake, problem, fmt, monkeypatch,
+                                      capsys):
+    """partial printed "replay": "fail" or "witness replay: fail" and
+    exited 0; evidence that fails its replay is now an internal error,
+    exit 3, with nothing printed, as for divide."""
+    assert main(["partial", problem, "--format", fmt]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "solve_partial",
+                        partial(fake, cli.solve_partial))
+    assert main(["partial", problem, "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "right-extension-system" in err and "replay failed" in err

@@ -491,6 +491,38 @@ def test_random_valid_structures_are_confluent(p, seed):
             normal_form(elem, system, "rightmost")
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, 2, 3)), st.integers(0, 2 ** 32 - 1))
+def test_compiled_rules_match_the_raw_tables(p, seed):
+    """On random valid structures over Q, GF(2) and GF(3), the compiled
+    rules equal a table spelled out from the raw structure constants,
+    pair for pair and in order, unit letter included; a copy with a
+    tampered anchor recompiles."""
+    _, system = _random_valid_system(seed, Field(p))
+    data = system.source
+    anchors = [oracles.raw(d.matrix) for d in data.anchor.derivations]
+
+    def agree(rules):
+        compiled = [(pair, [(word, c.value) for word, c in rhs])
+                    for pair, rhs in rules.items()]
+        expected = oracles.naive_rules(
+            oracles.raw(data.R.mul_table), anchors,
+            oracles.raw(data.action.tensor), oracles.raw(data.L.table), p)
+        return compiled == list(expected.items())
+
+    assert agree(system.rules)
+    for (x, y), rhs in system.rules.items():
+        assert pair_rule(system, x, y) is rhs
+    # rho_table[a][j] is column j of anchor a's matrix
+    rho = [list(map(list, row)) for row in system.rho_table]
+    rho[0][-1][0] = rho[0][-1][0] + 1
+    tampered = dataclasses.replace(
+        system, rho_table=tuple(tuple(map(tuple, row)) for row in rho))
+    anchors[0][0][-1] += 1
+    assert agree(tampered.rules)
+    assert not agree(system.rules)
+
+
 # ------------------------------------------------------------- left action
 
 def test_left_action_frozen(obstructed, obstructed_env, q):

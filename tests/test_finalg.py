@@ -1,6 +1,7 @@
 """Monomial quotients, structure constants, derivations, characters."""
 
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,8 @@ from lrhopf import (
     make_monomial_quotient,
     multiplication_operator,
 )
+
+from lrhopf.finalg import MAX_MONOMIALS, MAX_TABLE_ENTRIES
 
 import oracles
 
@@ -73,6 +76,34 @@ def test_non_monomial_relation_refused(q):
         make_monomial_quotient(("x",), ("1",), q)
     with pytest.raises(LrhInputError):
         make_monomial_quotient(("x", "x"), ("x^2",), q)
+
+
+def test_oversized_algebras_are_refused_before_their_tables(q):
+    """x^99999999 used to enumerate 10^8 monomials; a quotient or a
+    structure-constants algebra of dimension 101 would hold 101^3
+    table entries, over MAX_TABLE_ENTRIES."""
+    for variables, relations in ((("x",), ("x^99999999",)),
+                                 (("x", "y"), ("x^1000", "y^1000"))):
+        start = time.perf_counter()
+        with pytest.raises(LrhInputError, match="MAX_MONOMIALS"):
+            make_monomial_quotient(variables, relations, q)
+        assert time.perf_counter() - start < 0.5
+    assert make_monomial_quotient(("x",), ("x^100",), q).dim == 100
+    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
+        make_monomial_quotient(("x",), ("x^101",), q)
+    labels = ["1"] + [f"e{k}" for k in range(1, 101)]
+    assert algebra_from_constants(q, labels[:100], {}).dim == 100
+    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
+        algebra_from_constants(q, labels, {})
+    assert MAX_MONOMIALS == 100_000 and MAX_TABLE_ENTRIES == 100 ** 3
+
+
+def test_overlong_exponents_are_bad_exponents(q):
+    """int() refuses more than a few thousand digits, and str.isdigit
+    accepts a superscript two that int() cannot read."""
+    for relation in ("x^" + "9" * 5000, "x^\u00b2", "x^0", "x^-1"):
+        with pytest.raises(UnsupportedInputError, match="bad exponent"):
+            make_monomial_quotient(("x",), (relation,), q)
 
 
 def test_axioms_pass_for_quotients(q):

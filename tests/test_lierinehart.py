@@ -9,6 +9,7 @@ from lrhopf import (
     ConstructionRefusedError,
     Derivation,
     Field,
+    LrhInputError,
     character_action,
     character_criterion,
     check_anchor_lie_hom,
@@ -27,6 +28,13 @@ import oracles
 
 
 # ---------------------------------------------------------------- Lie axioms
+
+def test_oversized_lie_algebra_is_refused_before_its_table(q):
+    labels = [f"b{a}" for a in range(101)]
+    assert lie_algebra_from_brackets(q, labels[:100], {}).dim == 100
+    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
+        lie_algebra_from_brackets(q, labels, {})
+
 
 def test_lie_pool_satisfies_axioms(q):
     for L in oracles.lie_pool(q):

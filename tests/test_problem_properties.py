@@ -1,0 +1,145 @@
+"""Property tests: mutated problem files either parse, and then round-trip
+through render_problem, or are refused as input errors, promptly."""
+
+import copy
+import json
+import random
+import signal
+import time
+from importlib import resources
+
+from hypothesis import given, settings, strategies as st
+
+from lrhopf import (
+    Anchor,
+    Derivation,
+    Field,
+    LrhInputError,
+    algebra_from_constants,
+    character_action,
+    lie_algebra_from_brackets,
+    tensor_action,
+)
+from lrhopf.problemfile import (
+    PRESETS,
+    ProblemFile,
+    parse_problem_text,
+    render_problem,
+)
+
+import oracles
+
+BIG = "@big-number@"  # stands for a JSON number int() cannot read
+
+
+def _oracle_texts():
+    """The presets, and rendered oracle structures over Q, GF(2) and GF(3):
+    monomial quotients with character actions, and a structure-constants
+    algebra with a tensor action."""
+    texts = [resources.files("lrhopf").joinpath("data", name).read_text()
+             for name in sorted(PRESETS.values())]
+    for p in (0, 2, 3):
+        fld = Field(p)
+        rng = random.Random(p)
+        for _ in range(3):
+            R, L, anchor, chi = oracles.random_character_candidate(rng, fld)
+            texts.append(render_problem(ProblemFile(
+                field=fld, R=R, L=L, anchor=anchor,
+                action=character_action(chi, L.dim))))
+        R = algebra_from_constants(fld, ("1", "e"), {(1, 1, 1): fld.one})
+        L = lie_algebra_from_brackets(fld, ("b",), {})
+        texts.append(render_problem(ProblemFile(
+            field=fld, R=R, L=L, anchor=Anchor((Derivation.zero(R),)),
+            action=tensor_action(R, 1, {(0, 0, 0): fld.one,
+                                        (1, 0, 0): fld.one}))))
+    return texts
+
+
+TEXTS = _oracle_texts()
+OTHER_TYPES = (5, -1, 0, 2 ** 40, 1.5, "x", "", True, None, [], [1], ["x"],
+               {}, {"x": 1}, BIG)
+BAD_LITERALS = ("1/0", "3/00", "--1", "2*", "*x", "x^", "x^0", "x^-2",
+                "x^²", "½", "٣", "1e5", "0x10", "3/-4", " ",
+                "+", "x*x*x", "1.5", "9" * 5000, "1/" + "7" * 5000,
+                "x^" + "9" * 5000)
+LARGE_EXPONENTS = (317, 10 ** 5, 99999999, 10 ** 30)
+CHARACTERISTICS = (0, 1, -7, 4294967291, 2 ** 32 + 15, 2 ** 61 - 1,
+                   10 ** 30 + 57, 10 ** 4000)
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("parsing did not stop")
+
+
+def _paths(tree, prefix=()):
+    """Every key and list position below the root, parents first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _parent(tree, path):
+    for key in path[:-1]:
+        tree = tree[key]
+    return tree
+
+
+def _mutate(data, tree):
+    kind = data.draw(st.sampled_from(
+        ("drop", "retype", "literal", "exponent", "characteristic")))
+    if kind == "exponent":
+        algebra = tree.get("algebra")
+        variables = algebra.get("variables") \
+            if isinstance(algebra, dict) else None
+        if isinstance(variables, list):
+            power = data.draw(st.sampled_from(LARGE_EXPONENTS))
+            algebra["relations"] = [f"{v}^{power}" for v in variables]
+        return
+    if kind == "characteristic":
+        tree["field"] = {"kind": "prime-field",
+                         "p": data.draw(st.sampled_from(CHARACTERISTICS))}
+        return
+    paths = list(_paths(tree))
+    if kind == "literal":
+        paths = [p for p in paths
+                 if isinstance(_parent(tree, p)[p[-1]], str)]
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent = _parent(tree, path)
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "retype":
+        # a copy: later mutations must not reach the shared samples
+        parent[path[-1]] = copy.deepcopy(
+            data.draw(st.sampled_from(OTHER_TYPES)))
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(BAD_LITERALS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_problem_files_parse_and_round_trip_or_are_refused(data):
+    tree = json.loads(data.draw(st.sampled_from(TEXTS)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data, tree)
+    text = json.dumps(tree).replace(json.dumps(BIG), "7" * 5000)
+    if data.draw(st.booleans()) and data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    # the alarm turns a parse that does not stop into a failure
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        try:
+            pf = parse_problem_text(text)
+        except LrhInputError:
+            pass
+        else:
+            assert parse_problem_text(render_problem(pf)) == pf
+        assert time.perf_counter() - start < 2.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 """Field arithmetic and the certified linear solver."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from lrhopf.problemfile import (
     parse_problem_text,
     render_problem,
 )
+
+from lrhopf.scalars import MAX_CHARACTERISTIC
 
 import oracles
 
@@ -50,6 +53,27 @@ def test_zero_and_one_are_shared(p):
 def test_nonprime_characteristic_rejected(bad):
     with pytest.raises(LrhInputError):
         Field(bad)
+
+
+def test_characteristic_over_the_limit_is_refused_at_once():
+    """Primality is decided by trial division, which on a 31-digit prime
+    ran past 5 s; characteristics over 2^32 are refused before it."""
+    big_prime = 4294967291  # the largest prime under 2^32
+    assert Field(big_prime).characteristic == big_prime
+    for p in (2 ** 32 + 15, 10 ** 30 + 57):  # both prime
+        start = time.perf_counter()
+        with pytest.raises(LrhInputError, match="MAX_CHARACTERISTIC"):
+            Field(p)
+        assert time.perf_counter() - start < 0.5
+    assert MAX_CHARACTERISTIC == 2 ** 32
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_overlong_literals_are_refused(p):
+    """More digits than int() reads from text raised a bare ValueError."""
+    for text in ("9" * 5000, "-" + "1" * 5000, "1/" + "3" * 5000):
+        with pytest.raises(FieldMismatchError):
+            Field(p).parse(text)
 
 
 def test_rational_arithmetic():
@@ -249,6 +273,24 @@ def test_verifiers_reject_wrong_evidence():
     assert not verify_witness(system, (q.zero,))
     assert not verify_certificate(system, (q.one,))   # u.A != 0
     assert not verify_certificate(system, (q.zero,))  # u.b == 0
+
+
+def test_verifiers_reject_evidence_of_the_wrong_length():
+    """A certificate with an extra entry used to verify, one with an
+    entry short raised IndexError, and a short witness verified when the
+    missing column had no entries."""
+    q = Field(0)
+    contradictory = LinearSystem(rows=2, cols=1,
+                                 entries=((0, 0, q.one), (1, 0, q.one)),
+                                 rhs=(q.one, q.zero), field=q)
+    assert verify_certificate(contradictory, (q.one, -q.one))
+    assert not verify_certificate(contradictory, (q.one, -q.one, q.one))
+    assert not verify_certificate(contradictory, (q.one,))
+    wide = LinearSystem(rows=1, cols=2, entries=((0, 0, q.one),),
+                        rhs=(q.one,), field=q)
+    assert verify_witness(wide, (q.one, q.zero))
+    assert not verify_witness(wide, (q.one,))
+    assert not verify_witness(wide, (q.one, q.zero, q.zero))
 
 
 def _reference_system(rng, fld, rows, cols):
