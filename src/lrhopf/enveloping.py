@@ -17,6 +17,11 @@ R-letters, and nondecreasing L-letter words.  Truncating by L-letter count
 gives finite bases; local confluence is checked per input rather than
 assumed, and the induced action on the base algebra is certified by letting
 every defining relation act on every basis element.
+
+Products are normalised by collection from the left on raw field values
+(`normal_form`'s default).  The confluence check and the divisibility
+replays reduce by leftmost rewriting instead, with a memo of their own, so
+they check the solver's products without sharing its bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
 from .finalg import AlgebraElement, combine, render_linear
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
-from .scalars import LinearSystem, SolveOutcome, solve_linear
+from .scalars import LinearSystem, Scalar, SolveOutcome, solve_linear
 
 R_KIND = "R"
 L_KIND = "L"
@@ -112,14 +117,16 @@ class NCElement:
 
     def concat(self, other) -> "NCElement":
         """Free (unnormalized) product: concatenate all word pairs."""
-        if self.field != other.field:
+        fld = self.field
+        if other.field is not fld and other.field != fld:
             raise FieldMismatchError("mixing elements over different fields")
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                terms[w] = terms.get(w, self.field.zero) + c1 * c2
-        return NCElement(self.field, terms)
+                terms[w] = terms.get(w, 0) + c1.value * c2.value
+        return NCElement(fld, {w: Scalar(fld, r) for w, v in terms.items()
+                               if (r := fld.reduce(v))})
 
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.field == other.field \
@@ -151,11 +158,12 @@ class RewriteSystem:
     so that tests can tamper with the anchor; a `dataclasses.replace`
     copy recompiles its rules.
 
-    `normal_forms` memoises fully reduced words, one dict per reduction
-    strategy, and `basis_words` and `basis_index` hold the PBW basis that
-    every truncated basis is a prefix of.  They belong to this object
-    alone: a `dataclasses.replace` copy starts empty, and the strategies
-    never share results, so comparing them stays a real cross-check."""
+    `normal_forms` memoises reduced words, one dict per reduction
+    strategy from word to {normal word: raw value}, and `basis_words` and
+    `basis_index` hold the PBW basis that every truncated basis is a
+    prefix of.  They belong to this object alone: a `dataclasses.replace`
+    copy starts empty, and the strategies never share results, so
+    comparing them stays a real cross-check."""
 
     field: object
     r_labels: tuple
@@ -279,21 +287,81 @@ def rewrite_once_at(word: tuple, pos: int,
 
 
 def normal_form(elem: NCElement, system: RewriteSystem,
-                strategy: str = "leftmost") -> NCElement:
-    """Reduce every term to irreducible words, memoising each reduced word
-    on the system.  One loop over an explicit stack: a word is rewritten
-    once, waits for its successors, then combines their normal forms.
+                strategy: str = "collect") -> NCElement:
+    """Reduce every term to irreducible words.
 
-    The step budget is one rewrite per word per call.  No rule body is
-    longer than the pair it replaces and every letter comes from the
-    finite tables, so only finitely many words occur, and rewriting fails
-    to terminate only by cycling.  A successor that is still pending (an
-    ancestor on the stack) or longer than its word therefore raises
-    RewriteBudgetError, an internal error, at the first repeat."""
+    `collect`, the default, collects from the left.  A word x.rest whose
+    first pair (x, rest[0]) is a rule becomes that rule's bodies followed
+    by rest[1:].  Otherwise x is folded onto each normal word v of
+    NF(rest): x.v is normal unless (x, v[0]) is a rule, whose bodies then
+    go in front of v[1:].  `leftmost` and `rightmost` rewrite one redex
+    at a time, the one their name says, and are independent cross-checks
+    of collection.
+
+    Each strategy memoises the normal forms of the words it reduces on
+    the system, as raw field values; a Scalar is made only for the
+    returned element.  The work is one loop over an explicit stack, so
+    word length is not capped by recursion, and the step budget is one
+    reduction per word per call.  No rule body is longer than the pair it
+    replaces and every letter comes from the finite tables, so only
+    finitely many words occur, and reduction fails to terminate only by
+    cycling.  A successor that is still pending (an ancestor on the
+    stack) or longer than its word therefore raises RewriteBudgetError,
+    an internal error, at the first repeat."""
+    fld = system.field
+    if elem.field is not fld and elem.field != fld:
+        raise FieldMismatchError("element and rewrite system over "
+                                 "different fields")
+    if strategy == "collect":
+        memo = _collect(elem.terms, system)
+    elif strategy in ("leftmost", "rightmost"):
+        memo = _rewrite(elem.terms, system, strategy)
+    else:
+        raise LrhInputError(f"unknown reduction strategy {strategy!r}")
+    total = _combine({}, [(w, c.value) for w, c in elem.terms.items()],
+                     memo, fld.reduce)
+    return NCElement(fld, {w: Scalar(fld, c) for w, c in total.items()})
+
+
+def _combine(out: dict, terms, memo: dict, reduce) -> dict:
+    """Add to `out`, which holds reduced nonzero values, the memoised
+    normal form of each (word, raw coefficient) term times its
+    coefficient; return the sum without zeros."""
+    if not terms:
+        return out
+    for word, c in terms:
+        for w, c2 in memo[word].items():
+            out[w] = out.get(w, 0) + c * c2
+    return {w: r for w, v in out.items() if (r := reduce(v))}
+
+
+def _unreduced(system: RewriteSystem, word: tuple, successors,
+               memo: dict, pending) -> list:
+    """The successors of `word` not reduced yet.  One that is in
+    `pending`, still waiting for its own successors, or longer than `word`
+    breaks the step budget."""
+    missing = [w for w in successors if w not in memo]
+    for w in missing:
+        if w in pending or len(w) > len(word):
+            raise RewriteBudgetError(
+                f"rewriting {system.render_word(word)} gave "
+                f"{system.render_word(w)}, a "
+                + ("longer word" if len(w) > len(word) else
+                   "word still being reduced")
+                + "; rewriting exceeded its step budget of one "
+                "rewrite per word, so the rule tables cannot come "
+                "from a terminating presentation")
+    return missing
+
+
+def _rewrite(words, system: RewriteSystem, strategy: str) -> dict:
+    """The memo of a word-rewriting strategy, holding every word of
+    `words`.  A word is rewritten once at the strategy's redex, waits for
+    its successors, then combines their normal forms."""
     memo = system.normal_forms.setdefault(strategy, {})
-    zero = system.field.zero
+    reduce, one = system.field.reduce, system.field.one.value
     pending = {}  # word rewritten in this call -> its one-step reduct
-    stack = list(elem.terms)
+    stack = list(words)
     while stack:
         word = stack[-1]
         if word in memo:
@@ -303,36 +371,93 @@ def normal_form(elem: NCElement, system: RewriteSystem,
         if stepped is None:
             pos = find_redex(word, system, strategy)
             if pos < 0:
-                memo[word] = {word: system.field.one}
+                memo[word] = {word: one}
                 stack.pop()
                 continue
-            stepped = pending[word] = rewrite_once_at(word, pos, system).terms
-            missing = [w for w in stepped if w not in memo]
-            for w in missing:
-                if w in pending or len(w) > len(word):
-                    raise RewriteBudgetError(
-                        f"rewriting {system.render_word(word)} gave "
-                        f"{system.render_word(w)}, a "
-                        + ("longer word" if len(w) > len(word) else
-                           "word still being reduced")
-                        + "; rewriting exceeded its step budget of one "
-                        "rewrite per word, so the rule tables cannot come "
-                        "from a terminating presentation")
+            stepped = pending[word] = [
+                (w, c.value) for w, c in
+                rewrite_once_at(word, pos, system).terms.items()]
+            missing = _unreduced(system, word, (w for w, _ in stepped),
+                                 memo, pending)
             if missing:
                 stack.extend(missing)
                 continue
-        out = {}
-        for w, c in stepped.items():
-            for w2, c2 in memo[w].items():
-                out[w2] = out.get(w2, zero) + c * c2
-        memo[word] = {w: c for w, c in out.items() if c}
+        memo[word] = _combine({}, stepped, memo, reduce)
         stack.pop()
+    return memo
 
-    total = {}
-    for word, coeff in elem.terms.items():
-        for w, c in memo[word].items():
-            total[w] = total.get(w, zero) + coeff * c
-    return NCElement(system.field, total)
+
+_SUFFIX = object()  # a frame waiting for the normal form of its suffix
+
+
+def _collect(words, system: RewriteSystem) -> dict:
+    """The collection memo, holding every word of `words`.  The stack
+    holds (word, state) frames: a new word, a word x.rest waiting for
+    NF(rest), or a word with its plan, waiting for the normal forms of its
+    successors.  A plan is the raw coefficients of the normal words the
+    word already knows and the (successor, raw coefficient) terms it
+    needs.  A word whose plan is one successor with coefficient one
+    shares that successor's memo entry; entries never change once
+    stored."""
+    memo = system.normal_forms.setdefault("collect", {})
+    reduce, one = system.field.reduce, system.field.one.value
+    waiting = set()  # words with a plan whose successors are not reduced
+    stack = [(word, None) for word in words]
+    while stack:
+        word, state = stack.pop()
+        if state is None:
+            if word in memo:
+                continue
+            if len(word) < 2:
+                memo[word] = {word: one}
+                continue
+            rhs = pair_rule(system, word[0], word[1])
+            if rhs is not None:
+                tail = word[2:]
+                plan = {}, [(body + tail, c.value) for body, c in rhs]
+            else:
+                reduced = memo.get(word[1:])
+                if reduced is None:  # the suffix is shorter: never waiting
+                    stack += ((word, _SUFFIX), (word[1:], None))
+                    continue
+                plan = _fold(system, word[0], reduced)
+        elif state is _SUFFIX:
+            plan = _fold(system, word[0], memo[word[1:]])
+        else:
+            waiting.discard(word)
+            memo[word] = _planned(state, memo, reduce, one)
+            continue
+        missing = _unreduced(system, word, [w for w, _ in plan[1]],
+                             memo, waiting)
+        if missing:
+            waiting.add(word)
+            stack.append((word, plan))
+            stack += ((w, None) for w in missing)
+        else:
+            memo[word] = _planned(plan, memo, reduce, one)
+    return memo
+
+
+def _planned(plan: tuple, memo: dict, reduce, one) -> dict:
+    """The normal form a plan adds up to; one successor with coefficient
+    one shares its memo entry."""
+    normal, terms = plan
+    if not normal and len(terms) == 1 and terms[0][1] == one:
+        return memo[terms[0][0]]
+    return _combine(normal, terms, memo, reduce)
+
+
+def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
+    """The plan of x times the normal element `reduced` (raw values)."""
+    normal, terms = {}, []
+    for v, d in reduced.items():
+        rhs = pair_rule(system, x, v[0]) if v else None
+        if rhs is None:
+            normal[(x,) + v] = d
+        else:
+            tail = v[1:]
+            terms += [(body + tail, d * c.value) for body, c in rhs]
+    return normal, terms
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +542,8 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     compiled rules, the unit letter left out; with termination, their
     joinability is confluence (Bergman's diamond lemma).  The words are
     taken in basis order and the first one whose two reducts differ is
-    the witness."""
+    the witness.  Both reducts are normalised by leftmost rewriting, with
+    its own memo, so a report does not depend on what collection stored."""
     system = env.system
     name = "local-confluence"
     pairs = _relation_pairs(system)
@@ -427,8 +553,10 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     overlaps = sorted(((x, y, z) for x, y in pairs
                        for z in after.get(y, ())), key=_word_sort_key)
     for word in overlaps:
-        left = normal_form(rewrite_once_at(word, 0, system), system)
-        right = normal_form(rewrite_once_at(word, 1, system), system)
+        left = normal_form(rewrite_once_at(word, 0, system), system,
+                           "leftmost")
+        right = normal_form(rewrite_once_at(word, 1, system), system,
+                            "leftmost")
         if left != right:
             return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                 "word": system.render_word(word), "positions": [0, 1],
@@ -528,8 +656,7 @@ def left_divide(g: NCElement, t: NCElement,
             f"{extended.degree}")
     entries = []
     for col, word in enumerate(env.basis):
-        product = normal_form(g.concat(NCElement.from_word(system.field,
-                                                           word)), system)
+        product = normal_form(_times_word(g, word), system)
         entries.extend((extended.position(w), col, c)
                        for w, c in product.terms.items())
     rhs = extended.coords(t)
@@ -539,14 +666,20 @@ def left_divide(g: NCElement, t: NCElement,
     return solve_linear(problem)
 
 
+def _times_word(g: NCElement, word: tuple) -> NCElement:
+    """The free product of g and one word, each term's word extended."""
+    return NCElement(g.field, {w + word: c for w, c in g.terms.items()})
+
+
 def verify_divide_certificate(g: NCElement, t: NCElement,
                               env: TruncatedEnvelope,
                               certificate: tuple) -> bool:
     """Independent check that the functional kills every column g.w and
-    does not kill the target."""
+    does not kill the target.  Products are normalised by leftmost
+    rewriting, never through the collection memo left_divide filled."""
     system = env.system
     fld = system.field
-    g = normal_form(g, system)  # rows sized as in left_divide
+    g = normal_form(g, system, "leftmost")  # rows sized as in left_divide
     extended = enumerate_basis(system, env.degree + g.degree)
     if len(certificate) != extended.dim:
         return False
@@ -554,11 +687,11 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
     def value(elem):
         # only the normal form's few terms meet the certificate
         return sum((certificate[extended.position(w)] * c
-                    for w, c in normal_form(elem, system).terms.items()),
+                    for w, c in normal_form(elem, system,
+                                            "leftmost").terms.items()),
                    fld.zero)
 
-    if any(value(g.concat(NCElement.from_word(fld, word)))
-           for word in env.basis):
+    if any(value(_times_word(g, word)) for word in env.basis):
         return False
     return bool(value(t))
 
@@ -566,8 +699,10 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
 def verify_divide_witness(g: NCElement, t: NCElement,
                           env: TruncatedEnvelope, witness: tuple) -> bool:
     """Independent check that g.z, normalised, equals t normalised, where
-    z has the witness as its coordinates in the truncated basis."""
+    z has the witness as its coordinates in the truncated basis; both are
+    normalised by leftmost rewriting, as in verify_divide_certificate."""
     if len(witness) != env.dim:
         return False
     z = NCElement(env.system.field, dict(zip(env.basis, witness)))
-    return normal_form(g.concat(z), env.system) == normal_form(t, env.system)
+    return normal_form(g.concat(z), env.system, "leftmost") == \
+        normal_form(t, env.system, "leftmost")

@@ -167,6 +167,15 @@ def _require(section: dict, key: str, where: str, kind, default=_MISSING):
     return value
 
 
+def _literal(value, path: str) -> str:
+    """The text of a scalar or expression value, which must be a JSON
+    string or integer; `path` names its key."""
+    # type(), not isinstance(): JSON true and false are no integers
+    if type(value) not in (str, int):
+        raise ProblemFileError(f"{path} must be a JSON string or integer")
+    return str(value)
+
+
 def _parse_field(section) -> Field:
     kind = _require(section, "kind", "field", str)
     if kind == "rationals":
@@ -250,8 +259,8 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
                 if var not in R.variables:
                     raise ProblemFileError(
                         f"anchor.{label} names unknown generator {var!r}")
-            images = {var: parse_algebra_expression(
-                          values.get(var, "0"), R)
+            images = {var: parse_algebra_expression(_literal(
+                          values.get(var, "0"), f"anchor.{label}.{var}"), R)
                       for var in R.variables}
             derivations.append(Derivation.from_variable_images(R, images))
         else:
@@ -263,7 +272,8 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
             for j, lab in enumerate(R.labels):
                 if j == R.unit_index:
                     continue
-                image = parse_algebra_expression(values.get(lab, "0"), R)
+                image = parse_algebra_expression(_literal(
+                    values.get(lab, "0"), f"anchor.{label}.{lab}"), R)
                 for i in range(R.dim):
                     matrix[i][j] = image.coeffs[i]
             derivations.append(
@@ -276,7 +286,8 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
     if kind == "character":
         values = _require(section, "values", "action", dict)
         if R.variables is not None and set(values) <= set(R.variables):
-            parsed = {var: R.field.parse(str(values.get(var, "0")))
+            parsed = {var: R.field.parse(_literal(
+                          values.get(var, "0"), f"action.values.{var}"))
                       for var in R.variables}
             chi = Character.from_variable_values(R, parsed)
         else:
@@ -285,12 +296,15 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
                     raise ProblemFileError(
                         f"action.values names unknown label {lab!r}")
             chi = Character(R, tuple(
-                R.field.parse(str(values.get(lab, "1" if k == 0 else "0")))
+                R.field.parse(_literal(
+                    values.get(lab, "1" if k == 0 else "0"),
+                    f"action.values.{lab}"))
                 for k, lab in enumerate(R.labels)))
         return character_action(chi, L.dim)
     if kind == "tensor":
         entries = {}
-        for entry in _require(section, "values", "action", [list]):
+        for n, entry in enumerate(_require(section, "values", "action",
+                                           [list])):
             if len(entry) != 4:
                 raise ProblemFileError(
                     f"action entry {entry!r} is not [r, a, b, coeff]")
@@ -302,7 +316,7 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
             key = (R.labels.index(rl), L.labels.index(la),
                    L.labels.index(lb))
             entries[key] = entries.get(key, R.field.zero) \
-                + R.field.parse(str(coeff))
+                + R.field.parse(_literal(coeff, f"action.values[{n}][3]"))
         return tensor_action(R, L.dim, entries)
     raise ProblemFileError(f"unknown action.kind {kind!r}")
 

@@ -235,6 +235,49 @@ def test_wrong_json_types_are_input_errors(path, value, named, tmp_path,
     assert f"error: {named} must be a JSON" in capsys.readouterr().err
 
 
+CHARACTER_CONSTANTS_DOC = dict(
+    CONSTANTS_DOC, action={"kind": "character", "values": {"x": "0"}})
+
+
+@pytest.mark.parametrize("value", [[1], {"x": 1}, True, None, 1.5],
+                         ids=["array", "object", "boolean", "null", "float"])
+@pytest.mark.parametrize("doc, path, named", [
+    (MONOMIAL_DOC, ("anchor", "a", "x"), "anchor.a.x"),
+    (MONOMIAL_DOC, ("action", "values", "x"), "action.values.x"),
+    (CONSTANTS_DOC, ("anchor", "a", "x"), "anchor.a.x"),
+    (CONSTANTS_DOC, ("action", "values", 0, 3), "action.values[0][3]"),
+    (CHARACTER_CONSTANTS_DOC, ("action", "values", "x"), "action.values.x"),
+], ids=["monomial-anchor", "monomial-character", "constants-anchor",
+        "constants-tensor", "constants-character"])
+def test_values_must_be_json_strings_or_integers(doc, path, named, value,
+                                                 tmp_path, capsys):
+    """An anchor image or action value of another JSON type is refused by
+    its key path, not read as the text of that value."""
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(json.dumps(_with(doc, path, value)))
+    assert main(["check", str(bad)]) == 2
+    assert f"error: {named} must be a JSON string or integer" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, path", [
+    (MONOMIAL_DOC, ("anchor", "a", "x")),
+    (MONOMIAL_DOC, ("action", "values", "x")),
+    (CONSTANTS_DOC, ("anchor", "a", "x")),
+    (CONSTANTS_DOC, ("action", "values", 0, 3)),
+    (CHARACTER_CONSTANTS_DOC, ("action", "values", "x")),
+], ids=["monomial-anchor", "monomial-character", "constants-anchor",
+        "constants-tensor", "constants-character"])
+def test_integer_values_read_as_their_digits(doc, path, tmp_path, capsys):
+    as_text, as_integer = tmp_path / "text.lrh", tmp_path / "integer.lrh"
+    as_text.write_text(json.dumps(_with(doc, path, "0")))
+    as_integer.write_text(json.dumps(_with(doc, path, 0)))
+    assert main(["check", str(as_text)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["check", str(as_integer)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("algebra, named", [
     ({"kind": "structure-constants", "dim": 2, "labels": ["1", "x"],
       "constants": [["1", 1, 0, "0"]]}, "algebra constant"),

@@ -2,13 +2,14 @@
 
 import dataclasses
 import gc
+import itertools
 import random
 import signal
 import time
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lrhopf import (
     ConstructionRefusedError,
@@ -174,8 +175,8 @@ def test_long_abelian_word_needs_no_recursion(classical, q):
 def test_memo_belongs_to_its_system(classical, q):
     system = build_rewrite_system(classical(("b1", "b2"), {}))
     normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))), system)
-    assert list(system.normal_forms) == ["leftmost"]
-    assert system.normal_forms["leftmost"]
+    assert list(system.normal_forms) == ["collect"]
+    assert system.normal_forms["collect"]
     enumerate_basis(system, 3).basis
     assert system.basis_words and system.basis_index
     tampered = dataclasses.replace(system)
@@ -252,6 +253,114 @@ def test_lengthening_rule_trips_the_step_budget(classical, q, monkeypatch):
         with pytest.raises(RewriteBudgetError, match="step budget"):
             normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))),
                         system, strategy)
+
+
+def test_long_abelian_word_collects_without_recursion(classical, q):
+    """Collection reduces b^40 a^40 on its explicit stack too."""
+    system = build_rewrite_system(classical(("a", "b"), {}))
+    word = (l_letter(1),) * 40 + (l_letter(0),) * 40
+    assert normal_form(NCElement.from_word(q, word), system) == \
+        NCElement.from_word(q, (l_letter(0),) * 40 + (l_letter(1),) * 40)
+
+
+def test_cyclic_rule_stops_collection_at_its_first_repeat(classical, q,
+                                                          monkeypatch):
+    """Collection applies the rule at position 0 of (b1 b2)^10 and of its
+    reduct, which gives the word back: two rule lookups, then the step
+    budget.  A 2 s alarm interrupts the loop if it does not stop."""
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+    calls = []
+
+    def counted(system, x, y):
+        calls.append((x, y))
+        return _cyclic_rule(system, x, y)
+
+    def interrupt(signum, frame):
+        raise TimeoutError("collection did not stop at the repeat")
+
+    monkeypatch.setattr(enveloping, "pair_rule", counted)
+    word = (l_letter(0), l_letter(1)) * 10
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(RewriteBudgetError, match="step budget"):
+            normal_form(NCElement.from_word(q, word), system, "collect")
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert len(calls) == 2
+
+
+def test_lengthening_rule_stops_collection(classical, q, monkeypatch):
+    system = build_rewrite_system(classical(("b1", "b2"), {}))
+
+    def lengthening(system, x, y):
+        return [((y, x, x), system.field.one)] if x > y else None
+
+    monkeypatch.setattr(enveloping, "pair_rule", lengthening)
+    with pytest.raises(RewriteBudgetError, match="longer word"):
+        normal_form(NCElement.from_word(q, (l_letter(1), l_letter(0))),
+                    system, "collect")
+
+
+def test_unknown_strategy_is_refused(obstructed, q):
+    with pytest.raises(LrhInputError, match="sideways"):
+        normal_form(NCElement.from_word(q, (l_letter(0), r_letter(1))),
+                    obstructed[5], "sideways")
+
+
+def test_collection_agrees_with_leftmost_on_short_words(obstructed, euler,
+                                                        classical):
+    """Every word of length at most 4 over every letter, the unit letter
+    included, on both presets, U(sl2) over Q and U(gl2) over GF(7)."""
+    gf7 = Field(7)
+    systems = [obstructed[5], euler[5],
+               build_rewrite_system(classical(
+                   ("e", "f", "h"), {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
+                                     (2, 1): (0, -2, 0)})),
+               build_rewrite_system(classical(
+                   ("e", "f", "h", "z"),
+                   {(0, 1): (0, 0, 1, 0), (2, 0): (2, 0, 0, 0),
+                    (2, 1): (0, -2, 0, 0)}, gf7))]
+    for system in systems:
+        letters = [r_letter(i) for i in range(system.r_dim)]
+        letters += [l_letter(a) for a in range(system.l_dim)]
+        for word in (w for n in range(5)
+                     for w in itertools.product(letters, repeat=n)):
+            elem = NCElement.from_word(system.field, word)
+            assert normal_form(elem, system) == \
+                normal_form(elem, system, "leftmost"), word
+
+
+def _with_unit_letters(rng, elem):
+    """`elem` with the unit letter put into some of its words."""
+    out = NCElement.zero(elem.field)
+    for word, c in elem.terms.items():
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randint(0, len(word))
+            word = word[:k] + (r_letter(0),) + word[k:]
+        out = out + NCElement.from_word(elem.field, word, c)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, 2, 3, 7)), st.integers(0, 2 ** 32 - 1))
+def test_collection_agrees_with_both_rewriting_orders(p, seed):
+    """On random valid structures over Q, GF(2), GF(3) and GF(7) with a
+    nonzero anchor, so with R-letters, collection reaches the normal forms
+    of leftmost and of rightmost rewriting, on words of up to 6 letters
+    with and without the unit letter."""
+    rng, system = _random_valid_system(seed, Field(p))
+    assume(any(c for row in system.rho_table for col in row for c in col))
+    for _ in range(20):
+        elem = oracles.random_nc_element(rng, system, max_len=6)
+        for probe in (elem, _with_unit_letters(rng, elem)):
+            collected = normal_form(probe, system)
+            assert collected == normal_form(probe, system, "leftmost")
+            assert collected == normal_form(probe, system, "rightmost")
 
 
 def test_relations_normalize_to_zero(obstructed):
@@ -680,3 +789,47 @@ def test_divide_replays_accept_a_divisor_that_is_not_normal(classical, q):
     assert verify_divide_witness(g, 3 * h, env, found.witness)
     assert not verify_divide_witness(g, h, env, found.witness)
     assert not verify_divide_witness(g, 3 * h, env, found.witness[:-1])
+
+
+def test_divide_replays_refuse_evidence_from_a_poisoned_collection(
+        obstructed, q):
+    """The replays rewrite leftmost and never read the collection memo:
+    with one collected entry poisoned, left_divide gives false evidence
+    and each replay refuses it."""
+    system = obstructed[5]
+    env = enumerate_basis(system, 2)
+    abar, x, y = (NCElement.from_word(q, (letter,)) for letter in
+                  (l_letter(0), r_letter(1), r_letter(2)))
+    memo = system.normal_forms.setdefault("collect", {})
+    memo[l_letter(0), r_letter(1)] = {}  # abar.x is y, not 0
+    refused = left_divide(abar, y, env)
+    assert not refused.feasible
+    assert not verify_divide_certificate(abar, y, env, refused.certificate)
+    memo[r_letter(1), l_letter(0)] = {(r_letter(2),): q.one.value}  # not 0
+    found = left_divide(x, y, env)
+    assert found.feasible
+    assert not verify_divide_witness(x, y, env, found.witness)
+
+
+class _Tripwire(dict):
+    """A memo that fails whoever reads it."""
+
+    def __contains__(self, key):
+        raise AssertionError("the collection memo was read")
+
+    get = __getitem__ = __contains__
+
+
+def test_confluence_and_replays_never_read_the_collection_memo(obstructed,
+                                                               q):
+    system = obstructed[5]
+    env = enumerate_basis(system, 3)
+    abar, x, y = (NCElement.from_word(q, (letter,)) for letter in
+                  (l_letter(0), r_letter(1), r_letter(2)))
+    found = left_divide(abar, y, env)
+    refused = left_divide(x, y, env)
+    assert found.feasible and not refused.feasible
+    system.normal_forms["collect"] = _Tripwire()
+    assert check_local_confluence(env).ok
+    assert verify_divide_witness(abar, y, env, found.witness)
+    assert verify_divide_certificate(x, y, env, refused.certificate)
