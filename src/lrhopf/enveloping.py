@@ -18,10 +18,10 @@ gives finite bases; local confluence is checked per input rather than
 assumed, and the induced action on the base algebra is certified by letting
 every defining relation act on every basis element.
 
-Products are normalised by collection from the left on raw field values
-(`normal_form`'s default).  The confluence check and the divisibility
-replays reduce by leftmost rewriting instead, with a memo of their own, so
-they check the solver's products without sharing its bookkeeping.
+Collection from the left on raw field values (`normal_form`'s default)
+is the solver's path.  The confluence check and the divisibility replays
+reduce by leftmost rewriting, on raw values too but with a memo of its
+own, so they check the solver's products without sharing its bookkeeping.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ class NCElement:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 terms[w] = terms.get(w, 0) + c1.value * c2.value
-        return NCElement(fld, {w: Scalar(fld, r) for w, v in terms.items()
-                               if (r := fld.reduce(v))})
+        return _from_raw(fld, ((w, fld.reduce(v)) for w, v in terms.items()))
 
     def __eq__(self, other):
         return isinstance(other, NCElement) and self.field == other.field \
@@ -137,6 +136,11 @@ class NCElement:
 
     def __repr__(self):
         return f"NCElement({self.terms!r})"
+
+
+def _from_raw(fld, terms) -> NCElement:
+    """The element of (word, reduced raw value) pairs; zeros are dropped."""
+    return NCElement(fld, {w: Scalar(fld, c) for w, c in terms})
 
 
 def _word(kind: str, k: int) -> tuple:
@@ -153,17 +157,17 @@ def _word_sort_key(word):
 class RewriteSystem:
     """The four rule families, compiled once from `source` into `rules`:
     each reducible letter pair, the unit letter's included, maps to its
-    right-hand side, a list of (word, coefficient) over distinct words,
+    right-hand side, a list of (word, raw value) over distinct words,
     family by family and left letter outer.  `rho_table` stays a field
     so that tests can tamper with the anchor; a `dataclasses.replace`
     copy recompiles its rules.
 
-    `normal_forms` memoises reduced words, one dict per reduction
-    strategy from word to {normal word: raw value}, and `basis_words` and
-    `basis_index` hold the PBW basis that every truncated basis is a
-    prefix of.  They belong to this object alone: a `dataclasses.replace`
-    copy starts empty, and the strategies never share results, so
-    comparing them stays a real cross-check."""
+    `normal_forms` memoises reduced words, one dict per engine ("collect"
+    and "leftmost") from word to {normal word: raw value}, and
+    `basis_words` and `basis_index` hold the PBW basis that every
+    truncated basis is a prefix of.  They belong to this object alone: a
+    `dataclasses.replace` copy starts empty, and the engines never share
+    results, so comparing them stays a real cross-check."""
 
     field: object
     r_labels: tuple
@@ -191,8 +195,8 @@ class RewriteSystem:
                 for y in rights:
                     if x.kind == y.kind == L_KIND and x.index <= y.index:
                         continue  # a nondecreasing L-pair is irreducible
-                    rhs = [((y, x), self.field.one)] if swaps else []
-                    rhs += [(_word(kind, k), c) for k, c in
+                    rhs = [((y, x), self.field.one.value)] if swaps else []
+                    rhs += [(_word(kind, k), c.value) for k, c in
                             enumerate(table[x.index][y.index]) if c]
                     self.rules[x, y] = rhs
 
@@ -257,33 +261,27 @@ def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:
 
 def pair_rule(system: RewriteSystem, x: Letter, y: Letter):
     """RHS of the rule rewriting the two-letter word (x, y), as a list of
-    (replacement word, coefficient), or None when the pair is irreducible:
+    (replacement word, raw value), or None when the pair is irreducible:
     one lookup in the compiled rules."""
     return system.rules.get((x, y))
 
 
-def find_redex(word: tuple, system: RewriteSystem, strategy: str) -> int:
-    """Position of the redex the strategy picks, or -1 when irreducible."""
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    elif strategy != "leftmost":
-        raise LrhInputError(f"unknown reduction strategy {strategy!r}")
-    for p in positions:
+def find_redex(word: tuple, system: RewriteSystem) -> int:
+    """Position of the leftmost redex, or -1 when the word is irreducible."""
+    for p in range(len(word) - 1):
         if pair_rule(system, word[p], word[p + 1]) is not None:
             return p
     return -1
 
 
-def rewrite_once_at(word: tuple, pos: int,
-                    system: RewriteSystem) -> NCElement:
+def rewrite_once_at(word: tuple, pos: int, system: RewriteSystem) -> list:
+    """The (word, raw value) terms, over distinct words, of one rewrite
+    at `pos`."""
     rhs = pair_rule(system, word[pos], word[pos + 1])
     if rhs is None:
         raise LrhInputError("no rule applies at the requested position")
     prefix, suffix = word[:pos], word[pos + 2:]
-    # the bodies of one rule are distinct words
-    return NCElement(system.field,
-                     {prefix + body + suffix: c for body, c in rhs})
+    return [(prefix + body + suffix, c) for body, c in rhs]
 
 
 def normal_form(elem: NCElement, system: RewriteSystem,
@@ -294,9 +292,8 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     first pair (x, rest[0]) is a rule becomes that rule's bodies followed
     by rest[1:].  Otherwise x is folded onto each normal word v of
     NF(rest): x.v is normal unless (x, v[0]) is a rule, whose bodies then
-    go in front of v[1:].  `leftmost` and `rightmost` rewrite one redex
-    at a time, the one their name says, and are independent cross-checks
-    of collection.
+    go in front of v[1:].  `leftmost` rewrites one leftmost redex at a
+    time: the independent path of the replays and the confluence check.
 
     Each strategy memoises the normal forms of the words it reduces on
     the system, as raw field values; a Scalar is made only for the
@@ -314,13 +311,13 @@ def normal_form(elem: NCElement, system: RewriteSystem,
                                  "different fields")
     if strategy == "collect":
         memo = _collect(elem.terms, system)
-    elif strategy in ("leftmost", "rightmost"):
-        memo = _rewrite(elem.terms, system, strategy)
+    elif strategy == "leftmost":
+        memo = _rewrite(elem.terms, system)
     else:
         raise LrhInputError(f"unknown reduction strategy {strategy!r}")
     total = _combine({}, [(w, c.value) for w, c in elem.terms.items()],
                      memo, fld.reduce)
-    return NCElement(fld, {w: Scalar(fld, c) for w, c in total.items()})
+    return _from_raw(fld, total.items())
 
 
 def _combine(out: dict, terms, memo: dict, reduce) -> dict:
@@ -354,11 +351,11 @@ def _unreduced(system: RewriteSystem, word: tuple, successors,
     return missing
 
 
-def _rewrite(words, system: RewriteSystem, strategy: str) -> dict:
-    """The memo of a word-rewriting strategy, holding every word of
-    `words`.  A word is rewritten once at the strategy's redex, waits for
-    its successors, then combines their normal forms."""
-    memo = system.normal_forms.setdefault(strategy, {})
+def _rewrite(words, system: RewriteSystem) -> dict:
+    """The leftmost-rewriting memo, holding every word of `words`.  A word
+    is rewritten once at its leftmost redex, waits for its successors, then
+    combines their normal forms."""
+    memo = system.normal_forms.setdefault("leftmost", {})
     reduce, one = system.field.reduce, system.field.one.value
     pending = {}  # word rewritten in this call -> its one-step reduct
     stack = list(words)
@@ -369,14 +366,12 @@ def _rewrite(words, system: RewriteSystem, strategy: str) -> dict:
             continue
         stepped = pending.get(word)
         if stepped is None:
-            pos = find_redex(word, system, strategy)
+            pos = find_redex(word, system)
             if pos < 0:
                 memo[word] = {word: one}
                 stack.pop()
                 continue
-            stepped = pending[word] = [
-                (w, c.value) for w, c in
-                rewrite_once_at(word, pos, system).terms.items()]
+            stepped = pending[word] = rewrite_once_at(word, pos, system)
             missing = _unreduced(system, word, (w for w, _ in stepped),
                                  memo, pending)
             if missing:
@@ -414,7 +409,7 @@ def _collect(words, system: RewriteSystem) -> dict:
             rhs = pair_rule(system, word[0], word[1])
             if rhs is not None:
                 tail = word[2:]
-                plan = {}, [(body + tail, c.value) for body, c in rhs]
+                plan = {}, [(body + tail, c) for body, c in rhs]
             else:
                 reduced = memo.get(word[1:])
                 if reduced is None:  # the suffix is shorter: never waiting
@@ -456,7 +451,7 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
             normal[(x,) + v] = d
         else:
             tail = v[1:]
-            terms += [(body + tail, d * c.value) for body, c in rhs]
+            terms += [(body + tail, d * c) for body, c in rhs]
     return normal, terms
 
 
@@ -543,7 +538,8 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     joinability is confluence (Bergman's diamond lemma).  The words are
     taken in basis order and the first one whose two reducts differ is
     the witness.  Both reducts are normalised by leftmost rewriting, with
-    its own memo, so a report does not depend on what collection stored."""
+    its own memo, and compared as raw values, so a report does not depend
+    on what collection stored."""
     system = env.system
     name = "local-confluence"
     pairs = _relation_pairs(system)
@@ -553,15 +549,16 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     overlaps = sorted(((x, y, z) for x, y in pairs
                        for z in after.get(y, ())), key=_word_sort_key)
     for word in overlaps:
-        left = normal_form(rewrite_once_at(word, 0, system), system,
-                           "leftmost")
-        right = normal_form(rewrite_once_at(word, 1, system), system,
-                            "leftmost")
+        left, right = (rewrite_once_at(word, pos, system) for pos in (0, 1))
+        memo = _rewrite([w for w, _ in left + right], system)
+        left, right = (_combine({}, terms, memo, system.field.reduce)
+                       for terms in (left, right))
         if left != right:
+            shown = [system.render_element(_from_raw(system.field, r.items()))
+                     for r in (left, right)]
             return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                 "word": system.render_word(word), "positions": [0, 1],
-                "reduct-at-0": system.render_element(left),
-                "reduct-at-1": system.render_element(right)}])
+                "reduct-at-0": shown[0], "reduct-at-1": shown[1]}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"{len(overlaps)} overlapping redex pairs examined, all joins agree"])
 
@@ -608,7 +605,7 @@ def relation_elements(system: RewriteSystem) -> list:
     return [(f"{_FAMILIES[x.kind, y.kind]}"
              f"[{labels[x.kind][x.index]},{labels[y.kind][y.index]}]",
              NCElement.from_word(fld, (x, y))
-             - NCElement(fld, dict(system.rules[x, y])))
+             - _from_raw(fld, system.rules[x, y]))
             for x, y in _relation_pairs(system)]
 
 

@@ -205,13 +205,15 @@ def _parse_algebra(section, fld: Field) -> CommAlgebra:
             raise ProblemFileError(
                 "algebra.dim must be at least 1: basis element 0 is the unit")
         constants = {}
-        for entry in _require(section, "constants", "algebra", [list], []):
+        for n, entry in enumerate(_require(section, "constants", "algebra",
+                                           [list], [])):
             if len(entry) != 4 or any(type(x) is not int
                                       for x in entry[:3]):
                 raise ProblemFileError(
                     f"algebra constant {entry!r} is not [i, j, k, coeff]")
             i, j, k, coeff = entry
-            constants[(i, j, k)] = fld.parse(str(coeff))
+            constants[(i, j, k)] = fld.parse(
+                _literal(coeff, f"algebra.constants[{n}][3]"))
         return algebra_from_constants(fld, labels, constants)
     raise ProblemFileError(f"unknown algebra.kind {kind!r}")
 
@@ -234,14 +236,15 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
         return labels.index(label)
 
     sparse = {}
-    for entry in _require(section, "brackets", "lie", [list], []):
+    for n, entry in enumerate(_require(section, "brackets", "lie", [list],
+                                       [])):
         if len(entry) != 4:
             raise ProblemFileError(
                 f"bracket entry {entry!r} is not [a, b, c, coeff]")
         la, lb, lc, coeff = entry
         a, b, c = lindex(la), lindex(lb), lindex(lc)
         vec = list(sparse.get((a, b), (fld.zero,) * dim))
-        vec[c] = vec[c] + fld.parse(str(coeff))
+        vec[c] = vec[c] + fld.parse(_literal(coeff, f"lie.brackets[{n}][3]"))
         sparse[(a, b)] = tuple(vec)
     return lie_algebra_from_brackets(fld, labels, sparse)
 
@@ -363,6 +366,18 @@ def parse_problem(source: str) -> ProblemFile:
 # ---------------------------------------------------------------------------
 # canonical rendering
 
+def _entries(table, labels, filled_in) -> list:
+    """[i, j, k, coeff] for each nonzero table[i][j][k], in index order,
+    each index written through its `labels`.  A zero vector table[i][j]
+    that the parser would fill in if it were left out (a unit row or
+    slice, or a bracket whose mirror is given), as `filled_in(i, j)` says,
+    is written as the one zero entry [i, j, 0, "0"]."""
+    return [[labels[0][i], labels[1][j], labels[2][k], str(c)]
+            for i, row in enumerate(table) for j, vec in enumerate(row)
+            for k, c in enumerate(vec)
+            if c or (k == 0 and not any(vec) and filled_in(i, j))]
+
+
 def render_problem(pf: ProblemFile) -> str:
     """Canonical JSON for a parsed problem.  Parsing the output gives
     back equal in-memory components, which is tested, not assumed."""
@@ -377,25 +392,15 @@ def render_problem(pf: ProblemFile) -> str:
                           "variables": list(pf.R.variables),
                           "relations": list(pf.R.relations)}
     else:
-        constants = []
-        for i in range(pf.R.dim):
-            for j in range(pf.R.dim):
-                for k, c in enumerate(pf.R.mul_table[i][j]):
-                    if c:
-                        constants.append([i, j, k, str(c)])
         doc["algebra"] = {"kind": "structure-constants", "dim": pf.R.dim,
                           "labels": list(pf.R.labels),
-                          "constants": constants}
+                          "constants": _entries(
+                              pf.R.mul_table, (range(pf.R.dim),) * 3,
+                              lambda i, j: 0 in (i, j))}
 
-    brackets = []
-    for a in range(pf.L.dim):
-        for b in range(pf.L.dim):
-            for c, f in enumerate(pf.L.table[a][b]):
-                if f:
-                    brackets.append([pf.L.labels[a], pf.L.labels[b],
-                                     pf.L.labels[c], str(f)])
     doc["lie"] = {"dim": pf.L.dim, "labels": list(pf.L.labels),
-                  "brackets": brackets}
+                  "brackets": _entries(pf.L.table, (pf.L.labels,) * 3,
+                                       lambda a, b: any(pf.L.table[b][a]))}
 
     anchor = {}
     for a, label in enumerate(pf.L.labels):
@@ -422,13 +427,10 @@ def render_problem(pf: ProblemFile) -> str:
                       for k, lab in enumerate(pf.R.labels)}
         doc["action"] = {"kind": "character", "values": values}
     else:
-        values = []
-        for i in range(pf.R.dim):
-            for a in range(pf.L.dim):
-                for b, t in enumerate(pf.action.tensor[i][a]):
-                    if t:
-                        values.append([pf.R.labels[i], pf.L.labels[a],
-                                       pf.L.labels[b], str(t)])
+        tensor = pf.action.tensor
+        values = _entries(tensor, (pf.R.labels, pf.L.labels, pf.L.labels),
+                          lambda i, a: i == a == 0
+                          and not any(map(any, tensor[0])))
         doc["action"] = {"kind": "tensor", "values": values}
 
     return json.dumps(doc, indent=2) + "\n"

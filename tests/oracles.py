@@ -6,7 +6,8 @@ with a different pivot order, prime-field systems by exhaustive
 enumeration in raw integers, monomial products by direct exponent
 arithmetic, basis sizes by binomial counting, and structure-constant
 contractions, with the axiom checks built on them, by dense loops over
-raw values.  Tests compare the package's answers against these.  The
+raw values, and normal forms by rewriting the rightmost redex first.
+Tests compare the package's answers against these.  The
 one exception is ``dense_solve``, the package's former dense
 elimination kept verbatim as a reference: the sparse solver must
 reproduce its outcomes exactly.
@@ -23,6 +24,7 @@ from lrhopf import (
     Derivation,
     Field,
     LieRinehartData,
+    NCElement,
     SolveOutcome,
     character_action,
     check_derivation,
@@ -356,6 +358,48 @@ def naive_rules(mul, anchor_matrices, tensor, bracket, p):
     return rules
 
 
+def rightmost_normal_form(elem, system):
+    """Normal form of `elem` by rewriting the rightmost redex first, on raw
+    values, with a memo local to the call: a third reduction order to hold
+    the package's collection and leftmost rewriting against.  It reads the
+    compiled rule table, which a test checks against `naive_rules`, and
+    assumes that the rules terminate."""
+    fld, rules = system.field, system.rules
+    p = fld.characteristic
+    memo = {}
+
+    def combine(terms):
+        out = {}
+        for word, c in terms:
+            for w, d in memo[word].items():
+                out[w] = out.get(w, 0) + c * d
+        return {w: v % p if p else v for w, v in out.items()}
+
+    stack = list(elem.terms)
+    while stack:
+        word = stack[-1]
+        if word in memo:
+            stack.pop()
+            continue
+        redexes = [k for k in range(len(word) - 1)
+                   if (word[k], word[k + 1]) in rules]
+        if not redexes:
+            memo[word] = {word: 1}
+            stack.pop()
+            continue
+        k = redexes[-1]
+        reduct = [(word[:k] + body + word[k + 2:], c)
+                  for body, c in rules[word[k], word[k + 1]]]
+        missing = [w for w, _ in reduct if w not in memo]
+        if missing:
+            stack += missing
+        else:
+            memo[word] = combine(reduct)
+            stack.pop()
+    total = combine((w, c.value) for w, c in elem.terms.items())
+    return NCElement(fld, {w: fld.scalar(v) for w, v in total.items()})
+
+
 # ---------------------------------------------------------------------------
 # random structure generators (seeded by the caller)
 
@@ -433,7 +477,7 @@ def candidate_data(R, L, anchor, chi) -> LieRinehartData:
 
 def random_nc_element(rng, system, max_terms=4, max_len=3):
     """Random noncommutative element over both letter alphabets."""
-    from lrhopf import NCElement, l_letter, r_letter
+    from lrhopf import l_letter, r_letter
     letters = [r_letter(i) for i in range(1, system.r_dim)]
     letters += [l_letter(a) for a in range(system.l_dim)]
     terms = {}

@@ -86,6 +86,36 @@ def test_structure_constants_and_tensor_roundtrip(tmp_path):
     assert again == pf
 
 
+ZERO_OVERRIDE_DOC = {
+    "field": {"kind": "rationals"},
+    "algebra": {"kind": "structure-constants", "dim": 2,
+                "labels": ["1", "e"], "constants": [[1, 1, 1, "1"]]},
+    "lie": {"dim": 2, "labels": ["a", "b"], "brackets": []},
+    "anchor": {},
+    "action": {"kind": "tensor", "values": [["1", "a", "a", "1"],
+                                            ["1", "b", "b", "1"]]},
+}
+
+
+@pytest.mark.parametrize("path, value, parsed", [
+    (("algebra", "constants"), [[0, 0, 0, "0"], [1, 1, 1, "1"]],
+     lambda pf: pf.R.mul_table[0][0]),
+    (("action", "values"), [["1", "a", "a", "0"]],
+     lambda pf: pf.action.tensor[0][0] + pf.action.tensor[0][1]),
+    (("lie", "brackets"), [["a", "b", "a", "1"], ["b", "a", "a", "0"]],
+     lambda pf: pf.L.table[1][0]),
+], ids=["unit-row", "unit-slice", "bracket-mirror"])
+def test_explicit_zero_overrides_round_trip(path, value, parsed):
+    """A zero given where the parser would otherwise fill in a default
+    (the identity, or the negated mirror bracket) survives rendering."""
+    pf = parse_problem_text(json.dumps(_with(ZERO_OVERRIDE_DOC, path,
+                                             value)))
+    assert not any(parsed(pf))
+    again = parse_problem_text(render_problem(pf))
+    assert again == pf
+    assert render_problem(again) == render_problem(pf)
+
+
 def test_expression_grammar(obstructed, q):
     system = obstructed[5]
     elem = parse_generator_expression("2*x - a + 1", system)
@@ -247,12 +277,17 @@ CHARACTER_CONSTANTS_DOC = dict(
     (CONSTANTS_DOC, ("anchor", "a", "x"), "anchor.a.x"),
     (CONSTANTS_DOC, ("action", "values", 0, 3), "action.values[0][3]"),
     (CHARACTER_CONSTANTS_DOC, ("action", "values", "x"), "action.values.x"),
+    (MONOMIAL_DOC, ("lie", "brackets", 0, 3), "lie.brackets[0][3]"),
+    (CONSTANTS_DOC, ("algebra", "constants", 0, 3),
+     "algebra.constants[0][3]"),
 ], ids=["monomial-anchor", "monomial-character", "constants-anchor",
-        "constants-tensor", "constants-character"])
+        "constants-tensor", "constants-character", "bracket",
+        "structure-constant"])
 def test_values_must_be_json_strings_or_integers(doc, path, named, value,
                                                  tmp_path, capsys):
-    """An anchor image or action value of another JSON type is refused by
-    its key path, not read as the text of that value."""
+    """An anchor image, action value, bracket or structure constant of
+    another JSON type is refused by its key path, not read as the text of
+    that value."""
     bad = tmp_path / "bad.lrh"
     bad.write_text(json.dumps(_with(doc, path, value)))
     assert main(["check", str(bad)]) == 2
@@ -266,8 +301,11 @@ def test_values_must_be_json_strings_or_integers(doc, path, named, value,
     (CONSTANTS_DOC, ("anchor", "a", "x")),
     (CONSTANTS_DOC, ("action", "values", 0, 3)),
     (CHARACTER_CONSTANTS_DOC, ("action", "values", "x")),
+    (MONOMIAL_DOC, ("lie", "brackets", 0, 3)),
+    (CONSTANTS_DOC, ("algebra", "constants", 0, 3)),
 ], ids=["monomial-anchor", "monomial-character", "constants-anchor",
-        "constants-tensor", "constants-character"])
+        "constants-tensor", "constants-character", "bracket",
+        "structure-constant"])
 def test_integer_values_read_as_their_digits(doc, path, tmp_path, capsys):
     as_text, as_integer = tmp_path / "text.lrh", tmp_path / "integer.lrh"
     as_text.write_text(json.dumps(_with(doc, path, "0")))

@@ -285,8 +285,8 @@ def test_pipeline_solves_divisibility_once(q, monkeypatch):
 def test_top_certificate_prefixes_refute_every_lower_degree(p):
     """The nesting behind the single solve: the degree-8 functional cut
     to the degree-d basis still kills every x.w with deg w <= d and not
-    y, replayed against products normalised by the other strategy in a
-    fresh rewrite system."""
+    y, replayed against products normalised by the rightmost-first
+    oracle in a fresh rewrite system."""
     fld = Field(p)
     cert = theorem1_pipeline(fld, degree=8).divisibility_outcome.certificate
     fresh = build_rewrite_system(
@@ -299,7 +299,7 @@ def test_top_certificate_prefixes_refute_every_lower_degree(p):
         cut = cert[:env.dim]
         functional = lambda elem: sum(
             (u * c for u, c in zip(cut, env.coords(
-                normal_form(elem, fresh, "rightmost")))),
+                oracles.rightmost_normal_form(elem, fresh)))),
             fld.zero)
         for word in env.basis:
             assert not functional(x.concat(NCElement.from_word(fld, word)))
