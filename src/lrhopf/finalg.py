@@ -6,15 +6,18 @@ K[x1..xs]/(monomial ideal) come with a convenience constructor whose
 basis is the set of monomials outside the ideal, ordered by degree and
 then lexicographically with 1 first.
 
-Derivations and characters are stored as raw matrices/vectors; the
-check_* functions turn their defining laws into verdicts with explicit
-first witnesses, iterated in deterministic index order.
+Tables, derivation matrices and character values hold Scalars.  Each
+algebra and derivation also caches its table as sparse raw rows, which
+the check_* functions read: they turn the defining laws into verdicts
+with explicit first witnesses, iterated in deterministic index order,
+and make Scalars only to render a witness.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -29,22 +32,38 @@ from .reports import FAIL, PASS, VerdictReport
 from .scalars import Field, Scalar
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-# A dense structure table holds dim^3 entries: 1 M of them is ~8 MB of
-# references, and the axiom checks take longer than their size.
-MAX_TABLE_ENTRIES = 1_000_000
+# Steps of the associativity or Jacobi check of one table, as table_work
+# counts them.  Timed with `check` over Q, a step takes about 2 us on
+# sparse tables with small entries and 5 us on dense tables with
+# multi-digit entries, so a table at the limit takes 3 to 8 s to check.
+MAX_CHECK_WORK = 1_500_000
 # Monomials enumerated for a quotient basis, the product of the
 # pure-power bounds: 100 k of them take about 0.3 s.
 MAX_MONOMIALS = 100_000
 
 
-def check_table_size(what: str, dim: int) -> None:
-    """Refuse a structure of dimension `dim` whose dense table would hold
-    more than MAX_TABLE_ENTRIES entries, before building it."""
-    if dim ** 3 > MAX_TABLE_ENTRIES:
+def table_work(table, sides: int = 2) -> int:
+    """Steps of the associativity (sides = 2) or Jacobi (sides = 3) check
+    on a table of sparse rows, table[i][j] = e_i e_j: one per basis
+    triple, and one per term product.  Each side multiplies a stored
+    entry c[i][j][t] against every entry stored in the products e_k e_t
+    over all k."""
+    n = len(table)
+    col = [sum(len(row[t]) for row in table) for t in range(n)]
+    return n ** 3 + sides * sum(col[t] for row in table for vec in row
+                                for t in vec)
+
+
+def check_table_size(what: str, dim: int, table: tuple = None,
+                     sides: int = 2) -> None:
+    """Refuse a structure whose table would take its axiom check more
+    than MAX_CHECK_WORK steps (table_work).  Without the table, before it
+    is built, the dim^3 basis triples alone are counted."""
+    work = dim ** 3 if table is None else table_work(table, sides)
+    if work > MAX_CHECK_WORK:
         raise LrhInputError(
-            f"{what} of dimension {dim} would need a table of {dim ** 3} "
-            f"entries, over the limit of {MAX_TABLE_ENTRIES} "
-            f"(MAX_TABLE_ENTRIES)")
+            f"{what} of dimension {dim} would take {work} steps to check, "
+            f"over the limit of {MAX_CHECK_WORK} (MAX_CHECK_WORK)")
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +100,49 @@ def contract(table, u, v, size: int, zero) -> tuple:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# sparse raw rows
+#
+# A sparse row {k: value} holds the nonzero entries of a coefficient
+# vector as raw field values: Fractions over Q, ints in [0, p) over
+# GF(p).  Two rows are equal exactly when their vectors are.
+
+def sparse_row(vec) -> dict:
+    """The sparse raw row of a Scalar vector."""
+    return {k: c.value for k, c in enumerate(vec) if c.value}
+
+
+def sparse_table(table) -> tuple:
+    """A table of Scalar vectors, table[i][j], as sparse raw rows."""
+    return tuple(tuple(sparse_row(vec) for vec in row) for row in table)
+
+
+def combine_rows(reduce, *terms) -> dict:
+    """sum_t coeffs[t] * rows[t] over the (coeffs, rows) pairs in `terms`,
+    coeffs a sparse row and rows a sequence of them.  Products are summed
+    unreduced and each sum is reduced once by `reduce` (Field.reduce);
+    entries that cancel are dropped."""
+    acc = {}
+    for coeffs, rows in terms:
+        for t, c in coeffs.items():
+            for k, x in rows[t].items():
+                acc[k] = acc.get(k, 0) + c * x
+    out = {}
+    for k, v in acc.items():
+        v = reduce(v)
+        if v:
+            out[k] = v
+    return out
+
+
+def dense_row(fld: Field, row: dict, size: int) -> tuple:
+    """The Scalar vector of length `size` of a sparse raw row."""
+    out = [fld.zero] * size
+    for k, v in row.items():
+        out[k] = Scalar(fld, v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CommAlgebra:
     field: Field
@@ -97,6 +159,17 @@ class CommAlgebra:
     @property
     def unit_index(self) -> int:
         return 0
+
+    @cached_property
+    def sparse_table(self) -> tuple:
+        """mul_table as sparse raw rows, sparse_table[i][j] = e_i.e_j;
+        made on first use and kept by this object, not by its copies."""
+        return sparse_table(self.mul_table)
+
+    def render_row(self, row: dict) -> str:
+        """Text of the element with sparse raw coefficients `row`."""
+        return render_linear(dense_row(self.field, row, self.dim),
+                             self.labels, unit_index=self.unit_index)
 
     def index_of(self, label: str) -> int:
         try:
@@ -301,10 +374,13 @@ def make_monomial_quotient(variables: Sequence[str],
         table.append(tuple(row))
 
     labels = tuple(monomial_label(m, variables) for m in basis)
-    return CommAlgebra(field=fld, labels=labels, mul_table=tuple(table),
-                       variables=variables, monomials=tuple(basis),
-                       relations=tuple(sorted(
-                           monomial_label(r, variables) for r in rel_exps)))
+    algebra = CommAlgebra(field=fld, labels=labels, mul_table=tuple(table),
+                          variables=variables, monomials=tuple(basis),
+                          relations=tuple(sorted(
+                              monomial_label(r, variables)
+                              for r in rel_exps)))
+    check_table_size("the quotient algebra", n, algebra.sparse_table)
+    return algebra
 
 
 def make_base_field_algebra(fld: Field) -> CommAlgebra:
@@ -331,9 +407,11 @@ def algebra_from_constants(fld: Field, labels: Sequence[str],
             table[0][j] = [fld.one if k == j else fld.zero for k in range(n)]
         if not any((j, 0, k) in constants for k in range(n)):
             table[j][0] = [fld.one if k == j else fld.zero for k in range(n)]
-    return CommAlgebra(field=fld, labels=labels,
-                       mul_table=tuple(tuple(tuple(v) for v in row)
-                                       for row in table))
+    algebra = CommAlgebra(field=fld, labels=labels,
+                          mul_table=tuple(tuple(tuple(v) for v in row)
+                                          for row in table))
+    check_table_size("the algebra", n, algebra.sparse_table)
+    return algebra
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +437,19 @@ class Derivation:
         return AlgebraElement(self.algebra,
                               tuple(row[j] for row in self.matrix))
 
+    @cached_property
+    def sparse_columns(self) -> tuple:
+        """sparse_columns[j] is D(e_j) as a sparse raw row; made on first
+        use and kept by this object, not by its copies."""
+        return tuple(sparse_row(col) for col in zip(*self.matrix))
+
+    @classmethod
+    def from_columns(cls, algebra: CommAlgebra, columns) -> "Derivation":
+        """The map whose column j is the sparse raw row columns[j]."""
+        cols = [dense_row(algebra.field, col, algebra.dim)
+                for col in columns]
+        return cls(algebra, tuple(zip(*cols)))
+
     @classmethod
     def zero(cls, algebra: CommAlgebra) -> "Derivation":
         z = algebra.field.zero
@@ -377,23 +468,22 @@ class Derivation:
                 "Leibniz extension needs a monomial-quotient algebra")
         if any(image.algebra != algebra for image in images.values()):
             raise AlgebraMismatchError("variable image in another algebra")
-        fld = algebra.field
-        n = algebra.dim
+        table = algebra.sparse_table
+        index = {m: k for k, m in enumerate(algebra.monomials)}
+        images = {v: sparse_row(image.coeffs) for v, image in images.items()}
         cols = []
         for m in algebra.monomials:
             # D(m) = sum_v m_v (m / v) D(v): rows of the table of m / v
-            rows, coeffs = [], []
+            terms = []
             for v_idx, v in enumerate(algebra.variables):
                 if m[v_idx] == 0:
                     continue
                 lowered = tuple(e - 1 if t == v_idx else e
                                 for t, e in enumerate(m))
-                rows += algebra.mul_table[algebra.monomials.index(lowered)]
-                exponent = fld.scalar(m[v_idx])
-                coeffs += [exponent * c for c in images[v].coeffs]
-            cols.append(combine(rows, coeffs, n, fld.zero))
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return cls(algebra, matrix)
+                terms.append(({t: m[v_idx] * c for t, c in images[v].items()},
+                              table[index[lowered]]))
+            cols.append(combine_rows(algebra.field.reduce, *terms))
+        return cls.from_columns(algebra, cols)
 
 
 @dataclass(frozen=True)
@@ -436,17 +526,20 @@ def multiplication_operator(a: AlgebraElement) -> tuple:
                  for i in range(alg.dim))
 
 
+def commutator_columns(d1: Derivation, d2: Derivation) -> tuple:
+    """The sparse raw columns of d1.d2 - d2.d1, over d1's algebra."""
+    cols1, cols2 = d1.sparse_columns, d2.sparse_columns
+    reduce = d1.algebra.field.reduce
+    # column j is d1(d2(e_j)) - d2(d1(e_j))
+    return tuple(combine_rows(reduce, (c2, cols1),
+                              ({t: -x for t, x in c1.items()}, cols2))
+                 for c1, c2 in zip(cols1, cols2))
+
+
 def derivation_commutator(d1: Derivation, d2: Derivation) -> Derivation:
     if d1.algebra != d2.algebra:
         raise AlgebraMismatchError("commutator across algebras")
-    alg = d1.algebra
-    cols1 = tuple(zip(*d1.matrix))
-    cols2 = tuple(zip(*d2.matrix))
-    # column j of d1.d2 - d2.d1 is d1(d2(e_j)) - d2(d1(e_j))
-    comm = [combine(cols1 + cols2, c2 + tuple(-x for x in c1), alg.dim,
-                    alg.field.zero)
-            for c1, c2 in zip(cols1, cols2)]
-    return Derivation(alg, tuple(zip(*comm)))
+    return Derivation.from_columns(d1.algebra, commutator_columns(d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +551,8 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
     name = "algebra-axioms"
     n = algebra.dim
     labels = algebra.labels
-    table = algebra.mul_table
-    zero = algebra.field.zero
+    table = algebra.sparse_table
+    reduce = algebra.field.reduce
     for i in range(n):
         for j in range(n):
             if table[i][j] != table[j][i]:
@@ -468,22 +561,22 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
                     "lhs": str(algebra.basis_product(i, j)),
                     "rhs": str(algebra.basis_product(j, i))}])
     for i, prod in enumerate(table[0]):
-        if prod[i] != algebra.field.one or any(prod[:i] + prod[i + 1:]):
+        if prod != {i: 1}:
             return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                 "law": "unit", "element": labels[i],
-                "lhs": str(algebra.element(prod))}])
+                "lhs": str(algebra.basis_product(0, i))}])
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 # (e_i e_j) e_k is e_k (e_i e_j): commutativity holds here
-                lhs = combine(table[k], table[i][j], n, zero)
-                rhs = combine(table[i], table[j][k], n, zero)
+                lhs = combine_rows(reduce, (table[i][j], table[k]))
+                rhs = combine_rows(reduce, (table[j][k], table[i]))
                 if lhs != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "law": "associativity",
                         "triple": [labels[i], labels[j], labels[k]],
-                        "lhs": str(algebra.element(lhs)),
-                        "rhs": str(algebra.element(rhs))}])
+                        "lhs": algebra.render_row(lhs),
+                        "rhs": algebra.render_row(rhs)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"checked commutativity, unit law and associativity over all "
         f"{n}^3 basis triples"])
@@ -495,26 +588,26 @@ def check_derivation(algebra: CommAlgebra, matrix: tuple) -> VerdictReport:
     n = algebra.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise LrhInputError("derivation matrix has wrong shape")
-    d = Derivation(algebra, matrix)
-    unit_image = d.column(0)
-    if unit_image:
+    images = Derivation(algebra, matrix).sparse_columns  # D(e_j)
+    if images[0]:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
-            "law": "unit-annihilation", "value": str(unit_image)}])
-    table = algebra.mul_table
-    zero = algebra.field.zero
-    images = tuple(zip(*matrix))  # images[j] = D(e_j)
+            "law": "unit-annihilation",
+            "value": algebra.render_row(images[0])}])
+    table = algebra.sparse_table
+    reduce = algebra.field.reduce
+    by_column = [[row[j] for row in table] for j in range(n)]
     for i in range(n):
         for j in range(n):
             # D(e_i e_j) against D(e_i) e_j + e_i D(e_j)
-            lhs = combine(images, table[i][j], n, zero)
-            rhs = combine([row[j] for row in table] + list(table[i]),
-                          images[i] + images[j], n, zero)
+            lhs = combine_rows(reduce, (table[i][j], images))
+            rhs = combine_rows(reduce, (images[i], by_column[j]),
+                               (images[j], table[i]))
             if lhs != rhs:
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "law": "leibniz",
                     "pair": [algebra.labels[i], algebra.labels[j]],
-                    "lhs": str(algebra.element(lhs)),
-                    "rhs": str(algebra.element(rhs))}])
+                    "lhs": algebra.render_row(lhs),
+                    "rhs": algebra.render_row(rhs)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"Leibniz verified on all {n}^2 basis pairs, D(1)=0"])
 
@@ -523,18 +616,20 @@ def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
     """chi(1) = 1 and multiplicativity on all basis pairs."""
     name = "character"
     n = algebra.dim
+    fld = algebra.field
     if len(values) != n:
         raise LrhInputError("character vector has wrong length")
-    if values[0] != algebra.field.one:
+    if values[0] != fld.one:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-value", "value": str(values[0])}])
+    raw = [v.value for v in values]
+    table = algebra.sparse_table
     for i in range(n):
         for j in range(n):
             # chi(e_i e_j) against chi(e_i) chi(e_j)
-            lhs = sum((v * c for v, c in zip(values, algebra.mul_table[i][j])
-                       if c), algebra.field.zero)
-            rhs = values[i] * values[j]
-            if (lhs - rhs):
+            lhs = fld.reduce(sum(raw[k] * c for k, c in table[i][j].items()))
+            rhs = fld.reduce(raw[i] * raw[j])
+            if lhs != rhs:
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "law": "multiplicativity",
                     "pair": [algebra.labels[i], algebra.labels[j]],

@@ -37,6 +37,7 @@ from .finalg import (
     Character,
     Derivation,
     combine,
+    combine_rows,
     make_monomial_quotient,
 )
 from .lierinehart import (
@@ -62,6 +63,7 @@ from .reports import FAIL, PASS, VerdictReport
 from .scalars import (
     Field,
     LinearSystem,
+    Scalar,
     SolveOutcome,
     solve_linear,
     verify_certificate,
@@ -93,40 +95,45 @@ def partial_map_system(data: LieRinehartData) -> LinearSystem:
     def col(a, j):
         return a * n + j
 
-    table = R.mul_table
-    # mult[i][j][k]: coefficient k of (e_i - chi(e_i) 1) e_j
-    mult = [[combine((table[i][j], table[0][j]), (fld.one, -chi.values[i]),
-                     n, fld.zero) for j in range(n)] for i in range(n)]
+    reduce = fld.reduce
+    table = R.sparse_table
+    chi_raw = [v.value for v in chi.values]
+    # mult[i][j]: sparse raw row of (e_i - chi(e_i) 1) e_j, as the
+    # coefficients 1 and -chi(e_i) against the rows e_i e_j and e_0 e_j
+    mult = [[combine_rows(reduce, ({0: 1, 1: -chi_raw[i]},
+                                   (table[i][j], table[0][j])))
+             for j in range(n)] for i in range(n)]
     entries, rhs = [], []
 
     def emit(row, target):
-        """One equation from a {col: Scalar} row; zero entries are dropped."""
-        entries.extend((len(rhs), c, v) for c, v in row.items() if v)
+        """One equation from a {col: raw value} row, reduced; entries
+        that cancel are dropped."""
+        for c, v in row.items():
+            v = reduce(v)
+            if v:
+                entries.append((len(rhs), c, Scalar(fld, v)))
         rhs.append(target)
 
     for a in range(m):
         rho_a = data.anchor.rho(a).matrix
         for i in range(n):
             for k in range(n):
-                emit({col(a, j): mult[i][j][k] for j in range(n)},
-                     rho_a[k][i])
+                emit({col(a, j): mult[i][j][k] for j in range(n)
+                      if k in mult[i][j]}, rho_a[k][i])
     for a in range(m):
         for b in range(a + 1, m):
-            bracket = L.bracket_basis(a, b)
-            rho_a = data.anchor.rho(a).matrix
-            rho_b = data.anchor.rho(b).matrix
+            bracket = L.sparse_table[a][b]
+            cols_a = data.anchor.rho(a).sparse_columns
+            cols_b = data.anchor.rho(b).sparse_columns
             for k in range(n):
-                row = {}
-                for c, f in enumerate(bracket):
-                    if f:
-                        row[col(c, k)] = row.get(col(c, k), fld.zero) + f
+                row = {col(c, k): f for c, f in bracket.items()}
                 for j in range(n):
-                    ca = rho_a[k][j]
+                    ca = cols_a[j].get(k)
                     if ca:
-                        row[col(b, j)] = row.get(col(b, j), fld.zero) - ca
-                    cb = rho_b[k][j]
+                        row[col(b, j)] = row.get(col(b, j), 0) - ca
+                    cb = cols_b[j].get(k)
                     if cb:
-                        row[col(a, j)] = row.get(col(a, j), fld.zero) + cb
+                        row[col(a, j)] = row.get(col(a, j), 0) + cb
                 emit(row, fld.zero)
     return LinearSystem(rows=len(rhs), cols=m * n, entries=tuple(entries),
                         rhs=tuple(rhs), field=fld)

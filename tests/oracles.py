@@ -8,16 +8,20 @@ arithmetic, basis sizes by binomial counting, and structure-constant
 contractions, with the axiom checks built on them, by dense loops over
 raw values, and normal forms by rewriting the rightmost redex first.
 Tests compare the package's answers against these.  The
-one exception is ``dense_solve``, the package's former dense
-elimination kept verbatim as a reference: the sparse solver must
-reproduce its outcomes exactly.
+exceptions are the package's former dense code, kept verbatim as
+references that the sparse code must reproduce exactly: ``dense_solve``,
+its dense elimination, and the ``dense_check_*`` functions, its axiom
+checks on dense Scalar tables.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 from lrhopf import (
+    FAIL,
+    PASS,
     Anchor,
     Character,
     CommAlgebra,
@@ -26,12 +30,15 @@ from lrhopf import (
     LieRinehartData,
     NCElement,
     SolveOutcome,
+    VerdictReport,
     character_action,
     check_derivation,
     lie_algebra_from_brackets,
     make_base_field_algebra,
     make_monomial_quotient,
+    tensor_action,
 )
+from lrhopf.finalg import render_linear
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +477,99 @@ def random_character_candidate(rng, fld):
         return R, L, Anchor(tuple(derivs)), natural_character(R)
 
 
+# (variables, relations, allowed images): a derivation that sends each
+# variable into the span of the allowed basis labels is R-linear for the
+# evaluation-at-zero character and lands in its kernel.
+_NILPOTENT_POOL = (
+    ((), (), ()),
+    (("x",), ("x^2",), ("x",)),
+    (("x",), ("x^3",), ("x^2",)),
+    (("x", "y"), ("x*y", "x^2", "y^2"), ("x", "y")),
+    (("x", "y"), ("x^2", "y^2"), ("x*y",)),
+)
+
+
+def sl2(fld):
+    one, zero = fld.one, fld.zero
+    return lie_algebra_from_brackets(fld, ("e", "f", "h"), {
+        (0, 1): (zero, zero, one), (0, 2): (-2 * one, zero, zero),
+        (1, 2): (zero, 2 * one, zero)})
+
+
+def random_valid_structure(rng, fld) -> LieRinehartData:
+    """A valid structure drawn at random: a nilpotent base algebra from
+    _NILPOTENT_POOL, a Lie algebra, the evaluation-at-zero character
+    acting as a character or as a tensor, and anchor(xi_a) = s_a D for
+    one derivation D, with s_a = 0 on every xi_a that occurs in a bracket
+    so that the anchor is a Lie homomorphism."""
+    variables, relations, allowed = rng.choice(_NILPOTENT_POOL)
+    R = make_monomial_quotient(variables, relations, fld) if variables \
+        else make_base_field_algebra(fld)
+    L = rng.choice(lie_pool(fld) + [sl2(fld)])
+    images = {v: R.element(tuple(
+        fld.scalar(rng.randint(-2, 2)) if label in allowed else fld.zero
+        for label in R.labels)) for v in variables}
+    in_brackets = {c for row in L.table for vec in row
+                   for c, x in enumerate(vec) if x}
+    derivations = []
+    for a in range(L.dim):
+        s = 0 if a in in_brackets else rng.randint(-2, 2)
+        derivations.append(Derivation.from_variable_images(
+            R, {v: s * image for v, image in images.items()})
+            if variables else Derivation.zero(R))
+    chi = natural_character(R)
+    if rng.random() < 0.5:
+        action = character_action(chi, L.dim)
+    else:
+        action = tensor_action(R, L.dim, {
+            (i, a, a): chi.values[i] for i in range(R.dim)
+            for a in range(L.dim)})
+    return LieRinehartData(R=R, L=L, action=action,
+                           anchor=Anchor(tuple(derivations)))
+
+
+def _bumped(nested, index, delta):
+    """Copy of a nested tuple with entry `index` increased by delta."""
+    out = list(nested)
+    out[index[0]] = out[index[0]] + delta if len(index) == 1 \
+        else _bumped(nested[index[0]], index[1:], delta)
+    return tuple(out)
+
+
+def break_one_entry(rng, data) -> LieRinehartData:
+    """A copy of `data` with one entry of the multiplication table, the
+    bracket table, the action tensor or one anchor matrix changed by a
+    nonzero value."""
+    R, L, action, anchor = data.R, data.L, data.action, data.anchor
+    fld = R.field
+    p = fld.characteristic
+    delta = fld.scalar(rng.randint(1, p - 1) if p else
+                       rng.choice((-2, -1, 1, 2, Fraction(1, 2))))
+    n, m = R.dim, L.dim
+    where = rng.choice(("algebra", "lie", "action", "anchor"))
+    if where == "algebra":
+        R = replace(R, mul_table=_bumped(R.mul_table, (
+            rng.randrange(n), rng.randrange(n), rng.randrange(n)), delta))
+        chi = action.character and Character(R, action.character.values)
+        action = replace(action, algebra=R, character=chi)
+        anchor = Anchor(tuple(Derivation(R, d.matrix)
+                              for d in anchor.derivations))
+    elif where == "lie":
+        L = replace(L, table=_bumped(L.table, (
+            rng.randrange(m), rng.randrange(m), rng.randrange(m)), delta))
+    elif where == "action":
+        action = replace(action, tensor=_bumped(action.tensor, (
+            rng.randrange(n), rng.randrange(m), rng.randrange(m)), delta))
+    else:
+        a = rng.randrange(m)
+        d = anchor.derivations[a]
+        broken = Derivation(R, _bumped(d.matrix, (
+            rng.randrange(n), rng.randrange(n)), delta))
+        anchor = Anchor(anchor.derivations[:a] + (broken,)
+                        + anchor.derivations[a + 1:])
+    return LieRinehartData(R=R, L=L, action=action, anchor=anchor)
+
+
 def candidate_data(R, L, anchor, chi) -> LieRinehartData:
     return LieRinehartData(R=R, L=L, action=character_action(chi, L.dim),
                            anchor=anchor)
@@ -487,3 +587,301 @@ def random_nc_element(rng, system, max_terms=4, max_len=3):
         c = system.field.scalar(rng.randint(-3, 3))
         terms[word] = terms.get(word, system.field.zero) + c
     return NCElement(system.field, {w: c for w, c in terms.items() if c})
+
+
+# ---------------------------------------------------------------------------
+# dense reference axiom checks
+#
+# The package's former axiom checks, kept as references for the equality
+# test: the same laws in the same loop order, on the dense Scalar tables,
+# with their own dense contraction, anchor combination and commutator.
+# Each returns the VerdictReport the package's check must equal.
+
+def _dense_combine(vectors, coeffs, size, zero):
+    out = [zero] * size
+    for vec, c in zip(vectors, coeffs):
+        if not c:
+            continue
+        for k, x in enumerate(vec):
+            if x:
+                out[k] = out[k] + c * x
+    return tuple(out)
+
+
+def _dense_of_vector(anchor, vec):
+    alg = anchor.derivations[0].algebra
+    rows = zip(*(d.matrix for d in anchor.derivations))
+    return Derivation(alg, tuple(
+        _dense_combine(row_i, vec, alg.dim, alg.field.zero) for row_i in rows))
+
+
+def _dense_commutator(d1, d2):
+    alg = d1.algebra
+    cols1 = tuple(zip(*d1.matrix))
+    cols2 = tuple(zip(*d2.matrix))
+    comm = [_dense_combine(cols1 + cols2, c2 + tuple(-x for x in c1),
+                           alg.dim, alg.field.zero)
+            for c1, c2 in zip(cols1, cols2)]
+    return Derivation(alg, tuple(zip(*comm)))
+
+
+def dense_check_algebra_axioms(algebra):
+    name = "algebra-axioms"
+    n = algebra.dim
+    labels = algebra.labels
+    table = algebra.mul_table
+    zero = algebra.field.zero
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "law": "commutativity", "pair": [labels[i], labels[j]],
+                    "lhs": str(algebra.basis_product(i, j)),
+                    "rhs": str(algebra.basis_product(j, i))}])
+    for i, prod in enumerate(table[0]):
+        if prod[i] != algebra.field.one or any(prod[:i] + prod[i + 1:]):
+            return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                "law": "unit", "element": labels[i],
+                "lhs": str(algebra.element(prod))}])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _dense_combine(table[k], table[i][j], n, zero)
+                rhs = _dense_combine(table[i], table[j][k], n, zero)
+                if lhs != rhs:
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "law": "associativity",
+                        "triple": [labels[i], labels[j], labels[k]],
+                        "lhs": str(algebra.element(lhs)),
+                        "rhs": str(algebra.element(rhs))}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"checked commutativity, unit law and associativity over all "
+        f"{n}^3 basis triples"])
+
+
+def dense_check_derivation(algebra, matrix):
+    name = "derivation"
+    n = algebra.dim
+    d = Derivation(algebra, matrix)
+    unit_image = d.column(0)
+    if unit_image:
+        return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+            "law": "unit-annihilation", "value": str(unit_image)}])
+    table = algebra.mul_table
+    zero = algebra.field.zero
+    images = tuple(zip(*matrix))
+    for i in range(n):
+        for j in range(n):
+            lhs = _dense_combine(images, table[i][j], n, zero)
+            rhs = _dense_combine([row[j] for row in table] + list(table[i]),
+                                 images[i] + images[j], n, zero)
+            if lhs != rhs:
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "law": "leibniz",
+                    "pair": [algebra.labels[i], algebra.labels[j]],
+                    "lhs": str(algebra.element(lhs)),
+                    "rhs": str(algebra.element(rhs))}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"Leibniz verified on all {n}^2 basis pairs, D(1)=0"])
+
+
+def dense_check_character(algebra, values):
+    name = "character"
+    n = algebra.dim
+    if values[0] != algebra.field.one:
+        return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+            "law": "unit-value", "value": str(values[0])}])
+    for i in range(n):
+        for j in range(n):
+            lhs = sum((v * c for v, c in zip(values, algebra.mul_table[i][j])
+                       if c), algebra.field.zero)
+            rhs = values[i] * values[j]
+            if (lhs - rhs):
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "law": "multiplicativity",
+                    "pair": [algebra.labels[i], algebra.labels[j]],
+                    "lhs": str(lhs), "rhs": str(rhs)}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"chi(1)=1 and multiplicativity verified on all {n}^2 basis pairs"])
+
+
+def dense_check_lie_algebra(L):
+    name = "lie-algebra"
+    m = L.dim
+    for a in range(m):
+        for b in range(a, m):
+            if a == b:
+                if any(L.table[a][a]):
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "law": "antisymmetry",
+                        "pair": [L.labels[a], L.labels[a]],
+                        "value": L.render(L.table[a][a])}])
+            else:
+                mirrored = tuple(-c for c in L.table[b][a])
+                if L.table[a][b] != mirrored:
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "law": "antisymmetry",
+                        "pair": [L.labels[a], L.labels[b]],
+                        "lhs": L.render(L.table[a][b]),
+                        "rhs": "-(" + L.render(L.table[b][a]) + ")"}])
+    table = L.table
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                total = _dense_combine(
+                    table[a] + table[b] + table[c],
+                    table[b][c] + table[c][a] + table[a][b], m, L.field.zero)
+                if any(total):
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "law": "jacobi",
+                        "triple": [L.labels[a], L.labels[b], L.labels[c]],
+                        "value": L.render(total)}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"antisymmetry and Jacobi verified over all {m}^3 basis triples"])
+
+
+def dense_check_module_action(R, action):
+    name = "module-action"
+    m = action.lie_dim
+    tensor = action.tensor
+    for a, row in enumerate(tensor[0]):
+        if row[a] != R.field.one or any(row[:a] + row[a + 1:]):
+            return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                "law": "unit-acts-as-identity", "element": f"index {a}",
+                "value": render_linear(row,
+                                       tuple(f"xi_{b}" for b in range(m)))}])
+    acting_on = [[slab[a] for slab in tensor] for a in range(m)]
+    for i in range(R.dim):
+        for j in range(R.dim):
+            for a in range(m):
+                lhs = _dense_combine(acting_on[a], R.mul_table[i][j], m,
+                                     R.field.zero)
+                rhs = _dense_combine(tensor[i], tensor[j][a], m,
+                                     R.field.zero)
+                if lhs != rhs:
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "law": "action-associativity",
+                        "triple": [R.labels[i], R.labels[j], f"index {a}"]}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        "unit slice is the identity; action associative on all basis "
+        "triples"])
+
+
+def dense_check_anchor_lie_hom(data):
+    name = "anchor-lie-homomorphism"
+    L = data.L
+    for a in range(L.dim):
+        for b in range(L.dim):
+            lhs = _dense_of_vector(data.anchor, L.bracket_basis(a, b))
+            rhs = _dense_commutator(data.anchor.rho(a), data.anchor.rho(b))
+            if lhs.matrix != rhs.matrix:
+                diff = tuple(tuple(x - y for x, y in zip(r1, r2))
+                             for r1, r2 in zip(lhs.matrix, rhs.matrix))
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "pair": [L.labels[a], L.labels[b]],
+                    "difference-matrix": [[str(c) for c in row]
+                                          for row in diff]}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"anchor respects the bracket on all {L.dim}^2 basis pairs"])
+
+
+def dense_check_anchor_r_linear(data):
+    name = "anchor-r-linearity"
+    R, L = data.R, data.L
+    for i in range(R.dim):
+        for a in range(L.dim):
+            scaled = _dense_of_vector(data.anchor,
+                                      data.action.act_basis(i, a))
+            for j in range(R.dim):
+                lhs = scaled.column(j)
+                image = data.anchor.rho(a).column(j).coeffs
+                rhs = _dense_combine(R.mul_table[i], image, R.dim,
+                                     R.field.zero)
+                if lhs.coeffs != rhs:
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "triple": [R.labels[i], L.labels[a], R.labels[j]],
+                        "lhs": str(lhs), "rhs": str(R.element(rhs))}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"R-linearity verified on all {R.dim}x{L.dim}x{R.dim} triples"])
+
+
+def dense_check_leibniz(data):
+    name = "leibniz-compatibility"
+    R, L = data.R, data.L
+    m = L.dim
+    tensor = data.action.tensor
+    acting_on = [[slab[b] for slab in tensor] for b in range(m)]
+    for i in range(R.dim):
+        for a in range(m):
+            shift = tuple(row[i] for row in data.anchor.rho(a).matrix)
+            for b in range(m):
+                lhs = _dense_combine(L.table[a], tensor[i][b], m,
+                                     L.field.zero)
+                rhs = _dense_combine(list(tensor[i]) + acting_on[b],
+                                     L.table[a][b] + shift, m, L.field.zero)
+                if lhs != rhs:
+                    return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                        "triple": [R.labels[i], L.labels[a], L.labels[b]],
+                        "lhs": L.render(lhs), "rhs": L.render(rhs)}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"mixed Leibniz rule verified on all {R.dim}x{L.dim}^2 triples"])
+
+
+def dense_character_criterion(R, L, anchor, chi):
+    name = "character-criterion"
+
+    def r_linearity_failure():
+        for i in range(R.dim):
+            for a in range(anchor.lie_dim):
+                for j in range(R.dim):
+                    img = anchor.rho(a).column(j).coeffs
+                    lhs = tuple(chi.values[i] * c for c in img)
+                    rhs = _dense_combine(R.mul_table[i], img, R.dim,
+                                         R.field.zero)
+                    if lhs != rhs:
+                        return {"condition": "r-linearity",
+                                "triple": [R.labels[i], L.labels[a],
+                                           R.labels[j]],
+                                "lhs": str(R.element(lhs)),
+                                "rhs": str(R.element(rhs))}
+
+    def kernel_failure():
+        for a in range(anchor.lie_dim):
+            for i in range(R.dim):
+                value = chi.apply(anchor.rho(a).column(i))
+                if value:
+                    return {"condition": "anchor-into-kernel",
+                            "pair": [L.labels[a], R.labels[i]],
+                            "value": str(value)}
+
+    witnesses, narrative = [], []
+    for found, held in (
+            (r_linearity_failure(),
+             "(a) anchor is R-linear for the character action"),
+            (kernel_failure(),
+             "(b) every anchor value is annihilated by chi")):
+        if found:
+            witnesses.append(found)
+        else:
+            narrative.append(held)
+    return VerdictReport(name=name, verdict=PASS if not witnesses else FAIL,
+                         witnesses=witnesses, narrative=narrative)
+
+
+def dense_validate(data):
+    """The reports of validate_lie_rinehart, in its order."""
+    reports = [dense_check_algebra_axioms(data.R),
+               dense_check_lie_algebra(data.L),
+               dense_check_module_action(data.R, data.action)]
+    for a, d in enumerate(data.anchor.derivations):
+        rep = dense_check_derivation(data.R, d.matrix)
+        reports.append(VerdictReport(
+            name=f"derivation[{data.L.labels[a]}]", verdict=rep.verdict,
+            witnesses=rep.witnesses, narrative=rep.narrative))
+    if data.action.kind == "character":
+        reports.append(dense_check_character(
+            data.R, data.action.character.values))
+    reports += [dense_check_anchor_lie_hom(data),
+                dense_check_anchor_r_linear(data),
+                dense_check_leibniz(data)]
+    return reports

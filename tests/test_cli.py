@@ -512,22 +512,44 @@ def _sized(doc, **sections):
     (_sized(MONOMIAL_DOC, algebra={"relations": ["x^99999999", "y^2"]}),
      "MAX_MONOMIALS"),
     (_sized(CONSTANTS_DOC, algebra={
-        "dim": 101, "labels": ["1", "x"] + [f"e{k}" for k in range(2, 101)]}),
-     "MAX_TABLE_ENTRIES"),
-    (_sized(MONOMIAL_DOC, lie={"dim": 101, "brackets": [],
-                               "labels": [f"b{a}" for a in range(101)]}),
-     "MAX_TABLE_ENTRIES"),
-], ids=["characteristic", "monomials", "algebra-dim", "lie-dim"])
+        "dim": 115, "labels": ["1", "x"] + [f"e{k}" for k in range(2, 115)]}),
+     "MAX_CHECK_WORK"),
+    (_sized(MONOMIAL_DOC, lie={"dim": 115, "brackets": [],
+                               "labels": [f"b{a}" for a in range(115)]}),
+     "MAX_CHECK_WORK"),
+    (_sized(CONSTANTS_DOC, algebra={
+        "dim": 20, "labels": ["1", "x"] + [f"e{k}" for k in range(2, 20)],
+        "constants": [[i, j, k, "1"] for i in range(20) for j in range(20)
+                      for k in range(20)]}),
+     "MAX_CHECK_WORK"),
+], ids=["characteristic", "monomials", "algebra-dim", "lie-dim",
+        "dense-constants"])
 def test_oversized_structures_are_refused_up_front(doc, limit, tmp_path,
                                                    capsys):
-    """The first two were still running after 20 s; the last two would
-    build tables of 101^3 entries."""
+    """The first two were still running after 20 s.  The two of dimension
+    115 have more basis triples than MAX_CHECK_WORK, and the dense table
+    of dimension 20 multiplies out too many entries: all are refused
+    before any check runs."""
     path = tmp_path / "oversized.lrh"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
     assert main(["check", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert limit in capsys.readouterr().err
+
+
+def test_check_of_a_large_quotient_finishes(tmp_path, capsys):
+    """K[x]/(x^100) is within MAX_CHECK_WORK; its check ran for more
+    than 100 s on dense Scalar tables and takes about 4 s on sparse rows."""
+    doc = _sized(MONOMIAL_DOC, algebra={"variables": ["x"],
+                                        "relations": ["x^100"]},
+                 anchor={"a": {"x": "x"}})
+    path = tmp_path / "large.lrh"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["GF1000000000000000000000000000057",

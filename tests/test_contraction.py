@@ -2,6 +2,7 @@
 products, brackets, actions, derivations, anchors, and the first
 failures reported by the axiom checks built on them."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from lrhopf import (
     check_leibniz,
     check_lie_algebra,
     check_module_action,
-    lie_algebra_from_brackets,
     make_base_field_algebra,
     make_monomial_quotient,
     tensor_action,
@@ -53,17 +53,10 @@ def _labels(prefix, size):
     return tuple(f"{prefix}{t}" for t in range(size))
 
 
-def _sl2(fld):
-    one, zero = fld.one, fld.zero
-    return lie_algebra_from_brackets(fld, ("e", "f", "h"), {
-        (0, 1): (zero, zero, one), (0, 2): (-2 * one, zero, zero),
-        (1, 2): (zero, 2 * one, zero)})
-
-
 def _lie_case(rng, fld):
     """A valid Lie algebra, or one broken by an antisymmetric change (so
     Jacobi is reached) or by a one-sided change."""
-    L = rng.choice(oracles.lie_pool(fld) + [_sl2(fld)])
+    L = rng.choice(oracles.lie_pool(fld) + [oracles.sl2(fld)])
     kind = rng.choice(("valid", "antisymmetric", "one-sided"))
     if kind == "valid":
         return L
@@ -228,3 +221,34 @@ def test_action_check_refuses_a_foreign_algebra(q):
         check_module_action(make_base_field_algebra(q),
                             tensor_action(make_base_field_algebra(Field(2)),
                                           1, {}))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_cached_rows_are_the_nonzero_raw_entries(fld):
+    """Each structure's sparse rows hold exactly the nonzero raw entries
+    of its dense table, are made once, and belong to that object: a
+    dataclasses.replace copy starts without them."""
+    def nonzero(vec):
+        return {k: x for k, x in enumerate(oracles.raw(vec)) if x}
+
+    rng = random.Random(f"cached-rows/{fld}")
+    for _ in range(20):
+        data = oracles.break_one_entry(
+            rng, oracles.random_valid_structure(rng, fld))
+        for owner, name, table in (
+                (data.R, "sparse_table", data.R.mul_table),
+                (data.L, "sparse_table", data.L.table),
+                (data.action, "sparse_tensor", data.action.tensor)):
+            assert getattr(owner, name) == tuple(
+                tuple(nonzero(vec) for vec in row) for row in table)
+        for d in data.anchor.derivations:
+            assert d.sparse_columns == tuple(
+                nonzero(col) for col in zip(*d.matrix))
+        for owner, name in ((data.R, "sparse_table"),
+                            (data.L, "sparse_table"),
+                            (data.action, "sparse_tensor"),
+                            (data.anchor.derivations[0], "sparse_columns")):
+            rows = getattr(owner, name)
+            assert getattr(owner, name) is rows
+            copy = dataclasses.replace(owner)
+            assert copy == owner and name not in vars(copy)

@@ -23,7 +23,7 @@ from lrhopf import (
     multiplication_operator,
 )
 
-from lrhopf.finalg import MAX_MONOMIALS, MAX_TABLE_ENTRIES
+from lrhopf.finalg import MAX_CHECK_WORK, MAX_MONOMIALS, table_work
 
 import oracles
 
@@ -79,23 +79,44 @@ def test_non_monomial_relation_refused(q):
 
 
 def test_oversized_algebras_are_refused_before_their_tables(q):
-    """x^99999999 used to enumerate 10^8 monomials; a quotient or a
-    structure-constants algebra of dimension 101 would hold 101^3
-    table entries, over MAX_TABLE_ENTRIES."""
+    """x^99999999 used to enumerate 10^8 monomials.  A quotient or a
+    structure-constants algebra of dimension 115 has more basis triples
+    than MAX_CHECK_WORK, and is refused before its table is built; a
+    smaller one whose check would multiply out too many stored entries,
+    like K[x]/(x^104) or a dense table of dimension 20, right after."""
     for variables, relations in ((("x",), ("x^99999999",)),
                                  (("x", "y"), ("x^1000", "y^1000"))):
         start = time.perf_counter()
         with pytest.raises(LrhInputError, match="MAX_MONOMIALS"):
             make_monomial_quotient(variables, relations, q)
         assert time.perf_counter() - start < 0.5
-    assert make_monomial_quotient(("x",), ("x^100",), q).dim == 100
-    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
-        make_monomial_quotient(("x",), ("x^101",), q)
-    labels = ["1"] + [f"e{k}" for k in range(1, 101)]
-    assert algebra_from_constants(q, labels[:100], {}).dim == 100
-    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
+    assert make_monomial_quotient(("x",), ("x^103",), q).dim == 103
+    for n in (104, 115):
+        with pytest.raises(LrhInputError, match="MAX_CHECK_WORK"):
+            make_monomial_quotient(("x",), (f"x^{n}",), q)
+    labels = ["1"] + [f"e{k}" for k in range(1, 115)]
+    assert algebra_from_constants(q, labels[:114], {}).dim == 114
+    with pytest.raises(LrhInputError, match="MAX_CHECK_WORK"):
         algebra_from_constants(q, labels, {})
-    assert MAX_MONOMIALS == 100_000 and MAX_TABLE_ENTRIES == 100 ** 3
+    dense = {(i, j, k): q.one for i in range(20) for j in range(20)
+             for k in range(20)}
+    with pytest.raises(LrhInputError, match="MAX_CHECK_WORK"):
+        algebra_from_constants(q, labels[:20], dense)
+    assert MAX_MONOMIALS == 100_000 and MAX_CHECK_WORK == 1_500_000
+
+
+def test_table_work_counts_triples_and_term_products(q):
+    """K[x]/(x^n) multiplies out sum_s (s+1)(n-s) = n(n+1)(n+2)/6 term
+    products per side; a table with only its unit rows has 3n - 2."""
+    for n in (1, 2, 5, 30):
+        R = make_monomial_quotient(("x",), (f"x^{n}",), q)
+        assert table_work(R.sparse_table) == n ** 3 + 2 * (
+            n * (n + 1) * (n + 2) // 6)
+        assert table_work(R.sparse_table, sides=3) == n ** 3 + 3 * (
+            n * (n + 1) * (n + 2) // 6)
+        labels = ["1"] + [f"e{k}" for k in range(1, n)]
+        units = algebra_from_constants(q, labels, {})
+        assert table_work(units.sparse_table) == n ** 3 + 2 * (3 * n - 2)
 
 
 def test_overlong_exponents_are_bad_exponents(q):

@@ -30,10 +30,15 @@ import oracles
 # ---------------------------------------------------------------- Lie axioms
 
 def test_oversized_lie_algebra_is_refused_before_its_table(q):
-    labels = [f"b{a}" for a in range(101)]
-    assert lie_algebra_from_brackets(q, labels[:100], {}).dim == 100
-    with pytest.raises(LrhInputError, match="MAX_TABLE_ENTRIES"):
+    """Dimension 115 has more basis triples than MAX_CHECK_WORK; a dense
+    bracket table of dimension 20 has too many term products."""
+    labels = [f"b{a}" for a in range(115)]
+    assert lie_algebra_from_brackets(q, labels[:114], {}).dim == 114
+    with pytest.raises(LrhInputError, match="MAX_CHECK_WORK"):
         lie_algebra_from_brackets(q, labels, {})
+    dense = {(a, b): (q.one,) * 20 for a in range(20) for b in range(20)}
+    with pytest.raises(LrhInputError, match="MAX_CHECK_WORK"):
+        lie_algebra_from_brackets(q, labels[:20], dense)
 
 
 def test_lie_pool_satisfies_axioms(q):
@@ -286,3 +291,30 @@ def test_classical_case_has_trivial_criterion(classical):
     assert data.R.dim == 1
     reports = validate_lie_rinehart(data)
     assert all(rep.ok for rep in reports)
+
+
+# ------------------------------------------------- against the dense checks
+
+@pytest.mark.parametrize("fld", [Field(0), Field(2), Field(3), Field(7)],
+                         ids=str)
+def test_reports_match_the_dense_reference_checks(fld):
+    """Every report of validate_lie_rinehart and character_criterion,
+    witnesses included, equals the dense Scalar reference's, on random
+    valid structures and on copies with one table entry broken."""
+    rng = random.Random(f"dense-reference/{fld}")
+    broken_failures = 0
+    for _ in range(50):
+        valid = oracles.random_valid_structure(rng, fld)
+        for data in (valid, oracles.break_one_entry(rng, valid)):
+            reports = validate_lie_rinehart(data)
+            assert [r.to_dict() for r in reports] == \
+                [r.to_dict() for r in oracles.dense_validate(data)]
+            chi = data.action.character or oracles.natural_character(data.R)
+            args = (data.R, data.L, data.anchor, chi)
+            assert character_criterion(*args).to_dict() == \
+                oracles.dense_character_criterion(*args).to_dict()
+            if data is valid:
+                assert all(r.ok for r in reports)
+            else:
+                broken_failures += not all(r.ok for r in reports)
+    assert broken_failures >= 25
