@@ -11,8 +11,9 @@ except the last, which has its inputs built in:
 
 Exit codes speak about the run, not the mathematics: 0 means the
 command completed (whatever the verdicts), 2 means bad input, 3 means
-an internal invariant broke.  `--format structured` emits one JSON
-document carrying exactly the data of the text report.
+an internal invariant broke, and 1 means stdout was closed before the
+report was written out (as by `| head -1`).  `--format structured`
+emits one JSON document carrying exactly the data of the text report.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -261,7 +263,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConstructionRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -22,11 +22,15 @@ Collection from the left on raw field values (`normal_form`'s default)
 is the solver's path.  The confluence check and the divisibility replays
 reduce by leftmost rewriting, on raw values too but with a memo of its
 own, so they check the solver's products without sharing its bookkeeping.
+Raw values are in the field's kernel form (`Field.kernel`): over Q an
+integral coefficient is an int, in the compiled rules, the memos and the
+divisibility systems, and a Scalar is made only for what is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations_with_replacement, count
 from math import comb
 from typing import NamedTuple
@@ -40,7 +44,8 @@ from .errors import (
 from .finalg import AlgebraElement, combine, render_linear
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
-from .scalars import LinearSystem, Scalar, SolveOutcome, solve_linear
+from .scalars import (LinearSystem, SolveOutcome, check_solve_size,
+                      solve_linear)
 
 R_KIND = "R"
 L_KIND = "L"
@@ -140,7 +145,13 @@ class NCElement:
 
 def _from_raw(fld, terms) -> NCElement:
     """The element of (word, reduced raw value) pairs; zeros are dropped."""
-    return NCElement(fld, {w: Scalar(fld, c) for w, c in terms})
+    return NCElement(fld, {w: fld.wrap(c) for w, c in terms})
+
+
+def _kernel_terms(elem: NCElement) -> list:
+    """The (word, raw value) terms of an element, in kernel form."""
+    kernel = elem.field.kernel
+    return [(w, kernel(c.value)) for w, c in elem.terms.items()]
 
 
 def _word(kind: str, k: int) -> tuple:
@@ -157,10 +168,10 @@ def _word_sort_key(word):
 class RewriteSystem:
     """The four rule families, compiled once from `source` into `rules`:
     each reducible letter pair, the unit letter's included, maps to its
-    right-hand side, a list of (word, raw value) over distinct words,
-    family by family and left letter outer.  `rho_table` stays a field
-    so that tests can tamper with the anchor; a `dataclasses.replace`
-    copy recompiles its rules.
+    right-hand side, a list of (word, raw value in kernel form) over
+    distinct words, family by family and left letter outer.  `rho_table`
+    stays a field so that tests can tamper with the anchor; a
+    `dataclasses.replace` copy recompiles its rules.
 
     `normal_forms` memoises reduced words, one dict per engine ("collect"
     and "leftmost") from word to {normal word: raw value}, and
@@ -184,6 +195,7 @@ class RewriteSystem:
                                  compare=False, repr=False)
 
     def __post_init__(self):
+        kernel = self.field.kernel
         rs = [r_letter(i) for i in range(self.r_dim)]
         ls = [l_letter(a) for a in range(self.l_dim)]
         for lefts, rights, table, kind, swaps in (
@@ -195,8 +207,8 @@ class RewriteSystem:
                 for y in rights:
                     if x.kind == y.kind == L_KIND and x.index <= y.index:
                         continue  # a nondecreasing L-pair is irreducible
-                    rhs = [((y, x), self.field.one.value)] if swaps else []
-                    rhs += [(_word(kind, k), c.value) for k, c in
+                    rhs = [((y, x), 1)] if swaps else []
+                    rhs += [(_word(kind, k), kernel(c.value)) for k, c in
                             enumerate(table[x.index][y.index]) if c]
                     self.rules[x, y] = rhs
 
@@ -211,9 +223,10 @@ class RewriteSystem:
     def grow_basis(self, size: int) -> list:
         """The basis words, extended by whole degrees to at least `size`."""
         words = self.basis_words
+        letters = [l_letter(a) for a in range(self.l_dim)]
         while len(words) < size:
             degree = word_degree(words[-1]) + 1 if words else 0
-            new = [tuple(map(l_letter, combo)) for combo in
+            new = [tuple(map(letters.__getitem__, combo)) for combo in
                    combinations_with_replacement(range(self.l_dim), degree)]
             if degree == 0:
                 new += [(r_letter(i),) for i in range(1, self.r_dim)]
@@ -315,8 +328,7 @@ def normal_form(elem: NCElement, system: RewriteSystem,
         memo = _rewrite(elem.terms, system)
     else:
         raise LrhInputError(f"unknown reduction strategy {strategy!r}")
-    total = _combine({}, [(w, c.value) for w, c in elem.terms.items()],
-                     memo, fld.reduce)
+    total = _combine({}, _kernel_terms(elem), memo, fld.reduce)
     return _from_raw(fld, total.items())
 
 
@@ -356,7 +368,7 @@ def _rewrite(words, system: RewriteSystem) -> dict:
     is rewritten once at its leftmost redex, waits for its successors, then
     combines their normal forms."""
     memo = system.normal_forms.setdefault("leftmost", {})
-    reduce, one = system.field.reduce, system.field.one.value
+    reduce = system.field.reduce
     pending = {}  # word rewritten in this call -> its one-step reduct
     stack = list(words)
     while stack:
@@ -368,7 +380,7 @@ def _rewrite(words, system: RewriteSystem) -> dict:
         if stepped is None:
             pos = find_redex(word, system)
             if pos < 0:
-                memo[word] = {word: one}
+                memo[word] = {word: 1}
                 stack.pop()
                 continue
             stepped = pending[word] = rewrite_once_at(word, pos, system)
@@ -395,7 +407,7 @@ def _collect(words, system: RewriteSystem) -> dict:
     shares that successor's memo entry; entries never change once
     stored."""
     memo = system.normal_forms.setdefault("collect", {})
-    reduce, one = system.field.reduce, system.field.one.value
+    reduce = system.field.reduce
     waiting = set()  # words with a plan whose successors are not reduced
     stack = [(word, None) for word in words]
     while stack:
@@ -404,7 +416,7 @@ def _collect(words, system: RewriteSystem) -> dict:
             if word in memo:
                 continue
             if len(word) < 2:
-                memo[word] = {word: one}
+                memo[word] = {word: 1}
                 continue
             rhs = pair_rule(system, word[0], word[1])
             if rhs is not None:
@@ -420,7 +432,7 @@ def _collect(words, system: RewriteSystem) -> dict:
             plan = _fold(system, word[0], memo[word[1:]])
         else:
             waiting.discard(word)
-            memo[word] = _planned(state, memo, reduce, one)
+            memo[word] = _planned(state, memo, reduce)
             continue
         missing = _unreduced(system, word, [w for w, _ in plan[1]],
                              memo, waiting)
@@ -429,15 +441,15 @@ def _collect(words, system: RewriteSystem) -> dict:
             stack.append((word, plan))
             stack += ((w, None) for w in missing)
         else:
-            memo[word] = _planned(plan, memo, reduce, one)
+            memo[word] = _planned(plan, memo, reduce)
     return memo
 
 
-def _planned(plan: tuple, memo: dict, reduce, one) -> dict:
+def _planned(plan: tuple, memo: dict, reduce) -> dict:
     """The normal form a plan adds up to; one successor with coefficient
     one shares its memo entry."""
     normal, terms = plan
-    if not normal and len(terms) == 1 and terms[0][1] == one:
+    if not normal and len(terms) == 1 and terms[0][1] == 1:
         return memo[terms[0][0]]
     return _combine(normal, terms, memo, reduce)
 
@@ -465,7 +477,7 @@ class TruncatedEnvelope:
     system: RewriteSystem
     degree: int
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.system.r_dim - 1 + comb(self.system.l_dim + self.degree,
                                             self.degree)
@@ -477,19 +489,30 @@ class TruncatedEnvelope:
     def position(self, word: tuple) -> int:
         """Index of a normal word in the basis; a word beyond the
         truncation raises DegreeOverflowError."""
-        dim = self.dim
-        self.system.grow_basis(dim)
-        pos = self.system.basis_index.get(word, dim)
-        if pos >= dim:
-            raise DegreeOverflowError(
-                f"term {self.system.render_word(word)} lies outside the "
-                f"degree-{self.degree} basis")
-        return pos
+        return self.locate()(word)
+
+    def locate(self):
+        """`position` for many words: the basis is grown once, and each
+        word is then one lookup in the system's basis index."""
+        dim, system = self.dim, self.system
+        system.grow_basis(dim)
+        index = system.basis_index
+
+        def position(word):
+            pos = index.get(word, dim)
+            if pos >= dim:
+                raise DegreeOverflowError(
+                    f"term {system.render_word(word)} lies outside the "
+                    f"degree-{self.degree} basis")
+            return pos
+
+        return position
 
     def coords(self, elem: NCElement) -> tuple:
+        position = self.locate()
         out = [self.system.field.zero] * self.dim
         for w, c in elem.terms.items():
-            out[self.position(w)] = c
+            out[position(w)] = c
         return tuple(out)
 
     def element(self, coords) -> NCElement:
@@ -639,11 +662,14 @@ def certify_left_action(env: TruncatedEnvelope) -> VerdictReport:
 def left_divide(g: NCElement, t: NCElement,
                 env: TruncatedEnvelope) -> SolveOutcome:
     """Decide whether t = g.z has a solution z in the truncated basis.
-    Products g.(basis word) are computed in an internally extended
-    envelope so nothing is cut off, and each one's terms enter the sparse
-    system directly as the entries of its column; the outcome carries a
-    witness z or an exact infeasibility certificate."""
+    The products g.(basis word) are collected in one pass, into an
+    internally extended envelope so nothing is cut off, and each one's
+    terms, summed from the memo on raw values, enter the sparse system
+    directly as the entries of its column; the outcome carries a witness
+    z or an exact infeasibility certificate.  A system over the solver's
+    size limit is refused before any product is formed."""
     system = env.system
+    fld = system.field
     g = normal_form(g, system)
     t = normal_form(t, system)
     extended = enumerate_basis(system, env.degree + g.degree)
@@ -651,46 +677,59 @@ def left_divide(g: NCElement, t: NCElement,
         raise DegreeOverflowError(
             f"target degree {t.degree} exceeds the representable bound "
             f"{extended.degree}")
-    entries = []
-    for col, word in enumerate(env.basis):
-        product = normal_form(_times_word(g, word), system)
-        entries.extend((extended.position(w), col, c)
-                       for w, c in product.terms.items())
-    rhs = extended.coords(t)
+    check_solve_size(extended.dim, env.dim)
+    columns = _columns(g, env.basis)
+    memo = _collect([w for terms in columns for w, _ in terms], system)
+    position = extended.locate()
+    entries = [(position(w), col, fld.wrap(c))
+               for col, terms in enumerate(columns)
+               for w, c in _combine({}, terms, memo, fld.reduce).items()]
     problem = LinearSystem(rows=extended.dim, cols=env.dim,
-                           entries=tuple(entries), rhs=tuple(rhs),
-                           field=system.field)
+                           entries=tuple(entries), rhs=extended.coords(t),
+                           field=fld)
     return solve_linear(problem)
 
 
-def _times_word(g: NCElement, word: tuple) -> NCElement:
-    """The free product of g and one word, each term's word extended."""
-    return NCElement(g.field, {w + word: c for w, c in g.terms.items()})
+def _columns(g: NCElement, basis) -> list:
+    """The free products of g with each basis word, as lists of (word,
+    raw value) terms: each term's word extended by the basis word."""
+    terms = _kernel_terms(g)
+    return [[(w + word, c) for w, c in terms] for word in basis]
 
 
 def verify_divide_certificate(g: NCElement, t: NCElement,
                               env: TruncatedEnvelope,
                               certificate: tuple) -> bool:
     """Independent check that the functional kills every column g.w and
-    does not kill the target.  Products are normalised by leftmost
-    rewriting, never through the collection memo left_divide filled."""
+    does not kill the target.  The products and the target are
+    normalised in one pass of leftmost rewriting, never through the
+    collection memo left_divide filled, and each column is combined
+    before it meets the certificate in a dot product on raw values."""
     system = env.system
     fld = system.field
     g = normal_form(g, system, "leftmost")  # rows sized as in left_divide
     extended = enumerate_basis(system, env.degree + g.degree)
     if len(certificate) != extended.dim:
         return False
+    if any(x.field is not fld and x.field != fld
+           for x in (t, *certificate)):
+        raise FieldMismatchError("certificate, target and rewrite system "
+                                 "over different fields")
+    u = [fld.kernel(s.value) for s in certificate]
+    columns = _columns(g, env.basis)
+    target = _kernel_terms(t)
+    memo = _rewrite([w for terms in columns + [target] for w, _ in terms],
+                    system)
+    position = extended.locate()
 
-    def value(elem):
+    def value(terms):
         # only the normal form's few terms meet the certificate
-        return sum((certificate[extended.position(w)] * c
-                    for w, c in normal_form(elem, system,
-                                            "leftmost").terms.items()),
-                   fld.zero)
+        normal = _combine({}, terms, memo, fld.reduce)
+        return fld.reduce(sum(u[position(w)] * c for w, c in normal.items()))
 
-    if any(value(_times_word(g, word)) for word in env.basis):
+    if any(value(terms) for terms in columns):
         return False
-    return bool(value(t))
+    return bool(value(target))
 
 
 def verify_divide_witness(g: NCElement, t: NCElement,

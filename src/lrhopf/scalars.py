@@ -12,9 +12,15 @@ values from outside the package, and nothing else.
 
 ``Scalar`` is the boundary type: systems come in and evidence goes out
 as Scalars, and its operators work through the field's raw operations.
+Inside the kernel (rewriting, normal forms, elimination) an integral
+rational is a plain int, which Python multiplies far faster than a
+Fraction; ``Field.kernel`` converts a raw value on its way in and
+``Field.wrap`` makes the Scalar, over Q always holding a Fraction, on
+its way out.
 ``solve_linear`` decides A.x = b by deterministic exact sparse
-Gauss-Jordan elimination on raw values in {col: value} rows, and
-always hands back checkable evidence: a particular witness plus a
+Gauss-Jordan elimination in {col: value} rows, fraction-free on integer
+rows over Q, with a per-column index of the rows that hold each column,
+and always hands back checkable evidence: a particular witness plus a
 nullspace basis when feasible, or a Farkas-style row vector u with
 u.A = 0 and u.b != 0 when infeasible.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
@@ -27,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import FieldMismatchError, LrhInputError
@@ -35,6 +42,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 # Primality is decided by trial division, about 3 ms at this limit.
 MAX_CHARACTERISTIC = 2 ** 32
+# rows x cols of the largest system solve_linear accepts (see README).
+MAX_SOLVE_CELLS = 1_500_000
 
 
 def _is_prime(n: int) -> bool:
@@ -88,9 +97,22 @@ class Field:
         return v % p if p else v
 
     def inverse(self, v):
-        """Raw inverse of a nonzero raw value."""
+        """Raw inverse of a nonzero raw value, exact on an int over Q."""
         p = self.characteristic
-        return pow(v, p - 2, p) if p else 1 / v
+        return pow(v, p - 2, p) if p else Fraction(1, v)
+
+    def kernel(self, v):
+        """A raw value as the kernel holds it: over Q an integral value
+        becomes an int; every other value is returned as it is."""
+        return v.numerator if not self.characteristic and \
+            v.denominator == 1 else v
+
+    def wrap(self, v) -> "Scalar":
+        """The Scalar of a reduced raw value from the kernel; over Q it
+        holds a Fraction, as every Scalar over Q does."""
+        if self.characteristic or type(v) is Fraction:
+            return Scalar(self, v)
+        return Scalar(self, Fraction(v))
 
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         """Coerce a value from outside the package into this field."""
@@ -231,19 +253,20 @@ class LinearSystem:
     field: Field = dc_field(default=RATIONALS)
 
     def __post_init__(self):
+        fld = self.field
         seen = set()
         for r, c, s in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise LrhInputError(f"entry ({r},{c}) out of range")
             if (r, c) in seen:
                 raise LrhInputError(f"duplicate entry at ({r},{c})")
-            if s.field != self.field:
+            if s.field is not fld and s.field != fld:
                 raise FieldMismatchError("system entry over wrong field")
             seen.add((r, c))
         if len(self.rhs) != self.rows:
             raise LrhInputError("rhs length != rows")
         for s in self.rhs:
-            if s.field != self.field:
+            if s.field is not fld and s.field != fld:
                 raise FieldMismatchError("rhs entry over wrong field")
 
 
@@ -267,36 +290,55 @@ class SolveOutcome:
         return self.verdict == "feasible"
 
 
+def check_solve_size(rows: int, cols: int) -> None:
+    """Refuse a system of more than MAX_SOLVE_CELLS cells, before it is
+    built or eliminated."""
+    if rows * cols > MAX_SOLVE_CELLS:
+        raise LrhInputError(
+            f"a linear system of {rows} rows and {cols} columns has "
+            f"{rows * cols} cells, over the limit of {MAX_SOLVE_CELLS} "
+            f"(MAX_SOLVE_CELLS)")
+
+
 def solve_linear(system: LinearSystem) -> SolveOutcome:
     """Exact sparse Gauss-Jordan elimination with deterministic pivoting.
 
     Columns are taken left to right.  Each takes as pivot the first row
     at or below the current rank with a nonzero entry in that column,
-    swapped up to the rank; the pivot row is scaled to a leading one and
-    the column is cleared from every other row.  So witnesses, nullspace
-    bases and certificates are reproducible.
+    swapped up to the rank, and the column is cleared from every other
+    row.  So witnesses, nullspace bases and certificates are
+    reproducible.
 
-    Rows are sparse {col: value} dicts of plain field values (Fraction
-    over Q, ints in [0, p) over GF(p)); zeros are never stored, including
-    explicit zero entries of the input.  Row operations are mirrored on a
-    sparse identity block T of {row: value} dicts, which grows only in
-    rows that were combined; when elimination leaves a zero row with a
-    nonzero right-hand side, the matching row of T is the Farkas
-    certificate.  Only the returned evidence is wrapped back into Scalar.
+    Rows are sparse {col: value} dicts of kernel values, ints over Q and
+    residues in [0, p) over GF(p); zeros are never stored, including
+    explicit zero entries of the input.  A set per column holds the rows
+    with an entry there, so finding the pivot and the rows to clear reads
+    no other row.  Over GF(p) the pivot row is scaled to a leading one
+    and a row is cleared as row - f.pivot.  Over Q the elimination is
+    fraction-free: each row is first scaled to integers, a row is
+    cleared as y.row - f.pivot, y being the pivot entry, and then divided
+    by the common content of its entries, right-hand side and T row.
+    Row operations are mirrored on a sparse block T of {row: value}
+    dicts, which starts as the identity times each row's scale and grows
+    only in rows that were combined.
+
+    The evidence is normalised at the end: a pivot column's witness
+    entry is b_r / a_r[c], and a nullspace vector's entry -a_r[f] /
+    a_r[c].  When elimination leaves a zero row with a nonzero
+    right-hand side, the Farkas certificate is its T row divided by the
+    entry on the row's own original row.  Scaling a row changes no zero
+    pattern, so the pivots are those of elimination with leading ones,
+    and so is the evidence: the pivot rows are multiples of the reduced
+    echelon rows, and the certificate is the one combination that
+    vanishes on A of the zero row's original row, with coefficient 1,
+    and the original pivot rows.  Only the evidence is wrapped into
+    Scalars.
     """
+    check_solve_size(system.rows, system.cols)
     fld = system.field
+    p = fld.characteristic
     reduce, inverse = fld.reduce, fld.inverse
-    zero, one = fld.zero.value, fld.one.value
     nrows, ncols = system.rows, system.cols
-
-    def axpy(row, f, pivot):
-        """row -= f * pivot in place, dropping entries that cancel."""
-        for c, y in pivot.items():
-            x = reduce(row.get(c, zero) - f * y)
-            if x:
-                row[c] = x
-            else:
-                del row[c]
 
     a = [{} for _ in range(nrows)]
     for r, c, s in system.entries:
@@ -304,57 +346,102 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         if v:
             a[r][c] = v
     b = [reduce(s.value) for s in system.rhs]
-    t = [{r: one} for r in range(nrows)]
+    if p:
+        t = [{r: 1} for r in range(nrows)]
+    else:
+        t = []
+        for r, row in enumerate(a):
+            scale = lcm(b[r].denominator,
+                        *(v.denominator for v in row.values()))
+            a[r] = {c: v.numerator * (scale // v.denominator)
+                    for c, v in row.items()}
+            b[r] = b[r].numerator * (scale // b[r].denominator)
+            t.append({r: scale})
+    holders = [set() for _ in range(ncols)]
+    for r, row in enumerate(a):
+        for c in row:
+            holders[c].add(r)
+    order = list(range(nrows))  # the row at each position
+    where = list(range(nrows))  # the position of each row
 
     pivots = []  # (row, col)
-    rank = 0
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if col in a[r]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        rank = len(pivots)
+        holding = holders[col]
+        at = min((where[r] for r in holding if where[r] >= rank),
+                 default=None)
+        if at is None:
             continue
-        if pivot_row != rank:
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            b[rank], b[pivot_row] = b[pivot_row], b[rank]
-            t[rank], t[pivot_row] = t[pivot_row], t[rank]
-        inv = inverse(a[rank][col])
-        a[rank] = {c: reduce(v * inv) for c, v in a[rank].items()}
-        b[rank] = reduce(b[rank] * inv)
-        t[rank] = {k: reduce(v * inv) for k, v in t[rank].items()}
-        for r in range(nrows):
-            if r != rank and col in a[r]:
-                f = a[r][col]
-                axpy(a[r], f, a[rank])
-                b[r] = reduce(b[r] - f * b[rank])
-                axpy(t[r], f, t[rank])
-        pivots.append((rank, col))
-        rank += 1
+        pr = order[at]
+        order[at], order[rank] = order[rank], pr
+        where[order[at]], where[pr] = at, rank
+        if p:
+            inv = inverse(a[pr][col])
+            a[pr] = {c: v * inv % p for c, v in a[pr].items()}
+            b[pr] = b[pr] * inv % p
+            t[pr] = {k: v * inv % p for k, v in t[pr].items()}
+        pivot, bp, tp = a[pr], b[pr], t[pr]
+        y = pivot[col]  # 1 over GF(p)
+        for r in [r for r in holding if r != pr]:
+            row, br, tr = a[r], b[r], t[r]
+            f = row[col]
+            if y != 1:
+                row = a[r] = {c: y * v for c, v in row.items()}
+                tr = t[r] = {k: y * v for k, v in tr.items()}
+                br *= y
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    if c not in row:
+                        holders[c].add(r)
+                    row[c] = x
+                else:
+                    del row[c]
+                    holders[c].discard(r)
+            for k, v in tp.items():
+                x = tr.get(k, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    tr[k] = x
+                else:
+                    del tr[k]
+            br = (br - f * bp) % p if p else br - f * bp
+            if not p:
+                g = gcd(br, *row.values(), *tr.values())
+                if g != 1:
+                    row = a[r] = {c: v // g for c, v in row.items()}
+                    t[r] = {k: v // g for k, v in tr.items()}
+                    br //= g
+            b[r] = br
+        pivots.append((pr, col))
 
-    def wrap(sparse, size):
+    def dense(sparse, size):
         out = [fld.zero] * size
         for k, v in sparse.items():
-            out[k] = Scalar(fld, v)
+            out[k] = fld.wrap(reduce(v))
         return tuple(out)
 
-    for r in range(rank, nrows):
+    for r in order[len(pivots):]:
         if b[r]:
-            return SolveOutcome(verdict="infeasible",
-                                certificate=wrap(t[r], nrows))
+            own = inverse(t[r][r])
+            return SolveOutcome(verdict="infeasible", certificate=dense(
+                {k: v * own for k, v in t[r].items()}, nrows))
 
-    witness = wrap({c: b[r] for r, c in pivots}, ncols)
+    scales = {r: inverse(a[r][c]) for r, c in pivots}
+    witness = dense({c: b[r] * scales[r] for r, c in pivots}, ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace = []
     for f in free_cols:
-        v = {f: one}
+        v = {f: 1}
         for r, c in pivots:
             x = a[r].get(f)
             if x:
-                v[c] = reduce(-x)
-        nullspace.append(wrap(v, ncols))
+                v[c] = -x * scales[r]
+        nullspace.append(dense(v, ncols))
     return SolveOutcome(verdict="feasible", witness=witness,
                         nullity=len(free_cols), nullspace=tuple(nullspace))
 

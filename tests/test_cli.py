@@ -229,6 +229,17 @@ CONSTANTS_DOC = dict(
     anchor={"a": {"x": "x"}},
     action={"kind": "tensor", "values": [["x", "a", "a", "0"]]})
 
+SL2_DOC = {
+    "field": {"kind": "rationals"},
+    "algebra": {"kind": "structure-constants", "dim": 1, "labels": ["1"],
+                "constants": [[0, 0, 0, "1"]]},
+    "lie": {"dim": 3, "labels": ["e", "f", "h"],
+            "brackets": [["e", "f", "h", "1"], ["h", "e", "e", "2"],
+                         ["h", "f", "f", "-2"]]},
+    "anchor": {"e": {}, "f": {}, "h": {}},
+    "action": {"kind": "character", "values": {"1": "1"}},
+}
+
 
 def _with(doc, path, value):
     doc = json.loads(json.dumps(doc))
@@ -500,6 +511,20 @@ def test_oversized_bases_are_refused_up_front(tmp_path, capsys):
         assert "MAX_BASIS_LETTERS" in err and "1000000" in err
 
 
+def test_oversized_solves_are_refused_up_front(tmp_path, capsys):
+    """A two-term divisor in U(sl2) at degree 17 asks for a system of 1330
+    rows and 1140 columns, over MAX_SOLVE_CELLS: refused before any
+    product is formed.  Over Q at degree 16 it takes about 34 s."""
+    path = tmp_path / "sl2.lrh"
+    path.write_text(json.dumps(SL2_DOC))
+    start = time.perf_counter()
+    assert main(["divide", str(path), "--left", "h + 2*f", "--target", "e",
+                 "--degree", "17"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "MAX_SOLVE_CELLS" in err and "1516200 cells" in err
+
+
 def _sized(doc, **sections):
     return dict(doc, **{name: dict(doc[name], **changes)
                         for name, changes in sections.items()})
@@ -631,15 +656,36 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
 
 # ------------------------------------------------------ interpreter flags
 
-def _run_cli(args, *flags):
+def _cli_env():
     src = str(Path(lrhopf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_cli(args, *flags):
     done = subprocess.run([sys.executable, *flags, "-m", "lrhopf.cli", *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_cli_env(),
                           timeout=120)
     return done.returncode, done.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    """The reader of stdout has gone before the report is written, as
+    with `| head -1`: exit 1 and nothing on stderr, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lrhopf.cli", "divide", "euler-example",
+             "--left=a+2*x", "--target=x", "--degree", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_optimize_flag_changes_nothing(broken_anchor):

@@ -7,6 +7,7 @@ import random
 import signal
 import time
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +16,7 @@ from lrhopf import (
     ConstructionRefusedError,
     DegreeOverflowError,
     Field,
+    FieldMismatchError,
     LrhInputError,
     NCElement,
     RewriteBudgetError,
@@ -30,6 +32,7 @@ from lrhopf import (
     normal_form,
     r_letter,
     relation_elements,
+    solve_linear,
     theorem1_pipeline,
     verify_divide_certificate,
     verify_divide_witness,
@@ -831,3 +834,106 @@ def test_confluence_and_replays_never_read_the_collection_memo(obstructed,
     assert check_local_confluence(env).ok
     assert verify_divide_witness(abar, y, env, found.witness)
     assert verify_divide_certificate(x, y, env, refused.certificate)
+
+
+# Classical Lie algebras whose envelopes are domains, with the truncation
+# degree of the corpus below (rows x columns at most 56 x 35).
+_DOMAINS = {
+    "sl2": (("e", "f", "h"),
+            {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0), (2, 1): (0, -2, 0)}, 3),
+    "heis": (("p", "q", "c"), {(0, 1): (0, 0, 1)}, 3),
+    "gl2": (("e", "f", "h", "t"),
+            {(0, 1): (0, 0, 1, 0), (2, 0): (2, 0, 0, 0),
+             (2, 1): (0, -2, 0, 0)}, 2),
+}
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("lie", sorted(_DOMAINS))
+def test_multi_term_divisors_match_the_dense_reference(classical, monkeypatch,
+                                                       lie, p):
+    """Divisors with two and three generator terms.  In a domain, a target
+    of degree at most 1 other than a multiple of g is no left multiple of
+    g, and g.z0 is one: both verdicts occur.  Each outcome equals the
+    former dense elimination on the very system left_divide solved, and
+    each witness and certificate passes its replay."""
+    fld = Field(p)
+    labels, brackets, degree = _DOMAINS[lie]
+    system = build_rewrite_system(classical(labels, brackets, fld))
+    env = enumerate_basis(system, degree)
+    gens = [NCElement.from_word(fld, (l_letter(a),))
+            for a in range(len(labels))]
+    solved = []
+
+    def capture(linear_system):
+        solved.append(linear_system)
+        return solve_linear(linear_system)
+
+    monkeypatch.setattr(enveloping, "solve_linear", capture)
+    rng = random.Random(f"{lie}/{p}")
+    coeffs = (-2, -1, 1, 2) + ((Fraction(1, 2), Fraction(-2, 3)) if p == 0
+                               else (5,))
+    verdicts = []
+    for terms in (2, 2, 3, 3):
+        g = NCElement.zero(fld)
+        for a in rng.sample(range(len(labels)), terms):
+            g = g + fld.scalar(rng.choice(coeffs)) * gens[a]
+        z0 = fld.scalar(rng.choice(coeffs)) * rng.choice(gens) \
+            + NCElement.from_word(fld, (), fld.scalar(rng.choice(coeffs)))
+        targets = (normal_form(g.concat(z0), system), rng.choice(gens),
+                   NCElement.unit(fld))
+        for t in targets:
+            outcome = left_divide(g, t, env)
+            assert outcome == oracles.dense_solve(solved[-1])
+            verdicts.append(outcome.verdict)
+            if outcome.feasible:
+                assert verify_divide_witness(g, t, env, outcome.witness)
+            else:
+                assert verify_divide_certificate(g, t, env,
+                                                 outcome.certificate)
+    assert verdicts.count("feasible") == 4
+    assert verdicts.count("infeasible") == 8
+
+
+def test_scalars_over_q_from_the_kernel_hold_fractions(classical, q):
+    """Inside the kernel an integral rational is an int; every Scalar that
+    normal_form, left_divide and solve_linear hand back holds a Fraction."""
+    labels, brackets, degree = _DOMAINS["sl2"]
+    system = build_rewrite_system(classical(labels, brackets))
+    env = enumerate_basis(system, degree)
+    e, f, h = (NCElement.from_word(q, (l_letter(a),)) for a in range(3))
+    g = h + 2 * f
+    values = []
+    for strategy in ("collect", "leftmost"):
+        product = g.concat(e).concat(f) + q.scalar(Fraction(1, 2)) * e
+        values += normal_form(product, system, strategy).terms.values()
+    for t in (e, 3 * g, normal_form(g.concat(f + h), system)):
+        outcome = left_divide(g, t, env)
+        values += outcome.certificate or ()
+        values += outcome.witness or ()
+        for vector in outcome.nullspace or ():
+            values += vector
+    assert values
+    assert all(type(s.value) is Fraction for s in values)
+
+
+def test_certificate_replay_refuses_foreign_fields_and_tall_targets(
+        obstructed, q):
+    """The one-pass replay keeps the refusals of the term-by-term one: a
+    certificate or target over another field, and a target with a term
+    beyond the extended window."""
+    system = obstructed[5]
+    env = enumerate_basis(system, 3)
+    x, y = (NCElement.from_word(q, (r_letter(k),)) for k in (1, 2))
+    cert = left_divide(x, y, env).certificate
+    assert verify_divide_certificate(x, y, env, cert)
+    gf7 = Field(7)
+    with pytest.raises(FieldMismatchError):
+        verify_divide_certificate(x, y, env, tuple(
+            gf7.scalar(int(c.value)) for c in cert))
+    with pytest.raises(FieldMismatchError):
+        verify_divide_certificate(x, NCElement.from_word(gf7, (r_letter(2),)),
+                                  env, cert)
+    with pytest.raises(DegreeOverflowError):
+        verify_divide_certificate(x, NCElement.from_word(
+            q, (l_letter(0),) * (env.degree + 1)), env, cert)

@@ -25,7 +25,8 @@ from lrhopf.problemfile import (
     render_problem,
 )
 
-from lrhopf.scalars import MAX_CHARACTERISTIC
+from lrhopf.scalars import (MAX_CHARACTERISTIC, MAX_SOLVE_CELLS,
+                            check_solve_size)
 
 import oracles
 
@@ -135,6 +136,46 @@ def test_field_raw_operations(p):
         assert [f.reduce(v) for v in (-1, p, 2 * p + 1)] == [p - 1, 0, 1]
     else:
         assert f.reduce(Fraction(-4, 6)) == Fraction(-2, 3)
+
+
+def test_rational_inverse_is_exact_on_ints():
+    """Over Q the kernel holds integral values as ints; inverting one
+    gives the exact Fraction, never a float."""
+    q = Field(0)
+    for v, want in ((3, Fraction(1, 3)), (-4, Fraction(-1, 4)),
+                    (1, Fraction(1)), (Fraction(-5, 6), Fraction(-6, 5))):
+        got = q.inverse(v)
+        assert type(got) is Fraction and got == want
+
+
+def test_kernel_form_round_trips():
+    """Field.kernel turns an integral rational into an int and leaves the
+    rest; Field.wrap gives back a Scalar holding a Fraction."""
+    q, gf7 = Field(0), Field(7)
+    assert type(q.kernel(Fraction(6, 3))) is int
+    assert q.kernel(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(gf7.kernel(5)) is int and gf7.kernel(5) == 5
+    for v in (0, 2, -7, Fraction(1, 2)):
+        s = q.wrap(q.kernel(Fraction(v)))
+        assert type(s.value) is Fraction and s == q.scalar(v)
+    assert gf7.wrap(3) == gf7.scalar(3)
+
+
+def test_oversized_systems_are_refused_before_elimination():
+    """rows x cols over MAX_SOLVE_CELLS is refused before any row is
+    built; the two-term U(sl2) system at degree 14 and every one-generator
+    extension system that MAX_CHECK_WORK admits are within the limit."""
+    q = Field(0)
+    too_big = LinearSystem(rows=1000, cols=MAX_SOLVE_CELLS // 1000 + 1,
+                           entries=(), rhs=(q.zero,) * 1000, field=q)
+    start = time.perf_counter()
+    with pytest.raises(LrhInputError, match="MAX_SOLVE_CELLS"):
+        solve_linear(too_big)
+    assert time.perf_counter() - start < 0.5
+    check_solve_size(816, 680)
+    check_solve_size(114 * 114, 114)
+    with pytest.raises(LrhInputError, match="MAX_SOLVE_CELLS"):
+        check_solve_size(MAX_SOLVE_CELLS + 1, 1)
 
 
 def test_mixed_fields_refused():
