@@ -19,9 +19,13 @@ assumed, and the induced action on the base algebra is certified by letting
 every defining relation act on every basis element.
 
 Collection from the left on raw field values (`normal_form`'s default)
-is the solver's path.  The confluence check and the divisibility replays
-reduce by leftmost rewriting, on raw values too but with a memo of its
-own, so they check the solver's products without sharing its bookkeeping.
+is the solver's path.  It moves an L-letter past a whole power a^i of a
+normal word in one step, by the binomial formula for x.a^i in U(L) (de
+Graaf, Lie Algebras: Theory and Algorithms, ch. 6), where rewriting
+takes i swaps.  The confluence check and the divisibility replays reduce
+by leftmost rewriting, one rule at a time, on raw values too but with a
+memo of its own, so they check the solver's products by another
+algorithm and without sharing its bookkeeping.
 Raw values are in the field's kernel form (`Field.kernel`): over Q an
 integral coefficient is an int, in the compiled rules, the memos and the
 divisibility systems, and a Scalar is made only for what is returned.
@@ -174,7 +178,8 @@ class RewriteSystem:
     `dataclasses.replace` copy recompiles its rules.
 
     `normal_forms` memoises reduced words, one dict per engine ("collect"
-    and "leftmost") from word to {normal word: raw value}, and
+    and "leftmost") from word to {normal word: raw value}, `expansions`
+    holds collection's expansions of x.a^i (`_syllable`), and
     `basis_words` and `basis_index` hold the PBW basis that every
     truncated basis is a prefix of.  They belong to this object alone: a
     `dataclasses.replace` copy starts empty, and the engines never share
@@ -193,6 +198,8 @@ class RewriteSystem:
                                  compare=False, repr=False)
     basis_index: dict = dc_field(default_factory=dict, init=False,
                                  compare=False, repr=False)
+    expansions: dict = dc_field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def __post_init__(self):
         kernel = self.field.kernel
@@ -302,11 +309,14 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     """Reduce every term to irreducible words.
 
     `collect`, the default, collects from the left.  A word x.rest whose
-    first pair (x, rest[0]) is a rule becomes that rule's bodies followed
-    by rest[1:].  Otherwise x is folded onto each normal word v of
-    NF(rest): x.v is normal unless (x, v[0]) is a rule, whose bodies then
-    go in front of v[1:].  `leftmost` rewrites one leftmost redex at a
-    time: the independent path of the replays and the confluence check.
+    first pair (x, rest[0]) holds an R-letter and is a rule becomes that
+    rule's bodies followed by rest[1:].  Otherwise, and always when x and
+    rest[0] are L-letters, x is folded onto each normal word v of
+    NF(rest): x.v is normal unless (x, v[0]) is a rule.  An L-letter x
+    moves past a leading power a^i of v in one step (`_fold`); any other
+    rule's bodies go in front of v[1:].  `leftmost` rewrites one leftmost
+    redex at a time: the independent path of the replays and the
+    confluence check.
 
     Each strategy memoises the normal forms of the words it reduces on
     the system, as raw field values; a Scalar is made only for the
@@ -418,7 +428,9 @@ def _collect(words, system: RewriteSystem) -> dict:
             if len(word) < 2:
                 memo[word] = {word: 1}
                 continue
-            rhs = pair_rule(system, word[0], word[1])
+            x, y = word[0], word[1]
+            rhs = None if x.kind == y.kind == L_KIND else \
+                pair_rule(system, x, y)
             if rhs is not None:
                 tail = word[2:]
                 plan = {}, [(body + tail, c) for body, c in rhs]
@@ -427,7 +439,7 @@ def _collect(words, system: RewriteSystem) -> dict:
                 if reduced is None:  # the suffix is shorter: never waiting
                     stack += ((word, _SUFFIX), (word[1:], None))
                     continue
-                plan = _fold(system, word[0], reduced)
+                plan = _fold(system, x, reduced)
         elif state is _SUFFIX:
             plan = _fold(system, word[0], memo[word[1:]])
         else:
@@ -455,16 +467,101 @@ def _planned(plan: tuple, memo: dict, reduce) -> dict:
 
 
 def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
-    """The plan of x times the normal element `reduced` (raw values)."""
-    normal, terms = {}, []
+    """The plan of x times the normal element `reduced` (raw values).
+
+    x.v is normal unless (x, v[0]) is a rule.  When x and v[0] = a are
+    L-letters and v = a^i.w starts with a syllable a^i, i >= 2, x moves
+    past the whole syllable in one step:
+
+      x.a^i = sum_{s=0..i} C(i, s) a^(i-s).D^s(x),  D(y) = [y, a],
+
+    since right multiplication by a is left multiplication by a plus D,
+    and the two commute.  A word a^(i-s).c.w is normal unless (a, c) or
+    (c, w[0]) is a rule; otherwise it is a successor.  Any other v has
+    the rule's bodies put in front of v[1:]."""
+    normal, terms, syllables = {}, [], {}
     for v, d in reduced.items():
         rhs = pair_rule(system, x, v[0]) if v else None
         if rhs is None:
             normal[(x,) + v] = d
-        else:
+            continue
+        a, expansion = v[0], None
+        if x.kind == a.kind == L_KIND and v[1:2] == (a,):
+            i = 2
+            while i < len(v) and v[i] == a:
+                i += 1
+            expansion = system.expansions.get((x, a, i))
+            if expansion is None:
+                expansion = system.expansions[x, a, i] = \
+                    _syllable(system, x, a, i)
+        if expansion is None:
             tail = v[1:]
             terms += [(body + tail, d * c) for body, c in rhs]
+            continue
+        w = v[i:]
+        follows = w and w[0]
+        for head, c, k, blocked in expansion:
+            word = head + w
+            if blocked or \
+                    (follows and pair_rule(system, c, follows) is not None):
+                terms.append((word, d * k))
+            else:
+                syllables[word] = syllables.get(word, 0) + d * k
+    if syllables:
+        reduce = system.field.reduce
+        for word, c in syllables.items():  # such a word may also be x.v
+            r = reduce(normal.get(word, 0) + c)
+            if r:
+                normal[word] = r
+            else:
+                normal.pop(word, None)
     return normal, terms
+
+
+def _syllable(system: RewriteSystem, x: Letter, a: Letter, i: int):
+    """x.a^i = sum_s C(i, s) a^(i-s).D^s(x) for D(y) = [y, a], as a list
+    of (a^(i-s).c, c, raw value, whether (a, c) is a rule) over the
+    L-letters c of each D^s(x), s = 0..i, up to the first D^s(x) that is
+    zero.  D(c) is read from the rule at (c, a), or at (a, c) with the
+    sign changed.  None when a rule read is not a swap followed by single
+    L-letters: the syllable step then does not apply."""
+    reduce = system.field.reduce
+    out, power = [], {x: 1}
+    for s in range(i + 1):
+        for c, f in power.items():
+            k = reduce(comb(i, s) * f)
+            if k:
+                out.append(((a,) * (i - s) + (c,), c, k,
+                            s < i and pair_rule(system, a, c) is not None))
+        if s == i:
+            break
+        nxt = {}
+        for c, f in power.items():
+            bracket = _bracket(system, c, a)
+            if bracket is None:
+                return None
+            for b, g in bracket:
+                nxt[b] = nxt.get(b, 0) + f * g
+        power = {b: r for b, v in nxt.items() if (r := reduce(v))}
+        if not power:
+            break
+    return out
+
+
+def _bracket(system: RewriteSystem, c: Letter, a: Letter):
+    """The (L-letter, raw value) terms of [c, a] as the rules state it, or
+    None when the rule at (c, a) or (a, c) does not have the shape of a
+    bracket rule: the swap with coefficient one, then single L-letters."""
+    if c == a:
+        return []
+    sign, rhs = 1, pair_rule(system, c, a)
+    if rhs is None:
+        sign, rhs = -1, pair_rule(system, a, c)
+        c, a = a, c
+    if not rhs or rhs[0] != ((a, c), 1) or any(
+            len(body) != 1 or body[0].kind != L_KIND for body, _ in rhs[1:]):
+        return None
+    return [(body[0], sign * f) for body, f in rhs[1:]]
 
 
 # ---------------------------------------------------------------------------

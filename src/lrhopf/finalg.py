@@ -16,9 +16,10 @@ and make Scalars only to render a witness.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Sequence
 
@@ -32,10 +33,11 @@ from .reports import FAIL, PASS, VerdictReport
 from .scalars import Field, Scalar
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-# Steps of the associativity or Jacobi check of one table, as table_work
-# counts them.  Timed with `check` over Q, a step takes about 2 us on
-# sparse tables with small entries and 5 us on dense tables with
-# multi-digit entries, so a table at the limit takes 3 to 8 s to check.
+# Steps of the associativity or Jacobi check of one table, or of the
+# anchor checks of one structure, as table_work and anchor_work count
+# them.  Timed with `check` over Q, a step takes about 2 us on sparse
+# tables with small entries and 5 us on dense tables with multi-digit
+# entries or dense anchors, so a check at the limit takes 3 to 9 s.
 MAX_CHECK_WORK = 1_500_000
 # Monomials enumerated for a quotient basis, the product of the
 # pure-power bounds: 100 k of them take about 0.3 s.
@@ -54,16 +56,41 @@ def table_work(table, sides: int = 2) -> int:
                                 for t in vec)
 
 
+def derivation_work(table, derivations) -> int:
+    """Steps of check_derivation on a table of sparse rows, summed over
+    `derivations`, each given by its sparse columns (column j is D(e_j)):
+    one per basis pair, and one per term product.  D(e_i e_j) multiplies
+    the entries of e_i e_j against the columns they name; D(e_i) e_j and
+    e_i D(e_j) multiply each entry t of a column against the products in
+    row or column t of the table."""
+    n = len(table)
+    # products e_i e_j that store e_t, and entries in row and column t
+    hits = Counter(chain.from_iterable(chain.from_iterable(table)))
+    sizes = [sum(map(len, row)) + sum(map(len, col))
+             for row, col in zip(table, zip(*table))]
+    work = len(derivations) * n * n
+    for columns in derivations:
+        for t, col in enumerate(columns):
+            if col:
+                work += hits[t] * len(col) + sum(map(sizes.__getitem__, col))
+    return work
+
+
+def check_work(what: str, work: int) -> None:
+    """Refuse a check of more than MAX_CHECK_WORK steps."""
+    if work > MAX_CHECK_WORK:
+        raise LrhInputError(
+            f"{what} would take {work} steps to check, over the limit of "
+            f"{MAX_CHECK_WORK} (MAX_CHECK_WORK)")
+
+
 def check_table_size(what: str, dim: int, table: tuple = None,
                      sides: int = 2) -> None:
     """Refuse a structure whose table would take its axiom check more
     than MAX_CHECK_WORK steps (table_work).  Without the table, before it
     is built, the dim^3 basis triples alone are counted."""
-    work = dim ** 3 if table is None else table_work(table, sides)
-    if work > MAX_CHECK_WORK:
-        raise LrhInputError(
-            f"{what} of dimension {dim} would take {work} steps to check, "
-            f"over the limit of {MAX_CHECK_WORK} (MAX_CHECK_WORK)")
+    check_work(f"{what} of dimension {dim}",
+               dim ** 3 if table is None else table_work(table, sides))
 
 
 # ---------------------------------------------------------------------------

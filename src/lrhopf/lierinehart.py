@@ -18,8 +18,10 @@ that refuses to build the data when the criterion fails.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     AlgebraMismatchError,
@@ -28,6 +30,7 @@ from .errors import (
     LrhInputError,
 )
 from .finalg import (
+    MAX_CHECK_WORK,
     AlgebraElement,
     Character,
     CommAlgebra,
@@ -36,10 +39,12 @@ from .finalg import (
     check_character,
     check_derivation,
     check_table_size,
+    check_work,
     combine_rows,
     commutator_columns,
     contract,
     dense_row,
+    derivation_work,
     render_linear,
     sparse_row,
     sparse_table,
@@ -291,6 +296,43 @@ def check_module_action(R: CommAlgebra, action: ModuleAction) -> VerdictReport:
     return VerdictReport(name=name, verdict=PASS, narrative=[
         "unit slice is the identity; action associative on all basis "
         "triples"])
+
+
+def anchor_work(R: CommAlgebra, L: LieAlgebra, anchor: Anchor) -> int:
+    """Steps of the anchor checks: check_derivation once per anchor
+    (derivation_work), and check_anchor_lie_hom, one step per Lie basis
+    pair and column of R and one per term product.  anchor([xi_a, xi_b])
+    adds up the columns of the anchors in the bracket; each commutator
+    multiplies every entry t of one anchor's columns against column t of
+    the other, in both orders."""
+    cols = [d.sparse_columns for d in anchor.derivations]
+    nnz = [sum(map(len, c)) for c in cols]
+    # columns, over all anchors, that hold e_t; entries of column t
+    hits = Counter(chain.from_iterable(chain.from_iterable(cols)))
+    sizes = [sum(map(len, column)) for column in zip(*cols)]
+    brackets = chain.from_iterable(chain.from_iterable(L.sparse_table))
+    return (derivation_work(R.sparse_table, cols) + L.dim ** 2 * R.dim
+            + sum(map(nnz.__getitem__, brackets))
+            + 2 * sum(hits[t] * size for t, size in enumerate(sizes)))
+
+
+def anchor_work_bound(dim: int, lie_dim: int) -> int:
+    """anchor_work when every table entry, column and bracket is full:
+    the most it can be for an algebra of dimension `dim` and `lie_dim`
+    anchors."""
+    n, m = dim, lie_dim
+    return m * (n ** 2 + 3 * n ** 4) + m ** 2 * n + m ** 3 * n ** 2 \
+        + 2 * m ** 2 * n ** 3
+
+
+def check_anchor_size(R: CommAlgebra, L: LieAlgebra, anchor: Anchor) -> None:
+    """Refuse an anchor whose checks would take more than MAX_CHECK_WORK
+    steps (anchor_work).  The steps are counted only when
+    anchor_work_bound is over the limit, so small structures cost no
+    count."""
+    if anchor_work_bound(R.dim, L.dim) > MAX_CHECK_WORK:
+        check_work(f"the anchor of {L.dim} derivations of an algebra of "
+                   f"dimension {R.dim}", anchor_work(R, L, anchor))
 
 
 def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:

@@ -45,6 +45,7 @@ from .lierinehart import (
     LieRinehartData,
     ModuleAction,
     character_action,
+    check_anchor_size,
     lie_algebra_from_brackets,
     tensor_action,
 )
@@ -281,7 +282,9 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
                     matrix[i][j] = image.coeffs[i]
             derivations.append(
                 Derivation(R, tuple(tuple(row) for row in matrix)))
-    return Anchor(tuple(derivations))
+    anchor = Anchor(tuple(derivations))
+    check_anchor_size(R, L, anchor)
+    return anchor
 
 
 def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:

@@ -241,6 +241,12 @@ SL2_DOC = {
 }
 
 
+def test_committed_sl2_file_is_the_sl2_document():
+    """The CI workflow divides in tests/data/sl2.lrh under python -O."""
+    path = Path(__file__).parent / "data" / "sl2.lrh"
+    assert json.loads(path.read_text()) == SL2_DOC
+
+
 def _with(doc, path, value):
     doc = json.loads(json.dumps(doc))
     target = doc
@@ -575,6 +581,26 @@ def test_check_of_a_large_quotient_finishes(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     assert time.perf_counter() - start < 10.0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_oversized_anchors_are_refused_up_front(tmp_path, capsys):
+    """Four equal anchors on K[x]/(x^60), each sending x to x + x^2 + ...
+    + x^59, take their derivation and homomorphism checks 1,606,000
+    steps, over MAX_CHECK_WORK, though the algebra's table is within it:
+    refused while parsing.  Their check took about 8 s."""
+    image = " + ".join(["x"] + [f"x^{k}" for k in range(2, 60)])
+    doc = _sized(MONOMIAL_DOC, algebra={"variables": ["x"],
+                                        "relations": ["x^60"]},
+                 lie={"dim": 4, "labels": ["a", "b", "c", "d"],
+                      "brackets": []},
+                 anchor={label: {"x": image} for label in "abcd"})
+    path = tmp_path / "anchors.lrh"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "MAX_CHECK_WORK" in err and "1606000 steps" in err
 
 
 @pytest.mark.parametrize("flag", ["GF1000000000000000000000000000057",

@@ -10,9 +10,11 @@ from lrhopf import (
     Derivation,
     Field,
     LrhInputError,
+    algebra_from_constants,
     character_action,
     character_criterion,
     check_anchor_lie_hom,
+    check_derivation,
     check_anchor_r_linear,
     check_leibniz,
     check_lie_algebra,
@@ -23,6 +25,9 @@ from lrhopf import (
     tensor_action,
     validate_lie_rinehart,
 )
+import lrhopf.finalg as finalg
+import lrhopf.lierinehart as lierinehart
+from lrhopf.lierinehart import anchor_work, anchor_work_bound
 
 import oracles
 
@@ -158,6 +163,66 @@ def test_anchor_hom_passes_for_matching_bracket(q):
     chi = oracles.natural_character(R)
     data = oracles.candidate_data(R, L, Anchor((E1, E2)), chi)
     assert check_anchor_lie_hom(data).ok
+
+
+def test_anchor_work_counts_the_products_of_the_anchor_checks(q,
+                                                              monkeypatch):
+    """On structures whose anchor checks pass, so run to the end,
+    anchor_work is one step per basis pair of each derivation check and
+    per Lie basis pair and column of the homomorphism check, plus exactly
+    the term products the checks multiply out: [E1, E2] = E2 on
+    K[x]/(x^3), four equal dense anchors on K[x]/(x^12) and random valid
+    structures over Q and GF(3)."""
+    products = []
+
+    def counted(reduce, *terms):
+        products.append(sum(len(rows[t]) for coeffs, rows in terms
+                            for t in coeffs))
+        return combine_rows(reduce, *terms)
+
+    combine_rows = finalg.combine_rows
+    monkeypatch.setattr(finalg, "combine_rows", counted)
+    monkeypatch.setattr(lierinehart, "combine_rows", counted)
+    R = make_monomial_quotient(("x",), ("x^3",), q)
+    E1, E2 = (Derivation.from_variable_images(R, {"x": R.basis_element(k)})
+              for k in (1, 2))
+    L = lie_algebra_from_brackets(q, ("b1", "b2"), {(0, 1): (q.zero, q.one)})
+    cases = [oracles.candidate_data(R, L, Anchor((E1, E2)),
+                                    oracles.natural_character(R))]
+    R = make_monomial_quotient(("x",), ("x^12",), q)
+    dense = Derivation.from_variable_images(R, {"x": R.element(
+        (q.zero,) + (q.one,) * 11)})
+    L = lie_algebra_from_brackets(q, ("a", "b", "c", "d"), {})
+    cases.append(oracles.candidate_data(R, L, Anchor((dense,) * 4),
+                                        oracles.natural_character(R)))
+    rng = random.Random("anchor-work")
+    cases += [oracles.random_valid_structure(rng, fld)
+              for fld in (q, Field(3)) for _ in range(20)]
+    for data in cases:
+        R, L, anchor = data.R, data.L, data.anchor
+        products.clear()
+        assert all(check_derivation(R, d.matrix).ok
+                   for d in anchor.derivations)
+        assert check_anchor_lie_hom(data).ok
+        steps = L.dim * R.dim ** 2 + L.dim ** 2 * R.dim
+        assert anchor_work(R, L, anchor) == steps + sum(products)
+        assert anchor_work(R, L, anchor) <= anchor_work_bound(R.dim, L.dim)
+
+
+def test_anchor_work_bound_is_the_work_of_full_tables(q):
+    """Structure constants, anchor matrices and brackets with every entry
+    nonzero reach anchor_work_bound, which check_anchor_size reads to skip
+    the count; valid or not, these tables are only counted here."""
+    for n, m in ((1, 1), (2, 3), (4, 2), (5, 4)):
+        labels = ["1"] + [f"e{k}" for k in range(1, n)]
+        R = algebra_from_constants(q, labels, {
+            (i, j, k): q.one for i in range(n) for j in range(n)
+            for k in range(n)})
+        full = Derivation(R, tuple((q.one,) * n for _ in range(n)))
+        L = lie_algebra_from_brackets(q, [f"b{a}" for a in range(m)], {
+            (a, b): (q.one,) * m for a in range(m) for b in range(m)})
+        assert anchor_work(R, L, Anchor((full,) * m)) == \
+            anchor_work_bound(n, m)
 
 
 def test_r_linearity_failure_frozen(q):
