@@ -376,7 +376,9 @@ def _unreduced(system: RewriteSystem, word: tuple, successors,
 def _rewrite(words, system: RewriteSystem) -> dict:
     """The leftmost-rewriting memo, holding every word of `words`.  A word
     is rewritten once at its leftmost redex, waits for its successors, then
-    combines their normal forms."""
+    combines their normal forms.  A word whose one-step reduct is a single
+    successor with coefficient one shares that successor's memo entry,
+    as in collection; entries never change once stored."""
     memo = system.normal_forms.setdefault("leftmost", {})
     reduce = system.field.reduce
     pending = {}  # word rewritten in this call -> its one-step reduct
@@ -399,7 +401,7 @@ def _rewrite(words, system: RewriteSystem) -> dict:
             if missing:
                 stack.extend(missing)
                 continue
-        memo[word] = _combine({}, stepped, memo, reduce)
+        memo[word] = _planned(({}, stepped), memo, reduce)
         stack.pop()
     return memo
 
@@ -413,9 +415,9 @@ def _collect(words, system: RewriteSystem) -> dict:
     NF(rest), or a word with its plan, waiting for the normal forms of its
     successors.  A plan is the raw coefficients of the normal words the
     word already knows and the (successor, raw coefficient) terms it
-    needs.  A word whose plan is one successor with coefficient one
-    shares that successor's memo entry; entries never change once
-    stored."""
+    needs.  A plan with no successors is stored as it stands, and a word
+    whose plan is one successor with coefficient one shares that
+    successor's memo entry; entries never change once stored."""
     memo = system.normal_forms.setdefault("collect", {})
     reduce = system.field.reduce
     waiting = set()  # words with a plan whose successors are not reduced
@@ -445,6 +447,9 @@ def _collect(words, system: RewriteSystem) -> dict:
         else:
             waiting.discard(word)
             memo[word] = _planned(state, memo, reduce)
+            continue
+        if not plan[1]:
+            memo[word] = plan[0]
             continue
         missing = _unreduced(system, word, [w for w, _ in plan[1]],
                              memo, waiting)
@@ -762,7 +767,8 @@ def left_divide(g: NCElement, t: NCElement,
     The products g.(basis word) are collected in one pass, into an
     internally extended envelope so nothing is cut off, and each one's
     terms, summed from the memo on raw values, enter the sparse system
-    directly as the entries of its column; the outcome carries a witness
+    directly as the entries of its column; a column of one term is read
+    from its word's memo entry in place.  The outcome carries a witness
     z or an exact infeasibility certificate.  A system over the solver's
     size limit is refused before any product is formed."""
     system = env.system
@@ -780,7 +786,7 @@ def left_divide(g: NCElement, t: NCElement,
     position = extended.locate()
     entries = [(position(w), col, fld.wrap(c))
                for col, terms in enumerate(columns)
-               for w, c in _combine({}, terms, memo, fld.reduce).items()]
+               for w, c in _normal_column(terms, memo, fld.reduce).items()]
     problem = LinearSystem(rows=extended.dim, cols=env.dim,
                            entries=tuple(entries), rhs=extended.coords(t),
                            field=fld)
@@ -792,6 +798,16 @@ def _columns(g: NCElement, basis) -> list:
     raw value) terms: each term's word extended by the basis word."""
     terms = _kernel_terms(g)
     return [[(w + word, c) for w, c in terms] for word in basis]
+
+
+def _normal_column(terms: list, memo: dict, reduce) -> dict:
+    """The normal form of a column's (word, raw value) terms, summed from
+    the memo; a column of one term reads its word's entry in place."""
+    if len(terms) != 1:
+        return _combine({}, terms, memo, reduce)
+    (word, c), = terms
+    entry = memo[word]
+    return entry if c == 1 else {w: reduce(c * v) for w, v in entry.items()}
 
 
 def verify_divide_certificate(g: NCElement, t: NCElement,
@@ -821,7 +837,7 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
 
     def value(terms):
         # only the normal form's few terms meet the certificate
-        normal = _combine({}, terms, memo, fld.reduce)
+        normal = _normal_column(terms, memo, fld.reduce)
         return fld.reduce(sum(u[position(w)] * c for w, c in normal.items()))
 
     if any(value(terms) for terms in columns):

@@ -7,10 +7,11 @@ basis is the set of monomials outside the ideal, ordered by degree and
 then lexicographically with 1 first.
 
 Tables, derivation matrices and character values hold Scalars.  Each
-algebra and derivation also caches its table as sparse raw rows, which
-the check_* functions read: they turn the defining laws into verdicts
-with explicit first witnesses, iterated in deterministic index order,
-and make Scalars only to render a witness.
+algebra and derivation also caches its table as sparse raw rows in the
+field's kernel form (over Q an integral value is an int), which the
+check_* functions read: they turn the defining laws into verdicts with
+explicit first witnesses, iterated in deterministic index order, and
+make Scalars (Field.wrap) only to render a witness.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from .scalars import Field, Scalar
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Steps of the associativity or Jacobi check of one table, or of the
 # anchor checks of one structure, as table_work and anchor_work count
-# them.  Timed with `check` over Q, a step takes about 2 us on sparse
-# tables with small entries and 5 us on dense tables with multi-digit
-# entries or dense anchors, so a check at the limit takes 3 to 9 s.
+# them.  Timed with `check` over Q, a step takes about 1.4 us on the
+# table of K[x]/(x^103) and 0.7 us on dense anchors with integral
+# entries, which the rows hold as ints, so such a check at the limit
+# takes 1 to 2 s; non-integral entries stay Fractions, at up to about
+# 5 us a step.
 MAX_CHECK_WORK = 1_500_000
 # Monomials enumerated for a quotient basis, the product of the
 # pure-power bounds: 100 k of them take about 0.3 s.
@@ -131,12 +134,14 @@ def contract(table, u, v, size: int, zero) -> tuple:
 # sparse raw rows
 #
 # A sparse row {k: value} holds the nonzero entries of a coefficient
-# vector as raw field values: Fractions over Q, ints in [0, p) over
-# GF(p).  Two rows are equal exactly when their vectors are.
+# vector as raw field values in kernel form (Field.kernel): over Q an
+# int when the value is integral and a Fraction otherwise, over GF(p) an
+# int in [0, p).  Two rows are equal exactly when their vectors are.
 
 def sparse_row(vec) -> dict:
-    """The sparse raw row of a Scalar vector."""
-    return {k: c.value for k, c in enumerate(vec) if c.value}
+    """The sparse raw row of a Scalar vector, in kernel form."""
+    kernel = vec[0].field.kernel if vec else None
+    return {k: kernel(c.value) for k, c in enumerate(vec) if c.value}
 
 
 def sparse_table(table) -> tuple:
@@ -166,7 +171,7 @@ def dense_row(fld: Field, row: dict, size: int) -> tuple:
     """The Scalar vector of length `size` of a sparse raw row."""
     out = [fld.zero] * size
     for k, v in row.items():
-        out[k] = Scalar(fld, v)
+        out[k] = fld.wrap(v)
     return tuple(out)
 
 
@@ -611,11 +616,17 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
 
 def check_derivation(algebra: CommAlgebra, matrix: tuple) -> VerdictReport:
     """D(1) = 0 and the Leibniz rule on all basis pairs."""
+    return check_derivation_of(algebra, Derivation(algebra, matrix))
+
+
+def check_derivation_of(algebra: CommAlgebra, d: Derivation) -> VerdictReport:
+    """check_derivation of d's matrix on `algebra`, reading the sparse
+    columns d has cached."""
     name = "derivation"
     n = algebra.dim
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(d.matrix) != n or any(len(row) != n for row in d.matrix):
         raise LrhInputError("derivation matrix has wrong shape")
-    images = Derivation(algebra, matrix).sparse_columns  # D(e_j)
+    images = d.sparse_columns  # D(e_j)
     if images[0]:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-annihilation",
@@ -649,7 +660,7 @@ def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
     if values[0] != fld.one:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-value", "value": str(values[0])}])
-    raw = [v.value for v in values]
+    raw = [fld.kernel(v.value) for v in values]
     table = algebra.sparse_table
     for i in range(n):
         for j in range(n):

@@ -37,7 +37,7 @@ from .finalg import (
     Derivation,
     check_algebra_axioms,
     check_character,
-    check_derivation,
+    check_derivation_of,
     check_table_size,
     check_work,
     combine_rows,
@@ -429,7 +429,7 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     name = "character-criterion"
     reduce = R.field.reduce
     table = R.sparse_table
-    values = [v.value for v in chi.values]
+    values = [R.field.kernel(v.value) for v in chi.values]
 
     def r_linearity_failure():
         for i in range(R.dim):
@@ -485,7 +485,7 @@ def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
             raise ConstructionRefusedError(
                 f"component check '{report.name}' failed", report=report)
     for a, d in enumerate(anchor.derivations):
-        report = check_derivation(R, d.matrix)
+        report = check_derivation_of(R, d)
         if not report.ok:
             raise ConstructionRefusedError(
                 f"anchor image of {L.labels[a]} is not a derivation",
@@ -515,7 +515,7 @@ def validate_lie_rinehart(data: LieRinehartData) -> list:
         check_module_action(data.R, data.action),
     ]
     for a, d in enumerate(data.anchor.derivations):
-        rep = check_derivation(data.R, d.matrix)
+        rep = check_derivation_of(data.R, d)
         rep = VerdictReport(name=f"derivation[{data.L.labels[a]}]",
                             verdict=rep.verdict, witnesses=rep.witnesses,
                             narrative=rep.narrative)

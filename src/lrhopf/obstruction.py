@@ -63,7 +63,6 @@ from .reports import FAIL, PASS, VerdictReport
 from .scalars import (
     Field,
     LinearSystem,
-    Scalar,
     SolveOutcome,
     solve_linear,
     verify_certificate,
@@ -97,7 +96,7 @@ def partial_map_system(data: LieRinehartData) -> LinearSystem:
 
     reduce = fld.reduce
     table = R.sparse_table
-    chi_raw = [v.value for v in chi.values]
+    chi_raw = [fld.kernel(v.value) for v in chi.values]
     # mult[i][j]: sparse raw row of (e_i - chi(e_i) 1) e_j, as the
     # coefficients 1 and -chi(e_i) against the rows e_i e_j and e_0 e_j
     mult = [[combine_rows(reduce, ({0: 1, 1: -chi_raw[i]},
@@ -111,7 +110,7 @@ def partial_map_system(data: LieRinehartData) -> LinearSystem:
         for c, v in row.items():
             v = reduce(v)
             if v:
-                entries.append((len(rhs), c, Scalar(fld, v)))
+                entries.append((len(rhs), c, fld.wrap(v)))
         rhs.append(target)
 
     for a in range(m):

@@ -18,11 +18,14 @@ Fraction; ``Field.kernel`` converts a raw value on its way in and
 ``Field.wrap`` makes the Scalar, over Q always holding a Fraction, on
 its way out.
 ``solve_linear`` decides A.x = b by deterministic exact sparse
-Gauss-Jordan elimination in {col: value} rows, fraction-free on integer
-rows over Q, with a per-column index of the rows that hold each column,
-and always hands back checkable evidence: a particular witness plus a
+Gauss-Jordan elimination in {col: value} rows of kernel values,
+fraction-free on integer rows over Q, with a per-column index of the
+rows that hold each column.  Only a row that holds a non-integral value,
+in its entries or its right-hand side, is scaled to integers first.  It
+always hands back checkable evidence: a particular witness plus a
 nullspace basis when feasible, or a Farkas-style row vector u with
-u.A = 0 and u.b != 0 when infeasible.
+u.A = 0 and u.b != 0 when infeasible.  The evidence is normalised
+lazily: a pivot is inverted only where an evidence entry needs it.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
 from the sparse input in Scalar arithmetic, independently of the
 elimination path that produced it.
@@ -309,29 +312,34 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     row.  So witnesses, nullspace bases and certificates are
     reproducible.
 
-    Rows are sparse {col: value} dicts of kernel values, ints over Q and
-    residues in [0, p) over GF(p); zeros are never stored, including
-    explicit zero entries of the input.  A set per column holds the rows
-    with an entry there, so finding the pivot and the rows to clear reads
-    no other row.  Over GF(p) the pivot row is scaled to a leading one
-    and a row is cleared as row - f.pivot.  Over Q the elimination is
-    fraction-free: each row is first scaled to integers, a row is
-    cleared as y.row - f.pivot, y being the pivot entry, and then divided
-    by the common content of its entries, right-hand side and T row.
-    Row operations are mirrored on a sparse block T of {row: value}
+    Rows are sparse {col: value} dicts of kernel values: entries and
+    right-hand sides are read through Field.kernel over Q, so an
+    integral rational is an int, and as residues in [0, p) over GF(p);
+    zeros are never stored, including explicit zero entries of the
+    input.  A set per column holds the rows with an entry there, so
+    finding the pivot and the rows to clear reads no other row.  Over
+    GF(p) the pivot row is scaled to a leading one and a row is cleared
+    as row - f.pivot.  Over Q the elimination is fraction-free: a row
+    holding a Fraction in its entries or right-hand side is first scaled
+    by the lcm of their denominators, every other row is left as it is, a
+    row is cleared as y.row - f.pivot, y being the pivot entry, and then
+    divided by the common content of its entries, right-hand side and T
+    row.  Row operations are mirrored on a sparse block T of {row: value}
     dicts, which starts as the identity times each row's scale and grows
     only in rows that were combined.
 
-    The evidence is normalised at the end: a pivot column's witness
-    entry is b_r / a_r[c], and a nullspace vector's entry -a_r[f] /
-    a_r[c].  When elimination leaves a zero row with a nonzero
-    right-hand side, the Farkas certificate is its T row divided by the
-    entry on the row's own original row.  Scaling a row changes no zero
-    pattern, so the pivots are those of elimination with leading ones,
-    and so is the evidence: the pivot rows are multiples of the reduced
-    echelon rows, and the certificate is the one combination that
-    vanishes on A of the zero row's original row, with coefficient 1,
-    and the original pivot rows.  Only the evidence is wrapped into
+    The evidence is normalised at the end, and lazily: a pivot column's
+    witness entry is b_r / a_r[c], and a nullspace vector's entry
+    -a_r[f] / a_r[c], and a pivot is inverted only when one of these is
+    nonzero, once per pivot.  Most right-hand sides are zero, so most
+    pivots are never inverted.  When elimination leaves a zero row with
+    a nonzero right-hand side, the Farkas certificate is its T row
+    divided by the entry on the row's own original row.  Scaling a row
+    changes no zero pattern, so the pivots are those of elimination with
+    leading ones, and so is the evidence: the pivot rows are multiples of
+    the reduced echelon rows, and the certificate is the one combination
+    that vanishes on A of the zero row's original row, with coefficient
+    1, and the original pivot rows.  Only the evidence is wrapped into
     Scalars.
     """
     check_solve_size(system.rows, system.cols)
@@ -340,23 +348,23 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     reduce, inverse = fld.reduce, fld.inverse
     nrows, ncols = system.rows, system.cols
 
+    read = reduce if p else fld.kernel
     a = [{} for _ in range(nrows)]
     for r, c, s in system.entries:
-        v = reduce(s.value)
+        v = read(s.value)
         if v:
             a[r][c] = v
-    b = [reduce(s.value) for s in system.rhs]
-    if p:
-        t = [{r: 1} for r in range(nrows)]
-    else:
-        t = []
+    b = [read(s.value) for s in system.rhs]
+    t = [{r: 1} for r in range(nrows)]
+    if not p:  # kernel values: a Fraction is never integral
         for r, row in enumerate(a):
-            scale = lcm(b[r].denominator,
-                        *(v.denominator for v in row.values()))
-            a[r] = {c: v.numerator * (scale // v.denominator)
-                    for c, v in row.items()}
-            b[r] = b[r].numerator * (scale // b[r].denominator)
-            t.append({r: scale})
+            if type(b[r]) is Fraction or Fraction in map(type, row.values()):
+                scale = lcm(b[r].denominator,
+                            *(v.denominator for v in row.values()))
+                a[r] = {c: v.numerator * (scale // v.denominator)
+                        for c, v in row.items()}
+                b[r] = b[r].numerator * (scale // b[r].denominator)
+                t[r] = {r: scale}
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(a):
         for c in row:
@@ -430,8 +438,16 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
             return SolveOutcome(verdict="infeasible", certificate=dense(
                 {k: v * own for k, v in t[r].items()}, nrows))
 
-    scales = {r: inverse(a[r][c]) for r, c in pivots}
-    witness = dense({c: b[r] * scales[r] for r, c in pivots}, ncols)
+    scales = {}  # row -> inverse of its pivot, taken on first use
+
+    def over_pivot(x, r, c):
+        inv = scales.get(r)
+        if inv is None:
+            inv = scales[r] = inverse(a[r][c])
+        return x * inv
+
+    witness = dense({c: over_pivot(b[r], r, c) for r, c in pivots if b[r]},
+                    ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace = []
@@ -440,7 +456,7 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         for r, c in pivots:
             x = a[r].get(f)
             if x:
-                v[c] = -x * scales[r]
+                v[c] = over_pivot(-x, r, c)
         nullspace.append(dense(v, ncols))
     return SolveOutcome(verdict="feasible", witness=witness,
                         nullity=len(free_cols), nullspace=tuple(nullspace))

@@ -266,9 +266,10 @@ def test_long_abelian_word_collects_without_recursion(classical, q):
 
 def test_cyclic_rule_stops_collection_at_its_first_repeat(classical, q,
                                                           monkeypatch):
-    """Collection applies the rule at position 0 of (b1 b2)^10 and of its
-    reduct, which gives the word back: two rule lookups, then the step
-    budget.  A 2 s alarm interrupts the loop if it does not stop."""
+    """Collection walks down the suffixes of (b1 b2)^10 without a rule
+    lookup, then looks up b1 b2 and then b2 b1, whose reduct b1 b2 is
+    still waiting: two rule lookups, then the step budget.  A 2 s alarm
+    interrupts the loop if it does not stop."""
     system = build_rewrite_system(classical(("b1", "b2"), {}))
     calls = []
 
@@ -920,6 +921,44 @@ def test_confluence_and_replays_never_read_the_collection_memo(obstructed,
     assert verify_divide_certificate(x, y, env, refused.certificate)
 
 
+@pytest.mark.parametrize("case", ["sl2", "heis", "obstructed"])
+def test_leftmost_memo_entries_never_change(classical, obstructed, q, case):
+    """A word whose one-step reduct is a single word with coefficient one
+    shares that word's leftmost memo entry: c.p -> p.c in U(heis) and
+    abar.y -> y.abar in the obstructed example; U(sl2) has no such rule.
+    Snapshot copies of the entries taken after a certificate replay still
+    equal them after more normal forms by both strategies, a witness
+    replay and a confluence check on the same system."""
+    if case == "obstructed":
+        system, degree = obstructed[5], 3
+        g, t, z = (NCElement.from_word(q, (letter,)) for letter in
+                   (r_letter(1), r_letter(2), l_letter(0)))
+    else:
+        labels, brackets, degree = _DOMAINS[case]
+        system = build_rewrite_system(classical(labels, brackets))
+        x0, x1, x2 = (NCElement.from_word(q, (l_letter(a),))
+                      for a in range(3))
+        g, t, z = x2 + 2 * x1, x0, x1
+    env = enumerate_basis(system, degree)
+    refused = left_divide(g, t, env)
+    assert verify_divide_certificate(g, t, env, refused.certificate)
+    memo = system.normal_forms["leftmost"]
+    snapshot = {w: dict(entry) for w, entry in memo.items()}
+    rng = random.Random(f"leftmost-memo/{case}")
+    for strategy in ("leftmost", "collect", "leftmost"):
+        for _ in range(10):
+            normal_form(_rand_element(rng, system, max_len=4), system,
+                        strategy)
+    target = normal_form(g.concat(z), system)
+    found = left_divide(g, target, env)
+    assert verify_divide_witness(g, target, env, found.witness)
+    assert check_local_confluence(env).ok
+    assert len(memo) > len(snapshot)
+    assert {w: memo[w] for w in snapshot} == snapshot
+    shared = len({id(entry) for entry in memo.values()}) < len(memo)
+    assert shared == (case != "sl2")
+
+
 # Classical Lie algebras whose envelopes are domains, with the truncation
 # degree of the corpus below (rows x columns at most 56 x 35).
 _DOMAINS = {
@@ -977,6 +1016,32 @@ def test_multi_term_divisors_match_the_dense_reference(classical, monkeypatch,
                                                  outcome.certificate)
     assert verdicts.count("feasible") == 4
     assert verdicts.count("infeasible") == 8
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_one_term_divisors_scale_their_memo_entries(classical, p):
+    """A divisor c.x of one term reads the memo entry of each column's
+    word in place, times c.  In U(sl2), for c = 1 and two other values,
+    the witness of e.z0 over c.e is the witness over e divided by c, both
+    replays accept the evidence, and h over c.e is refused."""
+    fld = Field(p)
+    labels, brackets, degree = _DOMAINS["sl2"]
+    system = build_rewrite_system(classical(labels, brackets, fld))
+    env = enumerate_basis(system, degree)
+    e, f, h = (NCElement.from_word(fld, (l_letter(a),)) for a in range(3))
+    z0 = f.concat(h) + 3 * e
+    t = normal_form(e.concat(z0), system)
+    plain = left_divide(e, t, env)
+    assert plain.feasible
+    for c in (fld.one, fld.scalar(-2), fld.parse("2/3") if p == 0
+              else fld.scalar(5)):
+        g = c * e
+        found = left_divide(g, t, env)
+        assert found.witness == tuple(w / c for w in plain.witness)
+        assert verify_divide_witness(g, t, env, found.witness)
+        refused = left_divide(g, h, env)
+        assert not refused.feasible
+        assert verify_divide_certificate(g, h, env, refused.certificate)
 
 
 def test_scalars_over_q_from_the_kernel_hold_fractions(classical, q):

@@ -1,6 +1,8 @@
 """Lie algebras, module actions, anchors, and the character criterion."""
 
 import random
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -10,6 +12,7 @@ from lrhopf import (
     Derivation,
     Field,
     LrhInputError,
+    Scalar,
     algebra_from_constants,
     character_action,
     character_criterion,
@@ -27,7 +30,8 @@ from lrhopf import (
 )
 import lrhopf.finalg as finalg
 import lrhopf.lierinehart as lierinehart
-from lrhopf.lierinehart import anchor_work, anchor_work_bound
+from lrhopf.lierinehart import (LieRinehartData, anchor_work,
+                                anchor_work_bound)
 
 import oracles
 
@@ -383,3 +387,86 @@ def test_reports_match_the_dense_reference_checks(fld):
             else:
                 broken_failures += not all(r.ok for r in reports)
     assert broken_failures >= 25
+
+
+# ------------------------------------------------------ kernel-form rows
+
+def _rows(data):
+    """Every sparse raw row the checks read, each with its Scalar vector."""
+    R, L, action = data.R, data.L, data.action
+    pairs = [(R.sparse_table, R.mul_table), (L.sparse_table, L.table),
+             (action.sparse_tensor, action.tensor)]
+    pairs += [((d.sparse_columns,), (tuple(zip(*d.matrix)),))
+              for d in data.anchor.derivations]
+    return [(row, vec) for rows, vecs in pairs
+            for row, vec in zip(chain.from_iterable(rows),
+                                chain.from_iterable(vecs))]
+
+
+def test_sparse_rows_hold_integral_rationals_as_ints(q):
+    """Over Q the cached rows hold an integral value as an int and any
+    other value as a Fraction, equal to the Scalar it comes from: on a
+    structure with fractional constants in every table, and on random
+    valid structures and copies with one entry broken (by 1/2 at times)."""
+    R = make_monomial_quotient(("x",), ("x^3",), q)
+    D = Derivation.from_variable_images(R, {"x": R.element(
+        (q.zero, q.parse("1/2"), q.scalar(3)))})
+    L = lie_algebra_from_brackets(q, ("a", "b"), {
+        (0, 1): (q.parse("2/3"), q.scalar(2))})
+    action = tensor_action(R, 2, {(1, 0, 1): q.parse("1/2"),
+                                  (2, 1, 0): q.scalar(-4)})
+    cases = [LieRinehartData(R=R, L=L, action=action, anchor=Anchor((D, D)))]
+    rng = random.Random("kernel-rows")
+    for _ in range(30):
+        valid = oracles.random_valid_structure(rng, q)
+        cases += [valid, oracles.break_one_entry(rng, valid)]
+    kinds = set()
+    for data in cases:
+        for row, vec in _rows(data):
+            assert row == {k: c.value for k, c in enumerate(vec) if c}
+            for v in row.values():
+                assert type(v) is (int if v.denominator == 1 else Fraction)
+                kinds.add(type(v))
+    assert kinds == {int, Fraction}
+
+
+def test_failing_reports_render_scalars_holding_fractions(q, monkeypatch):
+    """The rows hold ints, but every Scalar rendered into a failing
+    report's witness holds a Fraction, as every Scalar over Q does: on
+    random valid structures with one entry broken, through
+    validate_lie_rinehart and character_criterion."""
+    rendered = []
+    original = Scalar.__str__
+
+    def recording(self):
+        rendered.append(type(self.value))
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "__str__", recording)
+    rng = random.Random("fraction-witnesses")
+    failures = 0
+    for _ in range(60):
+        data = oracles.break_one_entry(
+            rng, oracles.random_valid_structure(rng, q))
+        chi = data.action.character or oracles.natural_character(data.R)
+        reports = validate_lie_rinehart(data)
+        reports.append(character_criterion(data.R, data.L, data.anchor, chi))
+        failures += sum(not r.ok for r in reports)
+    assert failures >= 30 and rendered
+    assert set(rendered) == {Fraction}
+
+
+def test_validation_reads_the_cached_derivation_columns(obstructed,
+                                                        monkeypatch):
+    """validate_lie_rinehart and make_character_module check each anchor
+    derivation on the sparse columns it has cached: once every table is
+    cached, no sparse row is built again."""
+    R, L, anchor, chi, data, _ = obstructed
+    first = [r.to_dict() for r in validate_lie_rinehart(data)]
+    built = []
+    sparse_row = finalg.sparse_row
+    monkeypatch.setattr(finalg, "sparse_row",
+                        lambda vec: built.append(vec) or sparse_row(vec))
+    assert [r.to_dict() for r in validate_lie_rinehart(data)] == first
+    assert make_character_module(R, L, anchor, chi).validated
+    assert built == []

@@ -1,6 +1,7 @@
 """Partial-map solving, right-action certification, the full pipeline."""
 
 import random
+from fractions import Fraction
 from dataclasses import replace
 from functools import partial
 
@@ -69,6 +70,30 @@ def test_tensor_action_unsupported(q):
                            validated=True)
     with pytest.raises(UnsupportedInputError):
         partial_map_system(data)
+
+
+def test_partial_map_system_scalars_hold_fractions(obstructed, euler, q):
+    """The rows are assembled from kernel values, ints where integral, but
+    every entry and right-hand side of the system is a Scalar holding a
+    Fraction: on both presets, the Euler structure with its anchor halved,
+    and random valid character structures."""
+    R, L, anchor, chi = euler[:4]
+    half = Derivation.from_variable_images(
+        R, {"x": q.parse("1/2") * R.basis_element(1)})
+    datas = [obstructed[4], euler[4],
+             make_character_module(R, L, Anchor((half,)), chi)]
+    rng = random.Random("partial-fractions")
+    while len(datas) < 20:
+        data = oracles.random_valid_structure(rng, q)
+        if data.action.kind == "character":
+            datas.append(data)
+    fractional = 0
+    for data in datas:
+        system = partial_map_system(data)
+        values = [s for _, _, s in system.entries] + list(system.rhs)
+        assert all(type(s.value) is Fraction for s in values)
+        fractional += any(s.value.denominator > 1 for s in values)
+    assert fractional
 
 
 # ----------------------------------------------------- obstructed instance

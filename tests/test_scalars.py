@@ -382,6 +382,76 @@ def test_solver_equals_dense_reference():
     assert len(verdicts) == 8  # both verdicts occur over every field
 
 
+def _row_kind_system(rng, kind, rows, cols):
+    """A random system over Q whose entries are integers or hold
+    fractions, and whose right-hand side is integral or fractional, as
+    `kind` says; half the time the right-hand side is A.x for a random x,
+    integral when both entries and right-hand side are."""
+    q = Field(0)
+    fractional_rows, fractional_rhs = {
+        "integral rows, fractional rhs": (False, True),
+        "fractional rows, integral rhs": (True, False),
+        "integral rows and rhs": (False, False)}[kind]
+    raw = [[0] * cols for _ in range(rows)]
+    entries = []
+    for r in range(rows):
+        for c in range(cols):
+            if rng.random() < 0.5:
+                v = rng.randint(-3, 3)
+                if fractional_rows and rng.random() < 0.5:
+                    v = Fraction(v, rng.randint(2, 4))
+                raw[r][c] = v
+                entries.append((r, c, q.scalar(v)))
+    if rng.random() < 0.5 and fractional_rows == fractional_rhs:
+        x = [Fraction(rng.randint(-2, 2), rng.randint(2, 3))
+             if fractional_rhs else rng.randint(-2, 2) for _ in range(cols)]
+        rhs = [sum(row[c] * x[c] for c in range(cols)) for row in raw]
+    else:
+        rhs = [Fraction(rng.randint(-3, 3), rng.randint(2, 5))
+               if fractional_rhs else rng.randint(-3, 3) for _ in range(rows)]
+    return LinearSystem(rows=rows, cols=cols, entries=tuple(entries),
+                        rhs=tuple(q.scalar(v) for v in rhs), field=q)
+
+
+@pytest.mark.parametrize("kind", ["integral rows, fractional rhs",
+                                  "fractional rows, integral rhs",
+                                  "integral rows and rhs"])
+def test_rational_row_kinds_equal_dense_reference(kind):
+    """Over Q only a row that holds a non-integral value, in its entries
+    or its right-hand side, is scaled to integers, and a pivot is
+    inverted only for the evidence that needs it.  Seeded systems of each
+    kind, square, wide and tall: the whole outcome equals the former
+    dense solver's, both verdicts occur, and every Scalar of the evidence
+    holds a Fraction."""
+    rng = random.Random(f"row-kinds/{kind}")
+    verdicts = set()
+    for k in range(90):
+        rows, cols = ((rng.randint(6, 10), rng.randint(1, 3)),
+                      (rng.randint(1, 3), rng.randint(4, 9)),
+                      (rng.randint(1, 8), rng.randint(1, 8)))[k % 3]
+        system = _row_kind_system(rng, kind, rows, cols)
+        out = solve_linear(system)
+        assert out == oracles.dense_solve(system)
+        evidence = (out.witness, *out.nullspace) if out.feasible \
+            else (out.certificate,)
+        assert all(type(s.value) is Fraction
+                   for vec in evidence for s in vec)
+        verdicts.add(out.verdict)
+    assert verdicts == {"feasible", "infeasible"}
+
+
+def test_fractional_rhs_on_an_integral_row():
+    """2x = 3/2 takes no scaling of its integral row: the witness is 3/4,
+    a Fraction like every Scalar over Q."""
+    q = Field(0)
+    system = LinearSystem(rows=2, cols=1, entries=((0, 0, q.scalar(2)),),
+                          rhs=(q.parse("3/2"), q.zero), field=q)
+    out = solve_linear(system)
+    assert out == oracles.dense_solve(system)
+    assert out.witness == (q.parse("3/4"),)
+    assert type(out.witness[0].value) is Fraction
+
+
 def test_explicit_zero_entries_never_pivot():
     """Explicit zero entries are dropped on loading, so a zero is never
     taken as a pivot: GF(2) reads scalar(2) as 0, and Q holds scalar(0)."""
