@@ -39,7 +39,6 @@ from .finalg import (
     derivation_commutator,
     make_base_field_algebra,
     make_monomial_quotient,
-    multiplication_operator,
 )
 from .lierinehart import (
     Anchor,

@@ -29,6 +29,9 @@ algorithm and without sharing its bookkeeping.
 Raw values are in the field's kernel form (`Field.kernel`): over Q an
 integral coefficient is an int, in the compiled rules, the memos and the
 divisibility systems, and a Scalar is made only for what is returned.
+The rules are compiled from the sparse raw rows each structure caches,
+and the induced action on the base algebra runs on them through
+`finalg.combine_rows`, the one accumulation kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .errors import (
     LrhInputError,
     RewriteBudgetError,
 )
-from .finalg import AlgebraElement, combine, render_linear
+from .finalg import (AlgebraElement, combine_rows, dense_row, render_linear,
+                     sparse_row, sparse_table)
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import (LinearSystem, SolveOutcome, check_solve_size,
@@ -175,7 +179,8 @@ class RewriteSystem:
     right-hand side, a list of (word, raw value in kernel form) over
     distinct words, family by family and left letter outer.  `rho_table`
     stays a field so that tests can tamper with the anchor; a
-    `dataclasses.replace` copy recompiles its rules.
+    `dataclasses.replace` copy recompiles its rules, and acts on the base
+    algebra, from the sparse rows of its own `rho_table` (`sparse_rho`).
 
     `normal_forms` memoises reduced words, one dict per engine ("collect"
     and "leftmost") from word to {normal word: raw value}, `expansions`
@@ -202,22 +207,28 @@ class RewriteSystem:
                                 compare=False, repr=False)
 
     def __post_init__(self):
-        kernel = self.field.kernel
         rs = [r_letter(i) for i in range(self.r_dim)]
         ls = [l_letter(a) for a in range(self.l_dim)]
         for lefts, rights, table, kind, swaps in (
-                (rs, rs, self.source.R.mul_table, R_KIND, False),
-                (ls, rs, self.rho_table, R_KIND, True),
-                (rs, ls, self.source.action.tensor, L_KIND, False),
-                (ls, ls, self.source.L.table, L_KIND, True)):
+                (rs, rs, self.source.R.sparse_table, R_KIND, False),
+                (ls, rs, self.sparse_rho, R_KIND, True),
+                (rs, ls, self.source.action.sparse_tensor, L_KIND, False),
+                (ls, ls, self.source.L.sparse_table, L_KIND, True)):
             for x in lefts:
                 for y in rights:
                     if x.kind == y.kind == L_KIND and x.index <= y.index:
                         continue  # a nondecreasing L-pair is irreducible
                     rhs = [((y, x), 1)] if swaps else []
-                    rhs += [(_word(kind, k), kernel(c.value)) for k, c in
-                            enumerate(table[x.index][y.index]) if c]
+                    rhs += [(_word(kind, k), c) for k, c in
+                            table[x.index][y.index].items()]
                     self.rules[x, y] = rhs
+
+    @cached_property
+    def sparse_rho(self) -> tuple:
+        """rho_table as sparse raw rows, sparse_rho[a][i] = rho_a(e_i);
+        made from this object's own rho_table, so a tampered copy reads
+        its own anchor."""
+        return sparse_table(self.rho_table)
 
     @property
     def r_dim(self) -> int:
@@ -698,18 +709,22 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
     alg = env.system.source.R
     if r.algebra != alg:
         raise LrhInputError("element does not live in the base algebra")
-    zero = alg.field.zero
+    if v.field != alg.field:
+        raise FieldMismatchError("element and base algebra over different "
+                                 "fields")
+    reduce = alg.field.reduce
+    tables = {R_KIND: alg.sparse_table, L_KIND: env.system.sparse_rho}
     images = []
     for word in v.terms:
-        acc = r.coeffs
+        acc = sparse_row(r.coeffs)
         for letter in reversed(word):
-            # e_i.r and rho_a(r) are both r contracted with a table row
-            table = alg.mul_table if letter.kind == R_KIND \
-                else env.system.rho_table
-            acc = combine(table[letter.index], acc, alg.dim, zero)
+            # e_i.r and rho_a(r) are both r combined with a table row
+            acc = combine_rows(reduce,
+                               (acc, tables[letter.kind][letter.index]))
         images.append(acc)
-    return AlgebraElement(alg, combine(images, v.terms.values(), alg.dim,
-                                       zero))
+    coeffs = sparse_row(tuple(v.terms.values()))
+    return AlgebraElement(alg, dense_row(alg.field, combine_rows(
+        reduce, (coeffs, images)), alg.dim))
 
 
 def _relation_pairs(system: RewriteSystem) -> list:
@@ -852,6 +867,10 @@ def verify_divide_witness(g: NCElement, t: NCElement,
     normalised by leftmost rewriting, as in verify_divide_certificate."""
     if len(witness) != env.dim:
         return False
-    z = NCElement(env.system.field, dict(zip(env.basis, witness)))
+    fld = env.system.field
+    if any(x.field is not fld and x.field != fld for x in (t, *witness)):
+        raise FieldMismatchError("witness, target and rewrite system over "
+                                 "different fields")
+    z = NCElement(fld, dict(zip(env.basis, witness)))
     return normal_form(g.concat(z), env.system, "leftmost") == \
         normal_form(t, env.system, "leftmost")

@@ -8,10 +8,12 @@ then lexicographically with 1 first.
 
 Tables, derivation matrices and character values hold Scalars.  Each
 algebra and derivation also caches its table as sparse raw rows in the
-field's kernel form (over Q an integral value is an int), which the
-check_* functions read: they turn the defining laws into verdicts with
-explicit first witnesses, iterated in deterministic index order, and
-make Scalars (Field.wrap) only to render a witness.
+field's kernel form (over Q an integral value is an int), and every
+product goes through one kernel on them, combine_rows: element products,
+derivation images and the check_* functions, which turn the defining
+laws into verdicts with explicit first witnesses, iterated in
+deterministic index order.  Scalars (Field.wrap) are made only for a
+public result or to render a witness.
 """
 
 from __future__ import annotations
@@ -97,40 +99,6 @@ def check_table_size(what: str, dim: int, table: tuple = None,
 
 
 # ---------------------------------------------------------------------------
-# structure-constant contraction
-
-def combine(vectors, coeffs, size: int, zero) -> tuple:
-    """sum_j coeffs[j] * vectors[j] as a coefficient tuple of length
-    `size`; zero coefficients and zero entries are skipped."""
-    out = [zero] * size
-    for vec, c in zip(vectors, coeffs):
-        if not c:
-            continue
-        for k, x in enumerate(vec):
-            if x:
-                out[k] = out[k] + c * x
-    return tuple(out)
-
-
-def contract(table, u, v, size: int, zero) -> tuple:
-    """sum_{i,j} u[i] * v[j] * table[i][j] for a structure tensor; its own
-    loop, as combine over combines would build a vector per nonzero u[i]."""
-    out = [zero] * size
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = table[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            s = ui * vj
-            for k, x in enumerate(row[j]):
-                if x:
-                    out[k] = out[k] + s * x
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # sparse raw rows
 #
 # A sparse row {k: value} holds the nonzero entries of a coefficient
@@ -165,6 +133,14 @@ def combine_rows(reduce, *terms) -> dict:
         if v:
             out[k] = v
     return out
+
+
+def product_row(reduce, table, u: dict, v: dict) -> dict:
+    """sum_{i,j} u[i] v[j] table[i][j] for sparse raw rows u, v and a
+    table of them: a product in R, a bracket in L or the action of R on
+    L, through combine_rows."""
+    return combine_rows(reduce, *(({j: c * x for j, x in v.items()},
+                                   table[i]) for i, c in u.items()))
 
 
 def dense_row(fld: Field, row: dict, size: int) -> tuple:
@@ -264,9 +240,10 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._same(other)
             alg = self.algebra
-            return AlgebraElement(alg, contract(
-                alg.mul_table, self.coeffs, other.coeffs, alg.dim,
-                alg.field.zero))
+            row = product_row(alg.field.reduce, alg.sparse_table,
+                              sparse_row(self.coeffs),
+                              sparse_row(other.coeffs))
+            return AlgebraElement(alg, dense_row(alg.field, row, alg.dim))
         if isinstance(other, (Scalar, int)):
             s = self.algebra.field.scalar(other)
             return AlgebraElement(self.algebra,
@@ -462,8 +439,9 @@ class Derivation:
         if elem.algebra != self.algebra:
             raise AlgebraMismatchError("derivation applied across algebras")
         alg = self.algebra
-        return AlgebraElement(alg, combine(
-            zip(*self.matrix), elem.coeffs, alg.dim, alg.field.zero))
+        row = combine_rows(alg.field.reduce,
+                           (sparse_row(elem.coeffs), self.sparse_columns))
+        return AlgebraElement(alg, dense_row(alg.field, row, alg.dim))
 
     def column(self, j: int) -> AlgebraElement:
         return AlgebraElement(self.algebra,
@@ -546,16 +524,6 @@ class Character:
                     v = v * values[var]
             out.append(v)
         return cls(algebra, tuple(out))
-
-
-def multiplication_operator(a: AlgebraElement) -> tuple:
-    """Matrix of left multiplication by `a`; column j is coeffs(a.e_j).
-    Divisibility questions in the algebra are range questions here."""
-    alg = a.algebra
-    cols = [combine([row[j] for row in alg.mul_table], a.coeffs, alg.dim,
-                    alg.field.zero) for j in range(alg.dim)]
-    return tuple(tuple(cols[j][i] for j in range(alg.dim))
-                 for i in range(alg.dim))
 
 
 def commutator_columns(d1: Derivation, d2: Derivation) -> tuple:

@@ -42,9 +42,9 @@ from .finalg import (
     check_work,
     combine_rows,
     commutator_columns,
-    contract,
     dense_row,
     derivation_work,
+    product_row,
     render_linear,
     sparse_row,
     sparse_table,
@@ -71,11 +71,10 @@ class LieAlgebra:
         made on first use and kept by this object, not by its copies."""
         return sparse_table(self.table)
 
-    def bracket_basis(self, a: int, b: int) -> tuple:
-        return self.table[a][b]
-
     def bracket(self, u: tuple, v: tuple) -> tuple:
-        return contract(self.table, u, v, self.dim, self.field.zero)
+        row = product_row(self.field.reduce, self.sparse_table,
+                          sparse_row(u), sparse_row(v))
+        return dense_row(self.field, row, self.dim)
 
     def render(self, vec: tuple) -> str:
         return render_linear(vec, self.labels)
@@ -128,16 +127,14 @@ class ModuleAction:
         on first use and kept by this object, not by its copies."""
         return sparse_table(self.tensor)
 
-    def act_basis(self, i: int, a: int) -> tuple:
-        """Coefficient vector of e_i . xi_a."""
-        return self.tensor[i][a]
-
     def act(self, r: AlgebraElement, vec: tuple) -> tuple:
         """r . (sum_a vec_a xi_a) as an L-coordinate vector."""
         if r.algebra != self.algebra:
             raise AlgebraMismatchError("action applied across algebras")
-        return contract(self.tensor, r.coeffs, vec, self.lie_dim,
-                        self.algebra.field.zero)
+        fld = self.algebra.field
+        row = product_row(fld.reduce, self.sparse_tensor,
+                          sparse_row(r.coeffs), sparse_row(vec))
+        return dense_row(fld, row, self.lie_dim)
 
 
 def character_action(chi: Character, lie_dim: int) -> ModuleAction:

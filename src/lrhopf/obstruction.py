@@ -36,9 +36,9 @@ from .finalg import (
     AlgebraElement,
     Character,
     Derivation,
-    combine,
     combine_rows,
     make_monomial_quotient,
+    sparse_row,
 )
 from .lierinehart import (
     Anchor,
@@ -176,18 +176,22 @@ def verify_partial(p: PartialMap) -> VerdictReport:
                     "condition": "anchor-reconstruction",
                     "pair": [L.labels[a], R.labels[i]],
                     "lhs": str(lhs), "rhs": str(rhs)}])
+    reduce = R.field.reduce
+    values = [sparse_row(v.coeffs) for v in p.values]
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            lhs = R.element(combine([v.coeffs for v in p.values],
-                                    L.bracket_basis(a, b), R.dim,
-                                    R.field.zero))
-            rhs = data.anchor.rho(a).apply(p.values[b]) \
-                - data.anchor.rho(b).apply(p.values[a])
-            if lhs.coeffs != rhs.coeffs:
+            # values applied to [xi_a, xi_b], against
+            # anchor_a(values[b]) - anchor_b(values[a])
+            lhs = combine_rows(reduce, (L.sparse_table[a][b], values))
+            rhs = combine_rows(
+                reduce, (values[b], data.anchor.rho(a).sparse_columns),
+                ({j: -x for j, x in values[a].items()},
+                 data.anchor.rho(b).sparse_columns))
+            if lhs != rhs:
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "condition": "bracket-compatibility",
                     "pair": [L.labels[a], L.labels[b]],
-                    "lhs": str(lhs), "rhs": str(rhs)}])
+                    "lhs": R.render_row(lhs), "rhs": R.render_row(rhs)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         "anchor reconstruction and bracket compatibility replayed on all "
         "basis pairs"])

@@ -772,7 +772,7 @@ def dense_check_anchor_lie_hom(data):
     L = data.L
     for a in range(L.dim):
         for b in range(L.dim):
-            lhs = _dense_of_vector(data.anchor, L.bracket_basis(a, b))
+            lhs = _dense_of_vector(data.anchor, L.table[a][b])
             rhs = _dense_commutator(data.anchor.rho(a), data.anchor.rho(b))
             if lhs.matrix != rhs.matrix:
                 diff = tuple(tuple(x - y for x, y in zip(r1, r2))
@@ -790,8 +790,7 @@ def dense_check_anchor_r_linear(data):
     R, L = data.R, data.L
     for i in range(R.dim):
         for a in range(L.dim):
-            scaled = _dense_of_vector(data.anchor,
-                                      data.action.act_basis(i, a))
+            scaled = _dense_of_vector(data.anchor, data.action.tensor[i][a])
             for j in range(R.dim):
                 lhs = scaled.column(j)
                 image = data.anchor.rho(a).column(j).coeffs

@@ -14,10 +14,13 @@ from lrhopf import (
     CommAlgebra,
     Derivation,
     Field,
+    build_rewrite_system,
     character_action,
     check_leibniz,
     check_lie_algebra,
     check_module_action,
+    enumerate_basis,
+    left_action_on_R,
     make_base_field_algebra,
     make_monomial_quotient,
     tensor_action,
@@ -84,11 +87,31 @@ def _render(L, raw_vec):
     return L.render(tuple(L.field.scalar(x) for x in raw_vec))
 
 
+def _naive_left_action(v, r, R, anchor, p):
+    """The left action of v on r as a dense fold along each word, right
+    to left: an R-letter multiplies, an L-letter applies its anchor."""
+    n = R.dim
+    total = [0] * n
+    for word, c in v.terms.items():
+        acc = oracles.raw(r.coeffs)
+        for letter in reversed(word):
+            if letter.kind == "R":
+                unit = [int(k == letter.index) for k in range(n)]
+                acc = oracles.naive_contract(oracles.raw(R.mul_table), unit,
+                                             acc, n, p)
+            else:
+                acc = oracles.naive_apply(
+                    oracles.raw(anchor.derivations[letter.index].matrix),
+                    acc, p)
+        total = [t + c.value * x for t, x in zip(total, acc)]
+    return [t % p if p else t for t in total]
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
 def test_contractions_match_naive_reference(fld):
     """Random structure tensors, valid or not: every product, bracket,
-    action, derivation image and anchor combination equals the dense
-    raw-value sum."""
+    action, derivation image, anchor combination and left action of the
+    enveloping algebra on R equals the dense raw-value sum."""
     rng = random.Random(f"contract-{fld}")
     p = fld.characteristic
     for _ in range(80):
@@ -121,6 +144,14 @@ def test_contractions_match_naive_reference(fld):
             oracles.naive_of_vector(
                 [oracles.raw(d.matrix) for d in anchor.derivations],
                 oracles.raw(u), p)
+        # compiling the rules and acting on R read the tables only, so
+        # the structure need not be valid
+        env = enumerate_basis(build_rewrite_system(LieRinehartData(
+            R=R, L=L, action=action, anchor=anchor, validated=True)), 1)
+        for _ in range(3):
+            w = oracles.random_nc_element(rng, env.system)
+            assert oracles.raw(left_action_on_R(w, r, env).coeffs) == \
+                _naive_left_action(w, r, R, anchor, p)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)

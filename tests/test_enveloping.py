@@ -3,11 +3,13 @@
 import dataclasses
 import gc
 import itertools
+import json
 import random
 import signal
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, assume, given, settings,
@@ -31,6 +33,7 @@ from lrhopf import (
     make_character_module,
     multiply_truncated,
     normal_form,
+    parse_problem_text,
     r_letter,
     relation_elements,
     solve_linear,
@@ -729,6 +732,12 @@ def test_left_action_frozen(obstructed, obstructed_env, q):
     assert left_action_on_R(NCElement.unit(q), x, env).coeffs == x.coeffs
 
 
+def test_left_action_refuses_a_foreign_field(obstructed, obstructed_env):
+    x = obstructed[0].basis_element(1)
+    with pytest.raises(FieldMismatchError):
+        left_action_on_R(NCElement.unit(Field(7)), x, obstructed_env)
+
+
 def test_left_action_is_multiplicative(obstructed, obstructed_env):
     R = obstructed[0]
     env = obstructed_env
@@ -1086,3 +1095,26 @@ def test_certificate_replay_refuses_foreign_fields_and_tall_targets(
     with pytest.raises(DegreeOverflowError):
         verify_divide_certificate(x, NCElement.from_word(
             q, (l_letter(0),) * (env.degree + 1)), env, cert)
+
+
+def test_witness_replay_refuses_a_foreign_field(q):
+    """A witness over Q replayed on a GF(5) copy of tests/data/sl2.lrh is
+    refused, as the certificate replay refuses a certificate over another
+    field: 1/2 solves 2e.z = e over Q, but is no GF(5) value."""
+    doc = json.loads((Path(__file__).parent / "data" / "sl2.lrh").read_text())
+    doc["field"] = {"kind": "prime-field", "p": 5}
+    data = parse_problem_text(json.dumps(doc)).to_data()
+    assert all(r.ok for r in validate_lie_rinehart(data))
+    system = build_rewrite_system(dataclasses.replace(data, validated=True))
+    env = enumerate_basis(system, 2)
+    gf5 = system.field
+    e = NCElement.from_word(gf5, (l_letter(0),))
+    g = 2 * e
+    found = left_divide(g, e, env)
+    assert found.feasible and verify_divide_witness(g, e, env, found.witness)
+    foreign = (q.scalar(Fraction(1, 2)),) + (q.zero,) * (env.dim - 1)
+    with pytest.raises(FieldMismatchError):
+        verify_divide_witness(g, e, env, foreign)
+    with pytest.raises(FieldMismatchError):
+        verify_divide_witness(g, NCElement.from_word(q, (l_letter(0),)),
+                              env, found.witness)

@@ -20,7 +20,6 @@ from lrhopf import (
     derivation_commutator,
     make_base_field_algebra,
     make_monomial_quotient,
-    multiplication_operator,
 )
 
 from lrhopf.finalg import MAX_CHECK_WORK, MAX_MONOMIALS, table_work
@@ -255,15 +254,6 @@ def test_base_field_algebra(q):
     assert K.dim == 1
     assert check_algebra_axioms(K).ok
     assert check_character(K, (q.one,)).ok
-
-
-def test_multiplication_operator_columns(q):
-    R = make_monomial_quotient(("x", "y"), ("x*y", "x^2", "y^2"), q)
-    x = R.basis_element(1)
-    M = multiplication_operator(x)
-    # columns are x*1 = x, x*x = 0, x*y = 0
-    assert tuple(M[i][0] for i in range(3)) == x.coeffs
-    assert all(not M[i][1] and not M[i][2] for i in range(3))
 
 
 def test_unknown_label_is_an_input_error(q):

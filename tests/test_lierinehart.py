@@ -121,8 +121,8 @@ def test_character_action_uses_scalar_rule(q):
 def test_tensor_action_unit_defaults_to_identity(q):
     R = make_monomial_quotient(("x",), ("x^2",), q)
     act = tensor_action(R, 1, {})
-    assert act.act_basis(0, 0) == (q.one,)
-    assert act.act_basis(1, 0) == (q.zero,)
+    assert act.tensor[0][0] == (q.one,)
+    assert act.tensor[1][0] == (q.zero,)
     assert check_module_action(R, act).ok
 
 

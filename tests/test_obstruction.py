@@ -1,6 +1,7 @@
 """Partial-map solving, right-action certification, the full pipeline."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from dataclasses import replace
 from functools import partial
@@ -32,6 +33,10 @@ from lrhopf import (
     solve_partial,
     tensor_action,
     theorem1_pipeline,
+    validate_lie_rinehart,
+    verify_certificate,
+    verify_divide_certificate,
+    verify_divide_witness,
     verify_partial,
 )
 from lrhopf import obstruction
@@ -381,3 +386,47 @@ def test_divisibility_replay_still_guards_the_pipeline(fake, q, monkeypatch,
     assert main(["theorem1", "--degree", "5"]) == 3
     err = capsys.readouterr().err
     assert "left-divisibility" in err and "degree 5" in err
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_random_queries_replay_their_evidence(p):
+    """On seeded valid structures over Q, GF(2) and GF(3), every answer
+    replays.  left_divide on random g and t, or on t = g.s for a random
+    s, gives a witness that verify_divide_witness accepts or a
+    certificate that verify_divide_certificate accepts.  On
+    character-kind structures solve_partial gives a candidate that
+    verify_partial and the right-action check accept, or a certificate
+    that verify_certificate accepts.  Both verdicts occur for both."""
+    fld = Field(p)
+    rng = random.Random(f"random-queries/{p}")
+    divides, partials = Counter(), Counter()
+    for _ in range(30):
+        data = oracles.random_valid_structure(rng, fld)
+        assert all(r.ok for r in validate_lie_rinehart(data))
+        data = replace(data, validated=True)
+        system = build_rewrite_system(data)
+        env = enumerate_basis(system, 3)  # holds every random s
+        for _ in range(4):
+            g = oracles.random_nc_element(rng, system)
+            t = oracles.random_nc_element(rng, system)
+            if rng.random() < 0.5:
+                t = g.concat(t)
+            out = left_divide(g, t, env)
+            divides[out.feasible] += 1
+            if out.feasible:
+                assert verify_divide_witness(g, t, env, out.witness)
+            else:
+                assert verify_divide_certificate(g, t, env, out.certificate)
+        if data.action.kind != "character":
+            continue
+        out = solve_partial(data)
+        partials[out.feasible] += 1
+        if out.feasible:
+            candidate = partial_map_from_witness(data, out)
+            assert verify_partial(candidate).ok
+            assert build_and_verify_right_action(candidate, env).ok
+        else:
+            assert verify_certificate(partial_map_system(data),
+                                      out.certificate)
+    assert set(divides) == set(partials) == {True, False}, (divides,
+                                                              partials)
