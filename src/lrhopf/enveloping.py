@@ -23,8 +23,9 @@ is the solver's path.  It moves an L-letter past a whole power a^i of a
 normal word in one step, by the binomial formula for x.a^i in U(L) (de
 Graaf, Lie Algebras: Theory and Algorithms, ch. 6), where rewriting
 takes i swaps.  The confluence check and the divisibility replays reduce
-by leftmost rewriting, one rule at a time, on raw values too but with a
-memo of its own, so they check the solver's products by another
+by leftmost rewriting, one rule at a time.  The two are steps of one
+reduction loop with one step budget, on raw values, but each keeps a
+memo of its own, so the replays check the solver's products by another
 algorithm and without sharing its bookkeeping.
 Raw values are in the field's kernel form (`Field.kernel`): over Q an
 integral coefficient is an int, in the compiled rules, the memos and the
@@ -329,26 +330,24 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     redex at a time: the independent path of the replays and the
     confluence check.
 
-    Each strategy memoises the normal forms of the words it reduces on
-    the system, as raw field values; a Scalar is made only for the
-    returned element.  The work is one loop over an explicit stack, so
-    word length is not capped by recursion, and the step budget is one
-    reduction per word per call.  No rule body is longer than the pair it
-    replaces and every letter comes from the finite tables, so only
-    finitely many words occur, and reduction fails to terminate only by
-    cycling.  A successor that is still pending (an ancestor on the
-    stack) or longer than its word therefore raises RewriteBudgetError,
-    an internal error, at the first repeat."""
+    Both strategies are steps of one loop (`_reduce`), and each memoises
+    the normal forms of the words it reduces on the system in a memo of
+    its own, as raw field values; a Scalar is made only for the returned
+    element.  The loop runs over an explicit stack, so word length is not
+    capped by recursion, and the step budget is one step per word per
+    call.  No rule body is longer than the pair it replaces and every
+    letter comes from the finite tables, so only finitely many words
+    occur, and reduction fails to terminate only by cycling.  A successor
+    that is still pending (an ancestor on the stack) or longer than its
+    word therefore raises RewriteBudgetError, an internal error, at the
+    first repeat."""
     fld = system.field
     if elem.field is not fld and elem.field != fld:
         raise FieldMismatchError("element and rewrite system over "
                                  "different fields")
-    if strategy == "collect":
-        memo = _collect(elem.terms, system)
-    elif strategy == "leftmost":
-        memo = _rewrite(elem.terms, system)
-    else:
+    if strategy not in _STEPS:
         raise LrhInputError(f"unknown reduction strategy {strategy!r}")
+    memo = _reduce(elem.terms, system, strategy)
     total = _combine({}, _kernel_terms(elem), memo, fld.reduce)
     return _from_raw(fld, total.items())
 
@@ -365,14 +364,14 @@ def _combine(out: dict, terms, memo: dict, reduce) -> dict:
     return {w: r for w, v in out.items() if (r := reduce(v))}
 
 
-def _unreduced(system: RewriteSystem, word: tuple, successors,
-               memo: dict, pending) -> list:
-    """The successors of `word` not reduced yet.  One that is in
-    `pending`, still waiting for its own successors, or longer than `word`
-    breaks the step budget."""
-    missing = [w for w in successors if w not in memo]
+def _unreduced(system: RewriteSystem, word: tuple, terms,
+               memo: dict, waiting) -> list:
+    """The successor words of the (word, raw value) `terms` not reduced
+    yet.  One that is in `waiting`, still waiting for its own successors,
+    or longer than `word` breaks the step budget."""
+    missing = [w for w, _ in terms if w not in memo]
     for w in missing:
-        if w in pending or len(w) > len(word):
+        if w in waiting or len(w) > len(word):
             raise RewriteBudgetError(
                 f"rewriting {system.render_word(word)} gave "
                 f"{system.render_word(w)}, a "
@@ -384,52 +383,22 @@ def _unreduced(system: RewriteSystem, word: tuple, successors,
     return missing
 
 
-def _rewrite(words, system: RewriteSystem) -> dict:
-    """The leftmost-rewriting memo, holding every word of `words`.  A word
-    is rewritten once at its leftmost redex, waits for its successors, then
-    combines their normal forms.  A word whose one-step reduct is a single
-    successor with coefficient one shares that successor's memo entry,
-    as in collection; entries never change once stored."""
-    memo = system.normal_forms.setdefault("leftmost", {})
-    reduce = system.field.reduce
-    pending = {}  # word rewritten in this call -> its one-step reduct
-    stack = list(words)
-    while stack:
-        word = stack[-1]
-        if word in memo:
-            stack.pop()
-            continue
-        stepped = pending.get(word)
-        if stepped is None:
-            pos = find_redex(word, system)
-            if pos < 0:
-                memo[word] = {word: 1}
-                stack.pop()
-                continue
-            stepped = pending[word] = rewrite_once_at(word, pos, system)
-            missing = _unreduced(system, word, (w for w, _ in stepped),
-                                 memo, pending)
-            if missing:
-                stack.extend(missing)
-                continue
-        memo[word] = _planned(({}, stepped), memo, reduce)
-        stack.pop()
-    return memo
+_SUFFIX = object()  # a step waiting for the normal form of its suffix
 
 
-_SUFFIX = object()  # a frame waiting for the normal form of its suffix
-
-
-def _collect(words, system: RewriteSystem) -> dict:
-    """The collection memo, holding every word of `words`.  The stack
-    holds (word, state) frames: a new word, a word x.rest waiting for
-    NF(rest), or a word with its plan, waiting for the normal forms of its
-    successors.  A plan is the raw coefficients of the normal words the
-    word already knows and the (successor, raw coefficient) terms it
-    needs.  A plan with no successors is stored as it stands, and a word
-    whose plan is one successor with coefficient one shares that
-    successor's memo entry; entries never change once stored."""
-    memo = system.normal_forms.setdefault("collect", {})
+def _reduce(words, system: RewriteSystem, strategy: str) -> dict:
+    """The memo of `strategy`, holding every word of `words`.  The
+    strategy's step turns a word into its plan: the raw coefficients of
+    the normal words it already knows and the (successor, raw
+    coefficient) terms it needs.  The collection step may instead answer
+    _SUFFIX: the word x.rest then waits for NF(rest), and x is folded onto
+    it.  The stack holds (word, state) frames: a new word, a word waiting
+    for its suffix, or a word with its plan, waiting for the normal forms
+    of its successors.  A plan with no successors is stored as it stands,
+    and a word whose plan is one successor with coefficient one shares
+    that successor's memo entry; entries never change once stored."""
+    memo = system.normal_forms.setdefault(strategy, {})
+    step = _STEPS[strategy]
     reduce = system.field.reduce
     waiting = set()  # words with a plan whose successors are not reduced
     stack = [(word, None) for word in words]
@@ -438,21 +407,10 @@ def _collect(words, system: RewriteSystem) -> dict:
         if state is None:
             if word in memo:
                 continue
-            if len(word) < 2:
-                memo[word] = {word: 1}
+            plan = step(system, word, memo)
+            if plan is _SUFFIX:  # the suffix is shorter: never waiting
+                stack += ((word, _SUFFIX), (word[1:], None))
                 continue
-            x, y = word[0], word[1]
-            rhs = None if x.kind == y.kind == L_KIND else \
-                pair_rule(system, x, y)
-            if rhs is not None:
-                tail = word[2:]
-                plan = {}, [(body + tail, c) for body, c in rhs]
-            else:
-                reduced = memo.get(word[1:])
-                if reduced is None:  # the suffix is shorter: never waiting
-                    stack += ((word, _SUFFIX), (word[1:], None))
-                    continue
-                plan = _fold(system, x, reduced)
         elif state is _SUFFIX:
             plan = _fold(system, word[0], memo[word[1:]])
         else:
@@ -462,8 +420,7 @@ def _collect(words, system: RewriteSystem) -> dict:
         if not plan[1]:
             memo[word] = plan[0]
             continue
-        missing = _unreduced(system, word, [w for w, _ in plan[1]],
-                             memo, waiting)
+        missing = _unreduced(system, word, plan[1], memo, waiting)
         if missing:
             waiting.add(word)
             stack.append((word, plan))
@@ -471,6 +428,35 @@ def _collect(words, system: RewriteSystem) -> dict:
         else:
             memo[word] = _planned(plan, memo, reduce)
     return memo
+
+
+def _leftmost_step(system: RewriteSystem, word: tuple, memo: dict) -> tuple:
+    """The plan of one rewrite at the leftmost redex; an irreducible word
+    is its own normal form."""
+    pos = find_redex(word, system)
+    if pos < 0:
+        return {word: 1}, ()
+    return {}, rewrite_once_at(word, pos, system)
+
+
+def _collect_step(system: RewriteSystem, word: tuple, memo: dict):
+    """The plan of x.rest: the rule's bodies in front of rest[1:] when
+    (x, rest[0]) holds an R-letter and is a rule, else x folded onto
+    NF(rest), or _SUFFIX while NF(rest) is not in the memo."""
+    if len(word) < 2:
+        return {word: 1}, ()
+    x, y = word[0], word[1]
+    rhs = None if x.kind == y.kind == L_KIND else pair_rule(system, x, y)
+    if rhs is not None:
+        tail = word[2:]
+        return {}, [(body + tail, c) for body, c in rhs]
+    reduced = memo.get(word[1:])
+    if reduced is None:
+        return _SUFFIX
+    return _fold(system, x, reduced)
+
+
+_STEPS = {"collect": _collect_step, "leftmost": _leftmost_step}
 
 
 def _planned(plan: tuple, memo: dict, reduce) -> dict:
@@ -501,19 +487,18 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
         if rhs is None:
             normal[(x,) + v] = d
             continue
-        a, expansion = v[0], None
-        if x.kind == a.kind == L_KIND and v[1:2] == (a,):
-            i = 2
-            while i < len(v) and v[i] == a:
-                i += 1
-            expansion = system.expansions.get((x, a, i))
-            if expansion is None:
-                expansion = system.expansions[x, a, i] = \
-                    _syllable(system, x, a, i)
-        if expansion is None:
+        a = v[0]
+        if x.kind != L_KIND or a.kind != L_KIND or v[1:2] != (a,):
             tail = v[1:]
             terms += [(body + tail, d * c) for body, c in rhs]
             continue
+        i = 2
+        while i < len(v) and v[i] == a:
+            i += 1
+        expansion = system.expansions.get((x, a, i))
+        if expansion is None:
+            expansion = system.expansions[x, a, i] = \
+                _syllable(system, x, a, i)
         w = v[i:]
         follows = w and w[0]
         for head, c, k, blocked in expansion:
@@ -534,13 +519,11 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
     return normal, terms
 
 
-def _syllable(system: RewriteSystem, x: Letter, a: Letter, i: int):
+def _syllable(system: RewriteSystem, x: Letter, a: Letter, i: int) -> list:
     """x.a^i = sum_s C(i, s) a^(i-s).D^s(x) for D(y) = [y, a], as a list
     of (a^(i-s).c, c, raw value, whether (a, c) is a rule) over the
     L-letters c of each D^s(x), s = 0..i, up to the first D^s(x) that is
-    zero.  D(c) is read from the rule at (c, a), or at (a, c) with the
-    sign changed.  None when a rule read is not a swap followed by single
-    L-letters: the syllable step then does not apply."""
+    zero."""
     reduce = system.field.reduce
     out, power = [], {x: 1}
     for s in range(i + 1):
@@ -553,10 +536,7 @@ def _syllable(system: RewriteSystem, x: Letter, a: Letter, i: int):
             break
         nxt = {}
         for c, f in power.items():
-            bracket = _bracket(system, c, a)
-            if bracket is None:
-                return None
-            for b, g in bracket:
+            for b, g in _bracket(system, c, a):
                 nxt[b] = nxt.get(b, 0) + f * g
         power = {b: r for b, v in nxt.items() if (r := reduce(v))}
         if not power:
@@ -564,20 +544,18 @@ def _syllable(system: RewriteSystem, x: Letter, a: Letter, i: int):
     return out
 
 
-def _bracket(system: RewriteSystem, c: Letter, a: Letter):
-    """The (L-letter, raw value) terms of [c, a] as the rules state it, or
-    None when the rule at (c, a) or (a, c) does not have the shape of a
-    bracket rule: the swap with coefficient one, then single L-letters."""
+def _bracket(system: RewriteSystem, c: Letter, a: Letter) -> list:
+    """The (L-letter, raw value) terms of [c, a] for L-letters c and a.
+    Every L-pair rule is compiled as the swap with coefficient one
+    followed by single L-letters, so [c, a] is the rule at (c, a) past
+    its swap, or the rule at (a, c) past its swap with the sign
+    changed."""
     if c == a:
         return []
-    sign, rhs = 1, pair_rule(system, c, a)
-    if rhs is None:
-        sign, rhs = -1, pair_rule(system, a, c)
-        c, a = a, c
-    if not rhs or rhs[0] != ((a, c), 1) or any(
-            len(body) != 1 or body[0].kind != L_KIND for body, _ in rhs[1:]):
-        return None
-    return [(body[0], sign * f) for body, f in rhs[1:]]
+    rhs = pair_rule(system, c, a)
+    if rhs is not None:
+        return [(body[0], f) for body, f in rhs[1:]]
+    return [(body[0], -f) for body, f in pair_rule(system, a, c)[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +664,7 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
                        for z in after.get(y, ())), key=_word_sort_key)
     for word in overlaps:
         left, right = (rewrite_once_at(word, pos, system) for pos in (0, 1))
-        memo = _rewrite([w for w, _ in left + right], system)
+        memo = _reduce([w for w, _ in left + right], system, "leftmost")
         left, right = (_combine({}, terms, memo, system.field.reduce)
                        for terms in (left, right))
         if left != right:
@@ -797,7 +775,8 @@ def left_divide(g: NCElement, t: NCElement,
             f"{extended.degree}")
     check_solve_size(extended.dim, env.dim)
     columns = _columns(g, env.basis)
-    memo = _collect([w for terms in columns for w, _ in terms], system)
+    memo = _reduce([w for terms in columns for w, _ in terms], system,
+                   "collect")
     position = extended.locate()
     entries = [(position(w), col, fld.wrap(c))
                for col, terms in enumerate(columns)
@@ -846,8 +825,8 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
     u = [fld.kernel(s.value) for s in certificate]
     columns = _columns(g, env.basis)
     target = _kernel_terms(t)
-    memo = _rewrite([w for terms in columns + [target] for w, _ in terms],
-                    system)
+    memo = _reduce([w for terms in columns + [target] for w, _ in terms],
+                   system, "leftmost")
     position = extended.locate()
 
     def value(terms):

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from lrhopf import (
 )
 import lrhopf.cli as cli
 from lrhopf.cli import main, parse_field_flag
+import oracles
 from lrhopf.problemfile import (
     PRESETS,
     ProblemFile,
@@ -482,6 +484,16 @@ def test_divide_command_both_verdicts(capsys):
     assert "not a left multiple" in out
 
 
+def test_divide_refuses_a_target_beyond_the_representable_degree(capsys):
+    """g = x has degree 0, so at degree 0 no product x.z reaches the
+    degree-1 target a."""
+    assert main(["divide", "obstructed-example", "--left", "x",
+                 "--target", "a", "--degree", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "target degree 1 exceeds the representable bound 0" in err
+
+
 def test_theorem1_command(capsys):
     assert main(["theorem1", "--degree", "4"]) == 0
     out = capsys.readouterr().out
@@ -793,3 +805,51 @@ def test_partial_replays_its_evidence(fake, problem, fmt, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert "right-extension-system" in err and "replay failed" in err
+
+
+def _random_expression(rng, labels):
+    """A signed sum of one to three generator terms, some scaled."""
+    text = ""
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randint(1, 3)
+        term = rng.choice(labels) if c == 1 else f"{c}*{rng.choice(labels)}"
+        text += rng.choice("+-") + term
+    return text.lstrip("+")
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_random_problem_files_run_cleanly(p, tmp_path, capsys):
+    """Seeded valid structures, rendered to problem files, run through
+    partial (character actions only) and divide with random generator
+    expressions, in both formats: 30 structures, and more until both
+    commands have given both verdicts.  Both commands replay their evidence before they print, so
+    every run exiting 0 also checks the replays end to end."""
+    fld = Field(p)
+    rng = random.Random(f"random-problem-files/{p}")
+    path = tmp_path / "random.lrh"
+    verdicts, drawn = set(), 0
+    while drawn < 30 or len(verdicts) < 4 and drawn < 100:
+        drawn += 1
+        data = oracles.random_valid_structure(rng, fld)
+        path.write_text(render_problem(ProblemFile(
+            field=fld, R=data.R, L=data.L, anchor=data.anchor,
+            action=data.action)))
+        labels = data.R.labels + data.L.labels
+        runs = [["divide", str(path),
+                 f"--left={_random_expression(rng, labels)}",
+                 f"--target={_random_expression(rng, labels)}",
+                 f"--degree={rng.randint(1, 3)}"]]
+        if data.action.kind == "character":
+            runs.append(["partial", str(path)])
+        for argv in runs:
+            for fmt in ("text", "structured"):
+                assert main(argv + ["--format", fmt]) == 0, argv
+                out = capsys.readouterr().out
+                if fmt == "structured":
+                    doc = json.loads(out)
+                    assert doc["command"] == argv[0]
+                    verdicts.add((argv[0], doc["reports"][0]["verdict"]))
+                else:
+                    assert "verdict=" in out
+    assert verdicts == {(command, verdict) for command in ("divide", "partial")
+                        for verdict in ("feasible", "infeasible")}

@@ -43,6 +43,7 @@ from lrhopf import obstruction
 from lrhopf.cli import main
 from lrhopf.lierinehart import LieRinehartData
 from lrhopf.obstruction import PartialMap, right_act_word
+from lrhopf.reports import FAIL
 
 import oracles
 
@@ -128,6 +129,24 @@ def test_forced_candidates_fail_verification(obstructed, q):
     rep2 = verify_partial(unit)
     assert not rep2.ok
     assert rep2.witnesses[0]["lhs"] == "x"
+
+
+def test_bracket_compatibility_witness(q):
+    """On K[x]/(x^2) with L abelian on a and b, anchored by the Euler
+    derivation x |-> x for a and by 0 for b, the candidate (1, x)
+    reconstructs both anchors, so only the bracket side refutes it:
+    values on [a, b] = 0 give 0, against rho_a(x) - rho_b(1) = x."""
+    R = make_monomial_quotient(("x",), ("x^2",), q)
+    L = lie_algebra_from_brackets(q, ("a", "b"), {})
+    x = R.basis_element(1)
+    anchor = Anchor((Derivation.from_variable_images(R, {"x": x}),
+                     Derivation.zero(R)))
+    chi = Character.from_variable_values(R, {"x": q.zero})
+    data = make_character_module(R, L, anchor, chi)
+    rep = verify_partial(PartialMap(data=data, values=(R.unit, x)))
+    assert not rep.ok
+    assert rep.witnesses == [{"condition": "bracket-compatibility",
+                              "pair": ["a", "b"], "lhs": "0", "rhs": "x"}]
 
 
 def test_forced_candidate_breaks_right_action(obstructed, q):
@@ -386,6 +405,44 @@ def test_divisibility_replay_still_guards_the_pipeline(fake, q, monkeypatch,
     assert main(["theorem1", "--degree", "5"]) == 3
     err = capsys.readouterr().err
     assert "left-divisibility" in err and "degree 5" in err
+
+
+def _failed_report(real, *args):
+    return replace(real(*args), verdict=FAIL)
+
+
+def _zeroed_solve(real, system):
+    out = real(system)
+    return replace(out, certificate=(system.field.zero,)
+                   * len(out.certificate))
+
+
+def _claimed_solution(real, system):
+    return SolveOutcome(verdict="feasible",
+                        witness=(system.field.zero,) * system.cols,
+                        nullity=0, nullspace=())
+
+
+@pytest.mark.parametrize("target, fake, step", [
+    ("character_criterion", _failed_report, "character-criterion"),
+    ("check_local_confluence", _failed_report, "local-confluence"),
+    ("solve_linear", _zeroed_solve, "right-extension-system"),
+    ("solve_linear", _claimed_solution, "right-extension-system"),
+], ids=["criterion", "confluence", "zeroed-certificate", "claimed-witness"])
+def test_every_pipeline_step_is_guarded(target, fake, step, q, monkeypatch,
+                                        capsys):
+    """A failed criterion or confluence report, an extension certificate
+    the replay cannot confirm, or a claimed extension stops the pipeline
+    at its own step: theorem1 exits 3 and prints nothing."""
+    monkeypatch.setattr(obstruction, target,
+                        partial(fake, getattr(obstruction, target)))
+    with pytest.raises(PipelineError) as caught:
+        theorem1_pipeline(q, degree=4)
+    assert caught.value.step == step
+    assert main(["theorem1", "--degree", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"pipeline step '{step}' diverged" in err
 
 
 @pytest.mark.parametrize("p", (0, 2, 3))
