@@ -26,7 +26,10 @@ takes i swaps.  The confluence check and the divisibility replays reduce
 by leftmost rewriting, one rule at a time.  The two are steps of one
 reduction loop with one step budget, on raw values, but each keeps a
 memo of its own, so the replays check the solver's products by another
-algorithm and without sharing its bookkeeping.
+algorithm and without sharing its bookkeeping.  The certificate replay
+builds its columns one degree at a time, by NF(g.w'.l) = NF(NF(g.w').l)
+for a basis word w'.l, which holds because the rules are confluent, and
+stops at the first degree whose columns are all zero.
 Raw values are in the field's kernel form (`Field.kernel`): over Q an
 integral coefficient is an int, in the compiled rules, the memos and the
 divisibility systems, and a Scalar is made only for what is returned.
@@ -808,10 +811,17 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
                               env: TruncatedEnvelope,
                               certificate: tuple) -> bool:
     """Independent check that the functional kills every column g.w and
-    does not kill the target.  The products and the target are
-    normalised in one pass of leftmost rewriting, never through the
-    collection memo left_divide filled, and each column is combined
-    before it meets the certificate in a dot product on raw values."""
+    does not kill the target.  The columns are built one degree at a
+    time: every prefix of a basis word is a basis word, so for w = w'.l
+    the column NF(g.w) is NF(NF(g.w').l), and the words of one degree
+    are normalised in one pass of leftmost rewriting, never through the
+    collection memo left_divide filled.  Each column meets the
+    certificate in a dot product on raw values as it is made.  Like
+    normalising each g.w from scratch, this relies on the confluence
+    that makes NF well defined on U.  A degree whose columns are all
+    zero ends the loop, since every later column is the normal form of
+    one of them times more letters.  The target is normalised and
+    checked last."""
     system = env.system
     fld = system.field
     g = normal_form(g, system, "leftmost")  # rows sized as in left_divide
@@ -823,20 +833,35 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
         raise FieldMismatchError("certificate, target and rewrite system "
                                  "over different fields")
     u = [fld.kernel(s.value) for s in certificate]
-    columns = _columns(g, env.basis)
-    target = _kernel_terms(t)
-    memo = _reduce([w for terms in columns + [target] for w, _ in terms],
-                   system, "leftmost")
     position = extended.locate()
+    reduce = fld.reduce
 
-    def value(terms):
-        # only the normal form's few terms meet the certificate
-        normal = _normal_column(terms, memo, fld.reduce)
-        return fld.reduce(sum(u[position(w)] * c for w, c in normal.items()))
+    def value(normal):
+        return reduce(sum(u[position(w)] * c for w, c in normal.items()))
 
-    if any(value(terms) for terms in columns):
-        return False
-    return bool(value(target))
+    basis = system.grow_basis(env.dim)
+    # degree 0 extends the empty prefix, whose column is g: the empty word
+    # by no letter, and each non-unit R-letter by itself
+    columns, start = {(): dict(_kernel_terms(g))}, 0
+    for degree in range(env.degree + 1):
+        end = TruncatedEnvelope(system, degree).dim
+        words = basis[start:end]
+        products = [[(v + w[-1:], c) for v, c in
+                     columns.get(w[:-1], {}).items()] for w in words]
+        memo = _reduce([v for terms in products for v, _ in terms], system,
+                       "leftmost")
+        columns, start = {}, end
+        for w, terms in zip(words, products):
+            normal = _normal_column(terms, memo, reduce)
+            if value(normal):
+                return False
+            if normal:
+                columns[w] = normal
+        if not columns:
+            break
+    target = _kernel_terms(t)
+    memo = _reduce([w for w, _ in target], system, "leftmost")
+    return bool(value(_normal_column(target, memo, reduce)))
 
 
 def verify_divide_witness(g: NCElement, t: NCElement,

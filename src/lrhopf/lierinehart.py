@@ -338,9 +338,11 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
     _check_shapes(data)
     name = "anchor-lie-homomorphism"
     R, L, anchor = data.R, data.L, data.anchor
+    zero = ({},) * R.dim
     for a in range(L.dim):
         for b in range(L.dim):
-            lhs = anchor.columns_of(L.sparse_table[a][b])
+            bracket = L.sparse_table[a][b]
+            lhs = anchor.columns_of(bracket) if bracket else zero
             rhs = commutator_columns(anchor.rho(a), anchor.rho(b))
             if lhs != rhs:
                 lhs, rhs = (Derivation.from_columns(R, cols).matrix

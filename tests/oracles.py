@@ -10,8 +10,10 @@ raw values, and normal forms by rewriting the rightmost redex first.
 Tests compare the package's answers against these.  The
 exceptions are the package's former dense code, kept verbatim as
 references that the sparse code must reproduce exactly: ``dense_solve``,
-its dense elimination, and the ``dense_check_*`` functions, its axiom
-checks on dense Scalar tables.
+its dense elimination, the ``dense_check_*`` functions, its axiom
+checks on dense Scalar tables, and
+``reference_verify_divide_certificate``, its certificate replay that
+normalises every column from scratch.
 """
 
 from dataclasses import replace
@@ -27,17 +29,22 @@ from lrhopf import (
     CommAlgebra,
     Derivation,
     Field,
+    FieldMismatchError,
     LieRinehartData,
     NCElement,
     SolveOutcome,
     VerdictReport,
     character_action,
     check_derivation,
+    enumerate_basis,
     lie_algebra_from_brackets,
     make_base_field_algebra,
     make_monomial_quotient,
+    normal_form,
     tensor_action,
 )
+from lrhopf.enveloping import (_columns, _kernel_terms, _normal_column,
+                               _reduce)
 from lrhopf.finalg import render_linear
 
 
@@ -405,6 +412,39 @@ def rightmost_normal_form(elem, system):
             stack.pop()
     total = combine((w, c.value) for w, c in elem.terms.items())
     return NCElement(fld, {w: fld.scalar(v) for w, v in total.items()})
+
+
+def reference_verify_divide_certificate(g, t, env, certificate):
+    """The package's former certificate replay, kept verbatim as the
+    reference for the degree-by-degree one: every column g.w and the
+    target are normalised from scratch, in one pass of leftmost
+    rewriting, and each column meets the certificate in a dot product
+    on raw values."""
+    system = env.system
+    fld = system.field
+    g = normal_form(g, system, "leftmost")  # rows sized as in left_divide
+    extended = enumerate_basis(system, env.degree + g.degree)
+    if len(certificate) != extended.dim:
+        return False
+    if any(x.field is not fld and x.field != fld
+           for x in (t, *certificate)):
+        raise FieldMismatchError("certificate, target and rewrite system "
+                                 "over different fields")
+    u = [fld.kernel(s.value) for s in certificate]
+    columns = _columns(g, env.basis)
+    target = _kernel_terms(t)
+    memo = _reduce([w for terms in columns + [target] for w, _ in terms],
+                   system, "leftmost")
+    position = extended.locate()
+
+    def value(terms):
+        # only the normal form's few terms meet the certificate
+        normal = _normal_column(terms, memo, fld.reduce)
+        return fld.reduce(sum(u[position(w)] * c for w, c in normal.items()))
+
+    if any(value(terms) for terms in columns):
+        return False
+    return bool(value(target))
 
 
 # ---------------------------------------------------------------------------

@@ -1097,6 +1097,133 @@ def test_certificate_replay_refuses_foreign_fields_and_tall_targets(
             q, (l_letter(0),) * (env.degree + 1)), env, cert)
 
 
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_certificate_replay_agrees_with_the_reference(p):
+    """The degree-by-degree replay accepts or refuses exactly as the
+    former replay, which normalises every column from scratch
+    (oracles.reference_verify_divide_certificate): on the certificates
+    left_divide gives for divisors of one to three terms on seeded valid
+    structures over Q, GF(2) and GF(3), and on copies of each with one
+    entry perturbed.  Both verdicts occur."""
+    fld = Field(p)
+    rng = random.Random(f"replay-reference/{p}")
+    verdicts = []
+    for _ in range(25):
+        data = oracles.random_valid_structure(rng, fld)
+        system = build_rewrite_system(dataclasses.replace(data,
+                                                          validated=True))
+        env = enumerate_basis(system, 3)
+        for _ in range(3):
+            g = oracles.random_nc_element(rng, system, max_terms=3)
+            t = oracles.random_nc_element(rng, system)
+            out = left_divide(g, t, env)
+            if out.feasible:
+                continue
+            copies = [out.certificate]
+            for _ in range(3):
+                k = rng.randrange(len(out.certificate))
+                delta = fld.scalar(rng.randint(1, p - 1) if p else
+                                   rng.choice((-1, 1, Fraction(1, 2))))
+                copies.append(out.certificate[:k]
+                              + (out.certificate[k] + delta,)
+                              + out.certificate[k + 1:])
+            for u in copies:
+                verdict = verify_divide_certificate(g, t, env, u)
+                assert verdict == oracles.reference_verify_divide_certificate(
+                    g, t, env, u)
+                verdicts.append(verdict)
+            assert verdicts[-len(copies)]
+    assert set(verdicts) == {True, False}
+
+
+def test_certificate_replay_reaches_the_top_degree(classical):
+    """In U(sl2), with g = h + 2f and D = 3, a certificate perturbed only
+    at a word that first appears in a column g.w of degree 3 is refused:
+    the replay builds every degree up to D while columns are nonzero."""
+    labels, brackets, degree = _DOMAINS["sl2"]
+    system = build_rewrite_system(classical(labels, brackets))
+    env = enumerate_basis(system, degree)
+    q = system.field
+    e, f, h = (NCElement.from_word(q, (l_letter(a),)) for a in range(3))
+    g = h + 2 * f
+    refused = left_divide(g, e, env)
+    assert verify_divide_certificate(g, e, env, refused.certificate)
+    first = {}
+    for w in env.basis:
+        column = normal_form(g.concat(NCElement.from_word(q, w)), system)
+        for v in column.terms:
+            first.setdefault(v, word_degree(w))
+    top = [v for v, d in first.items() if d == degree]
+    assert top
+    position = enumerate_basis(system, degree + 1).position
+    for v in top:
+        k = position(v)
+        cert = refused.certificate
+        cert = cert[:k] + (cert[k] + q.one,) + cert[k + 1:]
+        assert not verify_divide_certificate(g, e, env, cert)
+        assert not oracles.reference_verify_divide_certificate(g, e, env,
+                                                               cert)
+
+
+def test_certificate_replay_stops_at_the_first_zero_degree(obstructed, q,
+                                                          monkeypatch):
+    """In the obstructed example x.abar = 0, so every column of degree 1
+    and up is zero and the replay stops there: at D = 8 and D = 64 it
+    makes the same reduction passes and its leftmost memo holds the same
+    words.  The target is checked after the stop: with its y-entry
+    zeroed, the certificate still kills every column but is refused at
+    D = 64."""
+    x, y = (NCElement.from_word(q, (r_letter(k),)) for k in (1, 2))
+    passes = []
+
+    def counted(words, system, strategy):
+        passes.append(strategy)
+        return reduce(words, system, strategy)
+
+    reduce = enveloping._reduce
+    memo_words, replay_passes = {}, {}
+    for degree in (8, 64):
+        system = build_rewrite_system(obstructed[4])
+        env = enumerate_basis(system, degree)
+        cert = left_divide(x, y, env).certificate
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(enveloping, "_reduce", counted)
+            assert verify_divide_certificate(x, y, env, cert)
+        replay_passes[degree] = list(passes)
+        memo_words[degree] = set(system.normal_forms["leftmost"])
+    assert replay_passes[8] == replay_passes[64] == ["leftmost"] * 4
+    assert memo_words[8] == memo_words[64]
+    k = env.position((r_letter(2),))
+    zeroed = cert[:k] + (q.zero,) + cert[k + 1:]
+    assert not any(zeroed)
+    assert not verify_divide_certificate(x, y, env, zeroed)
+    assert not oracles.reference_verify_divide_certificate(x, y, env, zeroed)
+
+
+def test_certificate_replay_of_a_zero_divisor_reads_the_target(obstructed,
+                                                               q):
+    """For g = 0 every column is zero, so the replay accepts a functional
+    u exactly when u(t) is nonzero, t normalised.  Here u is the
+    coefficient of y, and t runs over random elements of degree at most
+    the truncation."""
+    system = obstructed[5]
+    env = enumerate_basis(system, 3)
+    k = env.position((r_letter(2),))
+    u = tuple(q.one if j == k else q.zero for j in range(env.dim))
+    zero = NCElement.zero(q)
+    rng = random.Random("zero-divisor")
+    seen = set()
+    for _ in range(40):
+        t = _rand_element(rng, system)
+        if not t or t.degree > env.degree:
+            continue
+        expected = (r_letter(2),) in normal_form(t, system).terms
+        assert verify_divide_certificate(zero, t, env, u) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_witness_replay_refuses_a_foreign_field(q):
     """A witness over Q replayed on a GF(5) copy of tests/data/sl2.lrh is
     refused, as the certificate replay refuses a certificate over another

@@ -169,6 +169,29 @@ def test_anchor_hom_passes_for_matching_bracket(q):
     assert check_anchor_lie_hom(data).ok
 
 
+def test_anchor_hom_reads_both_orders_of_a_non_antisymmetric_table(q):
+    """[E1, E2] = E2 for E1: x -> x and E2: x -> x^2 on K[x]/(x^3).  A
+    table with [b1, b2] = b2 but [b2, b1] = 0, not -b2, passes at the
+    pair (b1, b2) and is reported at (b2, b1): the bracket side is read
+    for every ordered pair, since an invalid table need not be
+    antisymmetric."""
+    R = make_monomial_quotient(("x",), ("x^3",), q)
+    E1, E2 = (Derivation.from_variable_images(R, {"x": R.basis_element(k)})
+              for k in (1, 2))
+    L = lie_algebra_from_brackets(q, ("b1", "b2"), {
+        (0, 1): (q.zero, q.one), (1, 0): (q.zero, q.zero)})
+    data = oracles.candidate_data(R, L, Anchor((E1, E2)),
+                                  oracles.natural_character(R))
+    report = check_anchor_lie_hom(data)
+    assert report.to_dict() == \
+        oracles.dense_check_anchor_lie_hom(data).to_dict()
+    w = report.witnesses[0]
+    assert w["pair"] == ["b2", "b1"]
+    assert w["difference-matrix"] == [["0", "0", "0"],
+                                      ["0", "0", "0"],
+                                      ["0", "1", "0"]]
+
+
 def test_anchor_work_counts_the_products_of_the_anchor_checks(q,
                                                               monkeypatch):
     """On structures whose anchor checks pass, so run to the end,
