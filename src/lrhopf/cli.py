@@ -25,19 +25,18 @@ import os
 import re
 import sys
 from dataclasses import replace
-from itertools import accumulate
 
 from .errors import (ConstructionRefusedError, LrhInputError,
                      LrhInternalError, PipelineError)
 from .lierinehart import character_criterion, validate_lie_rinehart
 from .enveloping import (
+    TruncatedEnvelope,
     build_rewrite_system,
     check_local_confluence,
     enumerate_basis,
     left_divide,
     verify_divide_certificate,
     verify_divide_witness,
-    word_degree,
 )
 from .obstruction import (
     partial_map_from_witness,
@@ -110,11 +109,8 @@ def _cmd_envelope(args) -> int:
     data = _validated(pf)
     system = build_rewrite_system(data)
     env = enumerate_basis(system, args.degree)
-    per_degree = [0] * (args.degree + 1)
-    for word in env.basis:
-        per_degree[word_degree(word)] += 1
-    narrative = [f"degree {d}: dimension {dim}"
-                 for d, dim in enumerate(accumulate(per_degree))]
+    narrative = [f"degree {d}: dimension {TruncatedEnvelope(system, d).dim}"
+                 for d in range(args.degree + 1)]
     if args.basis:
         narrative.append("basis: " + ", ".join(env.basis_labels()))
     summary = VerdictReport(name="truncated-envelope", verdict=PASS,

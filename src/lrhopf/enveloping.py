@@ -23,7 +23,8 @@ is the solver's path.  It moves an L-letter past a whole power a^i of a
 normal word in one step, by the binomial formula for x.a^i in U(L) (de
 Graaf, Lie Algebras: Theory and Algorithms, ch. 6), where rewriting
 takes i swaps.  The confluence check and the divisibility replays reduce
-by leftmost rewriting, one rule at a time.  The two are steps of one
+by leftmost rewriting, one rule at a time; the confluence check reduces
+the reducts of every overlap in one pass.  The two are steps of one
 reduction loop with one step budget, on raw values, but each keeps a
 memo of its own, so the replays check the solver's products by another
 algorithm and without sharing its bookkeeping.  The certificate replay
@@ -190,7 +191,8 @@ class RewriteSystem:
     and "leftmost") from word to {normal word: raw value}, `expansions`
     holds collection's expansions of x.a^i (`_syllable`), and
     `basis_words` and `basis_index` hold the PBW basis that every
-    truncated basis is a prefix of.  They belong to this object alone: a
+    truncated basis is a prefix of, with `basis_ends[d]` the number of
+    its words of degree at most d.  They belong to this object alone: a
     `dataclasses.replace` copy starts empty, and the engines never share
     results, so comparing them stays a real cross-check."""
 
@@ -207,6 +209,8 @@ class RewriteSystem:
                                  compare=False, repr=False)
     basis_index: dict = dc_field(default_factory=dict, init=False,
                                  compare=False, repr=False)
+    basis_ends: list = dc_field(default_factory=list, init=False,
+                                compare=False, repr=False)
     expansions: dict = dc_field(default_factory=dict, init=False,
                                 compare=False, repr=False)
 
@@ -243,17 +247,20 @@ class RewriteSystem:
         return len(self.l_labels)
 
     def grow_basis(self, size: int) -> list:
-        """The basis words, extended by whole degrees to at least `size`."""
-        words = self.basis_words
+        """The basis words, extended by whole degrees to at least `size`.
+        The next degree is read from `basis_ends`, so growing to degree D
+        rescans no word and costs time linear in the words it adds."""
+        words, ends = self.basis_words, self.basis_ends
         letters = [l_letter(a) for a in range(self.l_dim)]
         while len(words) < size:
-            degree = word_degree(words[-1]) + 1 if words else 0
+            degree = len(ends)
             new = [tuple(map(letters.__getitem__, combo)) for combo in
                    combinations_with_replacement(range(self.l_dim), degree)]
             if degree == 0:
                 new += [(r_letter(i),) for i in range(1, self.r_dim)]
             self.basis_index.update(zip(new, count(len(words))))
             words += new
+            ends.append(len(words))
         return words
 
     def letter_text(self, letter: Letter) -> str:
@@ -576,7 +583,7 @@ class TruncatedEnvelope:
         return self.system.r_dim - 1 + comb(self.system.l_dim + self.degree,
                                             self.degree)
 
-    @property
+    @cached_property
     def basis(self) -> tuple:
         return tuple(self.system.grow_basis(self.dim)[:self.dim])
 
@@ -617,7 +624,19 @@ class TruncatedEnvelope:
                           for w, c in zip(self.basis, coords)})
 
     def basis_labels(self) -> tuple:
-        return tuple(self.system.render_word(w) for w in self.basis)
+        """`render_word` of each basis word.  Every prefix of a basis word
+        is a basis word of one degree less, and comes before it, so a word
+        of two or more letters is labelled by its prefix's label and its
+        last letter; a shorter word is one join over the letter texts."""
+        system = self.system
+        text = {x: system.letter_text(x) for x in
+                [r_letter(i) for i in range(system.r_dim)]
+                + [l_letter(a) for a in range(system.l_dim)]}
+        labels = {}
+        for w in self.basis:
+            labels[w] = labels[w[:-1]] + " " + text[w[-1]] if len(w) > 1 \
+                else " ".join(map(text.__getitem__, w)) or "1"
+        return tuple(labels.values())
 
 
 def enumerate_basis(system: RewriteSystem, degree: int) -> TruncatedEnvelope:
@@ -652,30 +671,37 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     Every left-hand side has length 2, so the ambiguities are exactly the
     three-letter words xyz with (x, y) and (y, z) both pairs of the
     compiled rules, the unit letter left out; with termination, their
-    joinability is confluence (Bergman's diamond lemma).  The words are
-    taken in basis order and the first one whose two reducts differ is
-    the witness.  Both reducts are normalised by leftmost rewriting, with
-    its own memo, and compared as raw values, so a report does not depend
-    on what collection stored."""
+    joinability is confluence (Bergman's diamond lemma).  Every overlap
+    is rewritten at both positions, all the reducts are normalised in one
+    pass of leftmost rewriting, with its own memo, and the two sides are
+    compared as raw values, so a report does not depend on what
+    collection stored.  The witness is the first failing overlap in
+    basis order.  The pass reduces every reduct, so a rule table that
+    cycles raises RewriteBudgetError even when some overlap fails."""
     system = env.system
     name = "local-confluence"
     pairs = _relation_pairs(system)
     after = {}
     for x, y in pairs:
         after.setdefault(x, []).append(y)
-    overlaps = sorted(((x, y, z) for x, y in pairs
-                       for z in after.get(y, ())), key=_word_sort_key)
-    for word in overlaps:
-        left, right = (rewrite_once_at(word, pos, system) for pos in (0, 1))
-        memo = _reduce([w for w, _ in left + right], system, "leftmost")
-        left, right = (_combine({}, terms, memo, system.field.reduce)
-                       for terms in (left, right))
+    overlaps = [(x, y, z) for x, y in pairs for z in after.get(y, ())]
+    reducts = [[rewrite_once_at(word, pos, system) for pos in (0, 1)]
+               for word in overlaps]
+    memo = _reduce([w for sides in reducts for terms in sides
+                    for w, _ in terms], system, "leftmost")
+    reduce = system.field.reduce
+    failing = []
+    for word, sides in zip(overlaps, reducts):
+        left, right = (_combine({}, terms, memo, reduce) for terms in sides)
         if left != right:
-            shown = [system.render_element(_from_raw(system.field, r.items()))
-                     for r in (left, right)]
-            return VerdictReport(name=name, verdict=FAIL, witnesses=[{
-                "word": system.render_word(word), "positions": [0, 1],
-                "reduct-at-0": shown[0], "reduct-at-1": shown[1]}])
+            failing.append((_word_sort_key(word), word, left, right))
+    if failing:
+        _, word, left, right = min(failing)
+        shown = [system.render_element(_from_raw(system.field, r.items()))
+                 for r in (left, right)]
+        return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+            "word": system.render_word(word), "positions": [0, 1],
+            "reduct-at-0": shown[0], "reduct-at-1": shown[1]}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"{len(overlaps)} overlapping redex pairs examined, all joins agree"])
 

@@ -27,8 +27,10 @@ nullspace basis when feasible, or a Farkas-style row vector u with
 u.A = 0 and u.b != 0 when infeasible.  The evidence is normalised
 lazily: a pivot is inverted only where an evidence entry needs it.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
-from the sparse input in Scalar arithmetic, independently of the
-elimination path that produced it.
+from the sparse input on kernel values, reduced by ``Field.reduce``,
+independently of the elimination path that produced it: they read
+only the system and the evidence, and refuse evidence over another
+field.
 """
 
 from __future__ import annotations
@@ -462,32 +464,45 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
                         nullity=len(free_cols), nullspace=tuple(nullspace))
 
 
-def apply_sparse(system: LinearSystem, x: Sequence[Scalar]) -> list:
-    """A.x computed from the sparse entries."""
-    out = [system.field.zero] * system.rows
-    for r, c, s in system.entries:
-        out[r] = out[r] + s * x[c]
-    return out
+def _evidence_field(system: LinearSystem, evidence) -> None:
+    """Refuse evidence holding a Scalar over another field than the
+    system's, before any of it is read."""
+    fld = system.field
+    if any(s.field is not fld and s.field != fld for s in evidence):
+        raise FieldMismatchError("evidence and system over different fields")
 
 
 def verify_witness(system: LinearSystem, witness: Sequence[Scalar]) -> bool:
-    """Exact residual check A.witness == rhs, component-wise; a witness
-    of the wrong length fails."""
+    """Exact residual check A.witness == rhs, component-wise, on kernel
+    values from the sparse entries; a witness of the wrong length fails,
+    and one over another field raises FieldMismatchError."""
     if len(witness) != system.cols:
         return False
-    residual = apply_sparse(system, witness)
-    return all(not (r - want) for r, want in zip(residual, system.rhs))
+    _evidence_field(system, witness)
+    kernel, reduce = system.field.kernel, system.field.reduce
+    x = [kernel(s.value) for s in witness]
+    residual = [0] * system.rows
+    for r, c, s in system.entries:
+        if x[c]:
+            residual[r] += kernel(s.value) * x[c]
+    return not any(reduce(v - kernel(want.value))
+                   for v, want in zip(residual, system.rhs))
 
 
 def verify_certificate(system: LinearSystem, u: Sequence[Scalar]) -> bool:
-    """Farkas check: u.A == 0 and u.rhs != 0, from the sparse entries;
-    a certificate of the wrong length fails."""
+    """Farkas check: u.A == 0 and u.rhs != 0, on kernel values from the
+    sparse entries; a certificate of the wrong length fails, and one over
+    another field raises FieldMismatchError."""
     if len(u) != system.rows:
         return False
-    ua = [system.field.zero] * system.cols
+    _evidence_field(system, u)
+    kernel, reduce = system.field.kernel, system.field.reduce
+    u = [kernel(s.value) for s in u]
+    ua = [0] * system.cols
     for r, c, s in system.entries:
-        ua[c] = ua[c] + u[r] * s
-    if any(ua):
+        if u[r]:
+            ua[c] += u[r] * kernel(s.value)
+    if any(map(reduce, ua)):
         return False
-    return bool(sum((u[r] * s for r, s in enumerate(system.rhs)),
-                    system.field.zero))
+    return bool(reduce(sum(x * kernel(s.value)
+                           for x, s in zip(u, system.rhs) if x)))

@@ -11,9 +11,13 @@ Tests compare the package's answers against these.  The
 exceptions are the package's former dense code, kept verbatim as
 references that the sparse code must reproduce exactly: ``dense_solve``,
 its dense elimination, the ``dense_check_*`` functions, its axiom
-checks on dense Scalar tables, and
+checks on dense Scalar tables,
 ``reference_verify_divide_certificate``, its certificate replay that
-normalises every column from scratch.
+normalises every column from scratch, ``reference_check_local_confluence``,
+its confluence check with one reduction per overlap in sorted order,
+``reference_basis_labels``, its letter-by-letter basis labels, and
+``reference_verify_witness`` and ``reference_verify_certificate``, its
+solver replays in Scalar arithmetic.
 """
 
 from dataclasses import replace
@@ -24,6 +28,7 @@ from math import comb
 from lrhopf import (
     FAIL,
     PASS,
+    LinearSystem,
     Anchor,
     Character,
     CommAlgebra,
@@ -43,8 +48,10 @@ from lrhopf import (
     normal_form,
     tensor_action,
 )
-from lrhopf.enveloping import (_columns, _kernel_terms, _normal_column,
-                               _reduce)
+from lrhopf.enveloping import (_columns, _combine, _from_raw,
+                               _kernel_terms, _normal_column, _reduce,
+                               _relation_pairs, _word_sort_key,
+                               rewrite_once_at)
 from lrhopf.finalg import render_linear
 
 
@@ -445,6 +452,68 @@ def reference_verify_divide_certificate(g, t, env, certificate):
     if any(value(terms) for terms in columns):
         return False
     return bool(value(target))
+
+
+def reference_check_local_confluence(env):
+    """The package's former confluence check, kept verbatim as the
+    reference for the one-pass check: the overlaps are sorted in basis
+    order and each is reduced both ways in a leftmost pass of its own,
+    stopping at the first one whose reducts differ."""
+    system = env.system
+    name = "local-confluence"
+    pairs = _relation_pairs(system)
+    after = {}
+    for x, y in pairs:
+        after.setdefault(x, []).append(y)
+    overlaps = sorted(((x, y, z) for x, y in pairs
+                       for z in after.get(y, ())), key=_word_sort_key)
+    for word in overlaps:
+        left, right = (rewrite_once_at(word, pos, system) for pos in (0, 1))
+        memo = _reduce([w for w, _ in left + right], system, "leftmost")
+        left, right = (_combine({}, terms, memo, system.field.reduce)
+                       for terms in (left, right))
+        if left != right:
+            shown = [system.render_element(_from_raw(system.field, r.items()))
+                     for r in (left, right)]
+            return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                "word": system.render_word(word), "positions": [0, 1],
+                "reduct-at-0": shown[0], "reduct-at-1": shown[1]}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        f"{len(overlaps)} overlapping redex pairs examined, all joins agree"])
+
+
+def reference_basis_labels(env):
+    """The package's former basis labels: render_word on each word."""
+    return tuple(env.system.render_word(w) for w in env.basis)
+
+
+def _reference_apply_sparse(system, x):
+    """A.x computed from the sparse entries."""
+    out = [system.field.zero] * system.rows
+    for r, c, s in system.entries:
+        out[r] = out[r] + s * x[c]
+    return out
+
+
+def reference_verify_witness(system: LinearSystem, witness) -> bool:
+    """The package's former witness replay in Scalar arithmetic."""
+    if len(witness) != system.cols:
+        return False
+    residual = _reference_apply_sparse(system, witness)
+    return all(not (r - want) for r, want in zip(residual, system.rhs))
+
+
+def reference_verify_certificate(system: LinearSystem, u) -> bool:
+    """The package's former Farkas replay in Scalar arithmetic."""
+    if len(u) != system.rows:
+        return False
+    ua = [system.field.zero] * system.cols
+    for r, c, s in system.entries:
+        ua[c] = ua[c] + u[r] * s
+    if any(ua):
+        return False
+    return bool(sum((u[r] * s for r, s in enumerate(system.rhs)),
+                    system.field.zero))
 
 
 # ---------------------------------------------------------------------------

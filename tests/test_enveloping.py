@@ -1,6 +1,7 @@
 """Rewriting, truncated bases, confluence, the induced action, division."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -16,7 +17,9 @@ from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
 from lrhopf import (
+    Anchor,
     ConstructionRefusedError,
+    Derivation,
     DegreeOverflowError,
     Field,
     FieldMismatchError,
@@ -30,7 +33,9 @@ from lrhopf import (
     left_action_on_R,
     left_divide,
     l_letter,
+    lie_algebra_from_brackets,
     make_character_module,
+    make_monomial_quotient,
     multiply_truncated,
     normal_form,
     parse_problem_text,
@@ -44,7 +49,8 @@ from lrhopf import (
 )
 import lrhopf.enveloping as enveloping
 from lrhopf.cli import main
-from lrhopf.enveloping import find_redex, pair_rule, word_degree
+from lrhopf.enveloping import (_word_sort_key, find_redex, pair_rule,
+                               word_degree)
 
 import oracles
 
@@ -555,6 +561,51 @@ def test_each_basis_degree_is_built_once(obstructed, monkeypatch):
     assert degrees == [] and system.basis_words == []
 
 
+def _with_r_letters(labels, fld):
+    """A rewrite system with R-letters x and y (xy = x^2 = y^2 = 0), an
+    abelian L on `labels`, the zero anchor and the natural character."""
+    R = make_monomial_quotient(("x", "y"), ("x*y", "x^2", "y^2"), fld)
+    L = lie_algebra_from_brackets(fld, labels, {})
+    anchor = Anchor(tuple(Derivation.zero(R) for _ in labels))
+    return build_rewrite_system(make_character_module(
+        R, L, anchor, oracles.natural_character(R)))
+
+
+@pytest.mark.parametrize("labels", (("b1",), ("b1", "b2"),
+                                    ("b1", "b2", "b3")))
+def test_basis_grown_in_steps_equals_one_growth(labels, q):
+    """Growing the basis to degree 1, then 3, then 5 gives the same
+    words, index and degree ends as growing it to degree 5 at once, with
+    R-letters present and L of dimension 1 to 3."""
+    stepped, direct = (_with_r_letters(labels, q) for _ in range(2))
+    for degree in (1, 3, 5):
+        enumerate_basis(stepped, degree).basis
+    env = enumerate_basis(direct, 5)
+    env.basis
+    assert stepped.basis_words == direct.basis_words
+    assert list(stepped.basis_index.items()) == \
+        list(direct.basis_index.items())
+    assert stepped.basis_ends == direct.basis_ends == [
+        enumerate_basis(direct, d).dim for d in range(6)]
+    assert len(direct.basis_words) == env.dim
+    assert direct.basis_words[1:3] == [(r_letter(1),), (r_letter(2),)]
+
+
+def test_basis_labels_match_the_reference(obstructed, q):
+    """The labels built from each prefix's label equal render_word on
+    every word (oracles.reference_basis_labels): at degree 47 on the
+    obstructed example, and at degree 4 with R-letters and L of
+    dimension 3."""
+    env = enumerate_basis(obstructed[5], 47)
+    labels = env.basis_labels()
+    assert labels == oracles.reference_basis_labels(env)
+    assert len(labels) == 50 and labels[-1] == " ".join([f"a{MACRON}"] * 47)
+    env = enumerate_basis(_with_r_letters(("b1", "b2", "b3"), q), 4)
+    assert env.basis_labels() == oracles.reference_basis_labels(env)
+    assert env.basis_labels()[:5] == ("1", "x", "y", f"b1{MACRON}",
+                                      f"b2{MACRON}")
+
+
 def test_negative_degree_refused(obstructed):
     with pytest.raises(LrhInputError):
         enumerate_basis(obstructed[5], -1)
@@ -657,6 +708,109 @@ def test_confluence_detects_corrupted_rule(obstructed, q):
     assert w["positions"] == [0, 1]
     assert w["reduct-at-0"] == "0"
     assert w["reduct-at-1"] == "x"
+
+
+def _tampered_anchor(system, a, i, k, delta):
+    """A copy whose anchor image rho_a(e_i) has coordinate k moved by
+    delta."""
+    rho = [[list(col) for col in row] for row in system.rho_table]
+    rho[a][i][k] = rho[a][i][k] + delta
+    return dataclasses.replace(system, rho_table=tuple(
+        tuple(map(tuple, row)) for row in rho))
+
+
+def _tampered_bracket(system, a, b, c, delta):
+    """A copy whose compiled rule for the L-pair (a, b), a > b, has the
+    coefficient of the L-letter c moved by the raw value delta."""
+    copy = dataclasses.replace(system)
+    key = (l_letter(a), l_letter(b))
+    swap, *terms = copy.rules[key]
+    terms = dict(terms)
+    v = system.field.reduce(terms.get((l_letter(c),), 0) + delta)
+    terms[(l_letter(c),)] = v
+    copy.rules[key] = [swap] + [(w, x) for w, x in terms.items() if x]
+    return copy
+
+
+def _failing_overlaps(system):
+    """The overlaps whose two reducts have different normal forms, found
+    by rewriting the rightmost redex first (oracles)."""
+    fld = system.field
+    pairs = [pr for pr in system.rules if r_letter(0) not in pr]
+    failing = []
+    for x, y in pairs:
+        for y2, z in pairs:
+            if y2 != y:
+                continue
+            sides = ([(body + (z,), c) for body, c in system.rules[x, y]],
+                     [((x,) + body, c) for body, c in system.rules[y, z]])
+            left, right = (oracles.rightmost_normal_form(NCElement(fld, {
+                w: fld.scalar(c) for w, c in terms}), system)
+                for terms in sides)
+            if left != right:
+                failing.append((x, y, z))
+    return failing
+
+
+@pytest.mark.parametrize("p", (0, 2, 3))
+def test_confluence_agrees_with_the_reference(p):
+    """The one-pass check gives the report of the former check, which
+    sorts every overlap and reduces each in its own pass
+    (oracles.reference_check_local_confluence), on seeded valid
+    structures over Q, GF(2) and GF(3) and on copies with a tampered
+    anchor entry or bracket coefficient.  Each copy runs both checks on
+    memos of its own.  The witness of a failing copy is the first
+    failing overlap in basis order, as an independent count by
+    rightmost rewriting finds it, and some copies have several failing
+    overlaps."""
+    fld = Field(p)
+    rng = random.Random(f"confluence-reference/{p}")
+    several = verdicts = 0
+    for _ in range(15):
+        data = oracles.random_valid_structure(rng, fld)
+        system = build_rewrite_system(dataclasses.replace(data,
+                                                          validated=True))
+        makers = [functools.partial(dataclasses.replace, system)]
+        delta = rng.randint(1, p - 1) if p else rng.choice((-1, 2))
+        if system.r_dim > 1:
+            makers.append(functools.partial(
+                _tampered_anchor, system, rng.randrange(system.l_dim),
+                rng.randrange(system.r_dim), rng.randrange(system.r_dim),
+                fld.scalar(delta)))
+        if system.l_dim > 1:
+            a = rng.randrange(1, system.l_dim)
+            makers.append(functools.partial(
+                _tampered_bracket, system, a, rng.randrange(a),
+                rng.randrange(system.l_dim), delta))
+        for make in makers:
+            report = check_local_confluence(enumerate_basis(make(), 3))
+            assert report == oracles.reference_check_local_confluence(
+                enumerate_basis(make(), 3))
+            failing = _failing_overlaps(make())
+            assert report.ok == (not failing)
+            if failing:
+                verdicts += 1
+                several += len(failing) > 1
+                first = min(failing, key=_word_sort_key)
+                assert report.witnesses[0]["word"] == \
+                    system.render_word(first)
+    assert verdicts and several
+
+
+def test_confluence_reports_the_first_of_several_failing_overlaps(
+        obstructed, q):
+    """With the anchor image of x set to the unit, several overlaps fail;
+    the witness is the first in basis order, x a-bar x, as before."""
+    bad = _tampered_anchor(obstructed[5], 0, 1, 0, q.one)
+    bad = _tampered_anchor(bad, 0, 1, 2, -q.one)
+    failing = _failing_overlaps(bad)
+    assert len(failing) > 1
+    assert (r_letter(1), l_letter(0), r_letter(1)) == \
+        min(failing, key=_word_sort_key)
+    report = check_local_confluence(enumerate_basis(bad, 3))
+    assert report == oracles.reference_check_local_confluence(
+        enumerate_basis(dataclasses.replace(bad), 3))
+    assert report.witnesses[0]["word"] == f"x a{MACRON} x"
 
 
 def _random_valid_system(seed, fld):

@@ -334,6 +334,62 @@ def test_verifiers_reject_evidence_of_the_wrong_length():
     assert not verify_witness(wide, (q.one, q.zero, q.zero))
 
 
+def test_verifiers_refuse_evidence_over_another_field():
+    """Evidence over GF(5) for a system over Q is refused up front, also
+    where no system entry would meet it: a 1 x 2 system with no entries
+    used to accept a GF(5) witness."""
+    q, gf5 = Field(0), Field(5)
+    empty = LinearSystem(rows=1, cols=2, entries=(), rhs=(q.zero,),
+                         field=q)
+    with pytest.raises(FieldMismatchError):
+        verify_witness(empty, (gf5.one, gf5.zero))
+    with pytest.raises(FieldMismatchError):
+        verify_certificate(empty, (gf5.one,))
+    system = LinearSystem(rows=2, cols=1,
+                          entries=((0, 0, q.one), (1, 0, q.one)),
+                          rhs=(q.one, q.zero), field=q)
+    with pytest.raises(FieldMismatchError):
+        verify_witness(system, (gf5.one,))
+    with pytest.raises(FieldMismatchError):
+        verify_certificate(system, (q.one, gf5.one))
+    assert verify_certificate(system, (q.one, -q.one))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_verifiers_agree_with_the_scalar_reference(p):
+    """The replays on kernel values accept exactly the evidence that the
+    former Scalar replays (oracles.reference_verify_*) accept: on the
+    solver's evidence for seeded systems over Q, GF(2) and GF(3) up to
+    8 x 8, on copies with one entry changed, and on evidence of the
+    other kind.  Both verdicts occur for both replays."""
+    fld = Field(p)
+    rng = random.Random(f"verify-reference/{p}")
+    seen = {"witness": set(), "certificate": set()}
+    for _ in range(150):
+        system = _reference_system(rng, fld, rng.randint(1, 8),
+                                   rng.randint(1, 8))
+        out = solve_linear(system)
+        evidence = out.witness if out.feasible else out.certificate
+        copies = [evidence]
+        for _ in range(2):
+            k = rng.randrange(len(evidence))
+            delta = fld.scalar(rng.randint(1, p - 1) if p else
+                               rng.choice((-1, 1, Fraction(1, 2))))
+            copies.append(evidence[:k] + (evidence[k] + delta,)
+                          + evidence[k + 1:])
+        for x in copies + [tuple(fld.scalar(rng.randint(-2, 2))
+                                 for _ in range(system.cols))]:
+            verdict = verify_witness(system, x)
+            assert verdict == oracles.reference_verify_witness(system, x)
+            seen["witness"].add(verdict)
+        for u in copies + [tuple(fld.scalar(rng.randint(-2, 2))
+                                 for _ in range(system.rows))]:
+            verdict = verify_certificate(system, u)
+            assert verdict == oracles.reference_verify_certificate(system, u)
+            seen["certificate"].add(verdict)
+    assert seen == {"witness": {True, False}, "certificate": {True, False}}
+
+
 def _reference_system(rng, fld, rows, cols):
     """Random system with a random density, some explicit zero entries
     and, half the time, a right-hand side in the column span."""
