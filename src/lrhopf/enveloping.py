@@ -49,7 +49,6 @@ from typing import NamedTuple
 
 from .errors import (
     DegreeOverflowError,
-    FieldMismatchError,
     LrhInputError,
     RewriteBudgetError,
 )
@@ -85,11 +84,13 @@ def word_degree(word: tuple) -> int:
 
 
 class NCElement:
-    """Linear combination of words; zero coefficients are never stored."""
+    """Linear combination of words; zero coefficients are never stored,
+    and a coefficient over another field is refused."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms: dict):
+        field.require(terms.values(), "coefficient")
         self.field = field
         self.terms = {w: c for w, c in terms.items() if c}
 
@@ -111,8 +112,7 @@ class NCElement:
         return max((word_degree(w) for w in self.terms), default=0)
 
     def _merge(self, other, sign):
-        if self.field != other.field:
-            raise FieldMismatchError("mixing elements over different fields")
+        self.field.require((other,), "element")
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, self.field.zero) + sign * c
@@ -136,8 +136,7 @@ class NCElement:
     def concat(self, other) -> "NCElement":
         """Free (unnormalized) product: concatenate all word pairs."""
         fld = self.field
-        if other.field is not fld and other.field != fld:
-            raise FieldMismatchError("mixing elements over different fields")
+        fld.require((other,), "element")
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -352,9 +351,7 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     word therefore raises RewriteBudgetError, an internal error, at the
     first repeat."""
     fld = system.field
-    if elem.field is not fld and elem.field != fld:
-        raise FieldMismatchError("element and rewrite system over "
-                                 "different fields")
+    fld.require((elem,), "element")
     if strategy not in _STEPS:
         raise LrhInputError(f"unknown reduction strategy {strategy!r}")
     memo = _reduce(elem.terms, system, strategy)
@@ -716,9 +713,7 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
     alg = env.system.source.R
     if r.algebra != alg:
         raise LrhInputError("element does not live in the base algebra")
-    if v.field != alg.field:
-        raise FieldMismatchError("element and base algebra over different "
-                                 "fields")
+    alg.field.require((v,), "element")
     reduce = alg.field.reduce
     tables = {R_KIND: alg.sparse_table, L_KIND: env.system.sparse_rho}
     images = []
@@ -854,10 +849,8 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
     extended = enumerate_basis(system, env.degree + g.degree)
     if len(certificate) != extended.dim:
         return False
-    if any(x.field is not fld and x.field != fld
-           for x in (t, *certificate)):
-        raise FieldMismatchError("certificate, target and rewrite system "
-                                 "over different fields")
+    fld.require((t,), "target")
+    fld.require(certificate, "certificate")
     u = [fld.kernel(s.value) for s in certificate]
     position = extended.locate()
     reduce = fld.reduce
@@ -898,9 +891,8 @@ def verify_divide_witness(g: NCElement, t: NCElement,
     if len(witness) != env.dim:
         return False
     fld = env.system.field
-    if any(x.field is not fld and x.field != fld for x in (t, *witness)):
-        raise FieldMismatchError("witness, target and rewrite system over "
-                                 "different fields")
+    fld.require((t,), "target")
+    fld.require(witness, "witness")
     z = NCElement(fld, dict(zip(env.basis, witness)))
     return normal_form(g.concat(z), env.system, "leftmost") == \
         normal_form(t, env.system, "leftmost")

@@ -582,18 +582,17 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
         f"{n}^3 basis triples"])
 
 
-def check_derivation(algebra: CommAlgebra, matrix: tuple) -> VerdictReport:
-    """D(1) = 0 and the Leibniz rule on all basis pairs."""
-    return check_derivation_of(algebra, Derivation(algebra, matrix))
-
-
-def check_derivation_of(algebra: CommAlgebra, d: Derivation) -> VerdictReport:
-    """check_derivation of d's matrix on `algebra`, reading the sparse
-    columns d has cached."""
+def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
+    """D(1) = 0 and the Leibniz rule on all basis pairs, for a Derivation
+    or its matrix; a Derivation is checked on the sparse columns it has
+    cached."""
+    if not isinstance(d, Derivation):
+        d = Derivation(algebra, d)
     name = "derivation"
     n = algebra.dim
     if len(d.matrix) != n or any(len(row) != n for row in d.matrix):
         raise LrhInputError("derivation matrix has wrong shape")
+    algebra.field.require(chain.from_iterable(d.matrix), "derivation entry")
     images = d.sparse_columns  # D(e_j)
     if images[0]:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
@@ -625,6 +624,7 @@ def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
     fld = algebra.field
     if len(values) != n:
         raise LrhInputError("character vector has wrong length")
+    fld.require(values, "character value")
     if values[0] != fld.one:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-value", "value": str(values[0])}])

@@ -26,7 +26,6 @@ from itertools import chain
 from .errors import (
     AlgebraMismatchError,
     ConstructionRefusedError,
-    FieldMismatchError,
     LrhInputError,
 )
 from .finalg import (
@@ -37,7 +36,7 @@ from .finalg import (
     Derivation,
     check_algebra_axioms,
     check_character,
-    check_derivation_of,
+    check_derivation,
     check_table_size,
     check_work,
     combine_rows,
@@ -207,9 +206,7 @@ class LieRinehartData:
 
 
 def _check_shapes(data: LieRinehartData):
-    if data.L.field != data.R.field:
-        raise FieldMismatchError("base algebra and Lie algebra live over "
-                                 "different fields")
+    data.R.field.require((data.L,), "Lie algebra")
     if data.action.algebra != data.R:
         raise AlgebraMismatchError("action is over a different base algebra")
     if data.action.lie_dim != data.L.dim or data.anchor.lie_dim != data.L.dim:
@@ -426,6 +423,7 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     The verdict is the conjunction; witnesses carry the first failure of
     each condition."""
     name = "character-criterion"
+    R.field.require(chi.values, "character value")
     reduce = R.field.reduce
     table = R.sparse_table
     values = [R.field.kernel(v.value) for v in chi.values]
@@ -484,7 +482,7 @@ def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
             raise ConstructionRefusedError(
                 f"component check '{report.name}' failed", report=report)
     for a, d in enumerate(anchor.derivations):
-        report = check_derivation_of(R, d)
+        report = check_derivation(R, d)
         if not report.ok:
             raise ConstructionRefusedError(
                 f"anchor image of {L.labels[a]} is not a derivation",
@@ -514,7 +512,7 @@ def validate_lie_rinehart(data: LieRinehartData) -> list:
         check_module_action(data.R, data.action),
     ]
     for a, d in enumerate(data.anchor.derivations):
-        rep = check_derivation_of(data.R, d)
+        rep = check_derivation(data.R, d)
         rep = VerdictReport(name=f"derivation[{data.L.labels[a]}]",
                             verdict=rep.verdict, witnesses=rep.witnesses,
                             narrative=rep.narrative)

@@ -8,7 +8,10 @@ in this package.
 
 ``Field`` owns the arithmetic on these raw values (``reduce``,
 ``inverse``, ``zero.value``, ``one.value``); ``Field.scalar`` coerces
-values from outside the package, and nothing else.
+values from outside the package, and nothing else.  ``Field`` also owns
+the one ownership check: ``Field.require`` refuses any value, element or
+structure over another field, and every module asks it, never comparing
+fields by hand.
 
 ``Scalar`` is the boundary type: systems come in and evidence goes out
 as Scalars, and its operators work through the field's raw operations.
@@ -119,13 +122,19 @@ class Field:
             return Scalar(self, v)
         return Scalar(self, Fraction(v))
 
+    def require(self, values, what: str) -> None:
+        """Refuse the first of `values` -- anything with a ``.field``: a
+        Scalar, an element, an algebra -- that lives over another field
+        than this one, naming it as `what`."""
+        for v in values:
+            if v.field is not self and v.field != self:
+                raise FieldMismatchError(
+                    f"{what} over {v.field} used in {self}")
+
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         """Coerce a value from outside the package into this field."""
         if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError(
-                    f"scalar over {value.field} used in {self}"
-                )
+            self.require((value,), "scalar")
             return value
         if not isinstance(value, (int, Fraction)):
             raise FieldMismatchError(f"{value!r} is not an exact value")
@@ -173,10 +182,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields: {self.field} vs {other.field}"
-                )
+            self.field.require((other,), "scalar")
             return other
         if isinstance(other, int):
             return self.field.scalar(other)
@@ -265,14 +271,11 @@ class LinearSystem:
                 raise LrhInputError(f"entry ({r},{c}) out of range")
             if (r, c) in seen:
                 raise LrhInputError(f"duplicate entry at ({r},{c})")
-            if s.field is not fld and s.field != fld:
-                raise FieldMismatchError("system entry over wrong field")
             seen.add((r, c))
+        fld.require((s for _, _, s in self.entries), "system entry")
         if len(self.rhs) != self.rows:
             raise LrhInputError("rhs length != rows")
-        for s in self.rhs:
-            if s.field is not fld and s.field != fld:
-                raise FieldMismatchError("rhs entry over wrong field")
+        fld.require(self.rhs, "rhs entry")
 
 
 @dataclass(frozen=True)
@@ -464,21 +467,13 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
                         nullity=len(free_cols), nullspace=tuple(nullspace))
 
 
-def _evidence_field(system: LinearSystem, evidence) -> None:
-    """Refuse evidence holding a Scalar over another field than the
-    system's, before any of it is read."""
-    fld = system.field
-    if any(s.field is not fld and s.field != fld for s in evidence):
-        raise FieldMismatchError("evidence and system over different fields")
-
-
 def verify_witness(system: LinearSystem, witness: Sequence[Scalar]) -> bool:
     """Exact residual check A.witness == rhs, component-wise, on kernel
     values from the sparse entries; a witness of the wrong length fails,
     and one over another field raises FieldMismatchError."""
     if len(witness) != system.cols:
         return False
-    _evidence_field(system, witness)
+    system.field.require(witness, "witness")
     kernel, reduce = system.field.kernel, system.field.reduce
     x = [kernel(s.value) for s in witness]
     residual = [0] * system.rows
@@ -495,7 +490,7 @@ def verify_certificate(system: LinearSystem, u: Sequence[Scalar]) -> bool:
     another field raises FieldMismatchError."""
     if len(u) != system.rows:
         return False
-    _evidence_field(system, u)
+    system.field.require(u, "certificate")
     kernel, reduce = system.field.kernel, system.field.reduce
     u = [kernel(s.value) for s in u]
     ua = [0] * system.cols

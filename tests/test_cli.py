@@ -364,6 +364,20 @@ def test_any_value_of_the_wrong_type_exits_cleanly(doc, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(MONOMIAL_DOC, lie={"dim": 2, "labels": ["a", "a"], "brackets": []}),
+     "duplicate Lie labels"),
+    ([MONOMIAL_DOC], "problem document must be a JSON object"),
+], ids=["duplicate-lie-labels", "json-array"])
+def test_malformed_documents_are_input_errors(doc, message, tmp_path,
+                                              capsys):
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
+
+
 # ------------------------------------------------------------ command: main
 
 def test_check_command_exit_zero(capsys):
@@ -626,6 +640,20 @@ def test_oversized_field_flag_is_refused_up_front(flag, capsys):
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and "MAX_CHARACTERISTIC" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem1", "--degree", "0"],
+     "pipeline needs truncation degree at least 1"),
+    (["divide", "euler-example", "--left=-", "--target=x"],
+     "dangling sign in expression"),
+    (["divide", "euler-example", "--left=2*", "--target=x"],
+     "missing label after '*' in '2*'"),
+], ids=["theorem1-degree-0", "dangling-sign", "missing-label"])
+def test_bad_arguments_are_input_errors(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
 
 
 def test_missing_file_is_input_error(capsys):

@@ -892,6 +892,18 @@ def test_left_action_refuses_a_foreign_field(obstructed, obstructed_env):
         left_action_on_R(NCElement.unit(Field(7)), x, obstructed_env)
 
 
+def test_elements_refuse_coefficients_over_another_field(q):
+    """A GF(5) coefficient is refused where a Q element is made, zero or
+    not, not read later as the rational of the same digits."""
+    gf5 = Field(5)
+    abar = (l_letter(0),)
+    for coeff in (gf5.scalar(3), gf5.zero):
+        with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+            NCElement(q, {abar: coeff})
+        with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+            NCElement.from_word(q, abar, coeff)
+
+
 def test_left_action_is_multiplicative(obstructed, obstructed_env):
     R = obstructed[0]
     env = obstructed_env

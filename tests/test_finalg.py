@@ -10,6 +10,7 @@ from lrhopf import (
     Character,
     Derivation,
     Field,
+    FieldMismatchError,
     InfiniteDimensionalError,
     LrhInputError,
     UnsupportedInputError,
@@ -226,6 +227,35 @@ def test_unit_must_die():
     assert report.witnesses[0]["law"] == "unit-annihilation"
 
 
+def test_check_derivation_takes_a_derivation_or_its_matrix(q):
+    """A Derivation is checked on its cached columns, a bare matrix
+    through a Derivation made from it: the same report either way."""
+    R = make_monomial_quotient(("x",), ("x^3",), q)
+    for image in (R.basis_element(1), R.unit):
+        D = Derivation.from_variable_images(R, {"x": image})
+        assert check_derivation(R, D).to_dict() == \
+            check_derivation(R, D.matrix).to_dict()
+
+
+def test_check_derivation_refuses_a_matrix_over_another_field(q):
+    """x -> x, x^2 -> 2x^2 on K[x]/(x^3) is a derivation over Q.  Its
+    matrix written over GF(5) is refused, as a matrix and as a
+    Derivation, not checked as if its entries were rationals."""
+    R = make_monomial_quotient(("x",), ("x^3",), q)
+
+    def matrix(fld):
+        diagonal = (0, 1, 2)
+        return tuple(tuple(fld.scalar(diagonal[i] if i == j else 0)
+                           for j in range(3)) for i in range(3))
+
+    assert check_derivation(R, matrix(q)).ok
+    foreign = matrix(Field(5))
+    with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+        check_derivation(R, foreign)
+    with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+        check_derivation(R, Derivation(R, foreign))
+
+
 def test_derivation_commutator_frozen_example(q):
     """[x d/dx, x^2 d/dx] = x^2 d/dx on K[x]/(x^3)."""
     R = make_monomial_quotient(("x",), ("x^3",), q)
@@ -247,6 +277,15 @@ def test_characters(q):
     assert report.witnesses[0]["law"] == "multiplicativity"
     wrong_unit = (q.zero,) + chi.values[1:]
     assert check_character(R, wrong_unit).witnesses[0]["law"] == "unit-value"
+
+
+def test_check_character_refuses_values_over_another_field(q):
+    """The character x -> 0 written over GF(5) is refused, not reported
+    as a unit-value failure of a Q character."""
+    R = make_monomial_quotient(("x",), ("x^2",), q)
+    g5 = Field(5)
+    with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+        check_character(R, (g5.one, g5.zero))
 
 
 def test_base_field_algebra(q):

@@ -8,9 +8,11 @@ import pytest
 
 from lrhopf import (
     Anchor,
+    Character,
     ConstructionRefusedError,
     Derivation,
     Field,
+    FieldMismatchError,
     LrhInputError,
     Scalar,
     algebra_from_constants,
@@ -375,6 +377,40 @@ def test_make_character_module_refuses_bad_candidate():
     assert err.value.report is not None
     assert err.value.report.name == "character-criterion"
     assert not err.value.report.ok
+
+
+@pytest.mark.parametrize("broken, message, report", [
+    ("character", "component check 'character' failed", "character"),
+    ("anchor", "anchor image of a is not a derivation", "derivation"),
+])
+def test_make_character_module_refuses_each_failed_check(q, broken, message,
+                                                          report):
+    """K[x]/(x^2) with the Euler anchor x -> x and chi(x) = 0 is valid.
+    chi(x) = 1 is not multiplicative, and x -> 1 is no derivation over Q:
+    each is refused with the report of the check that failed."""
+    R = make_monomial_quotient(("x",), ("x^2",), q)
+    L = lie_algebra_from_brackets(q, ("a",), {})
+    image = R.unit if broken == "anchor" else R.basis_element(1)
+    anchor = Anchor((Derivation.from_variable_images(R, {"x": image}),))
+    chi = Character.from_variable_values(
+        R, {"x": q.one if broken == "character" else q.zero})
+    with pytest.raises(ConstructionRefusedError, match=message) as err:
+        make_character_module(R, L, anchor, chi)
+    assert err.value.report.name == report
+    assert not err.value.report.ok
+
+
+def test_character_criterion_refuses_values_over_another_field(obstructed):
+    """The obstructed example's character written over GF(5) is refused
+    by the criterion and by the constructor, not passed as a Q
+    character."""
+    R, L, anchor, chi, _, _ = obstructed
+    foreign = Character(R, tuple(Field(5).scalar(int(v.value))
+                                 for v in chi.values))
+    with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+        character_criterion(R, L, anchor, foreign)
+    with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
+        make_character_module(R, L, anchor, foreign)
 
 
 def test_classical_case_has_trivial_criterion(classical):
