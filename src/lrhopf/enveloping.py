@@ -42,7 +42,7 @@ and the induced action on the base algebra runs on them through
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, count
 from math import comb
 from typing import NamedTuple
@@ -56,7 +56,7 @@ from .finalg import (AlgebraElement, combine_rows, dense_row, render_linear,
                      sparse_row, sparse_table)
 from .lierinehart import LieRinehartData
 from .reports import FAIL, PASS, VerdictReport
-from .scalars import (LinearSystem, SolveOutcome, check_solve_size,
+from .scalars import (LinearSystem, Scalar, SolveOutcome, check_solve_size,
                       solve_linear)
 
 R_KIND = "R"
@@ -104,8 +104,14 @@ class NCElement:
 
     @classmethod
     def from_word(cls, field, word, coeff=None) -> "NCElement":
-        return cls(field, {tuple(word): coeff if coeff is not None
-                           else field.one})
+        """coeff * word, coeff one when it is not given.  A coeff that is
+        not a Scalar, such as an int or a Fraction, is coerced by
+        Field.scalar, as in scalar multiplication."""
+        if coeff is None:
+            coeff = field.one
+        elif not isinstance(coeff, Scalar):
+            coeff = field.scalar(coeff)
+        return cls(field, {tuple(word): coeff})
 
     @property
     def degree(self) -> int:
@@ -785,9 +791,10 @@ def left_divide(g: NCElement, t: NCElement,
     internally extended envelope so nothing is cut off, and each one's
     terms, summed from the memo on raw values, enter the sparse system
     directly as the entries of its column; a column of one term is read
-    from its word's memo entry in place.  The outcome carries a witness
-    z or an exact infeasibility certificate.  A system over the solver's
-    size limit is refused before any product is formed."""
+    from its word's memo entry in place, and each distinct raw value is
+    wrapped in one Scalar, which its entries share.  The outcome carries
+    a witness z or an exact infeasibility certificate.  A system over the
+    solver's size limit is refused before any product is formed."""
     system = env.system
     fld = system.field
     g = normal_form(g, system)
@@ -802,7 +809,8 @@ def left_divide(g: NCElement, t: NCElement,
     memo = _reduce([w for terms in columns for w, _ in terms], system,
                    "collect")
     position = extended.locate()
-    entries = [(position(w), col, fld.wrap(c))
+    wrap = cache(fld.wrap)  # one Scalar per distinct raw value
+    entries = [(position(w), col, wrap(c))
                for col, terms in enumerate(columns)
                for w, c in _normal_column(terms, memo, fld.reduce).items()]
     problem = LinearSystem(rows=extended.dim, cols=env.dim,

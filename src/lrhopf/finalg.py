@@ -54,7 +54,8 @@ def table_work(table, sides: int = 2) -> int:
     on a table of sparse rows, table[i][j] = e_i e_j: one per basis
     triple, and one per term product.  Each side multiplies a stored
     entry c[i][j][t] against every entry stored in the products e_k e_t
-    over all k."""
+    over all k.  For Jacobi it is an upper bound: check_lie_algebra
+    visits only the triples a < b < c."""
     n = len(table)
     col = [sum(len(row[t]) for row in table) for t in range(n)]
     return n ** 3 + sides * sum(col[t] for row in table for vec in row
@@ -585,9 +586,11 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
 def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
     """D(1) = 0 and the Leibniz rule on all basis pairs, for a Derivation
     or its matrix; a Derivation is checked on the sparse columns it has
-    cached."""
+    cached, and one over another algebra is refused."""
     if not isinstance(d, Derivation):
         d = Derivation(algebra, d)
+    elif d.algebra is not algebra and d.algebra != algebra:
+        raise AlgebraMismatchError("derivation is over a different algebra")
     name = "derivation"
     n = algebra.dim
     if len(d.matrix) != n or any(len(row) != n for row in d.matrix):
@@ -618,10 +621,15 @@ def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
 
 
 def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
-    """chi(1) = 1 and multiplicativity on all basis pairs."""
+    """chi(1) = 1 and multiplicativity on all basis pairs, given the
+    values of a character on the basis.  A Character itself, and values
+    of another length than the basis, are refused."""
     name = "character"
     n = algebra.dim
     fld = algebra.field
+    if isinstance(values, Character):
+        raise LrhInputError("check_character takes the values of a "
+                            "character, not the Character")
     if len(values) != n:
         raise LrhInputError("character vector has wrong length")
     fld.require(values, "character value")

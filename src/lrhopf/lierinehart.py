@@ -221,7 +221,15 @@ def _check_shapes(data: LieRinehartData):
 
 def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
     """Antisymmetry first (including [xi,xi] = 0, which matters in
-    characteristic 2), then Jacobi, all in lexicographic index order."""
+    characteristic 2), then Jacobi, all in lexicographic index order.
+
+    Jacobi is tested on the triples a < b < c only.  Once the bracket is
+    alternating, the Jacobiator J(a, b, c) is trilinear and alternating:
+    it vanishes when two indices agree and changes sign under a swap.  So
+    it vanishes on every triple exactly when it does on the sorted ones,
+    and the lexicographically first failing triple of the full m^3 scan
+    is sorted, since it comes before every other ordering of its indices;
+    the sorted scan reports the same triple with the same value."""
     name = "lie-algebra"
     m = L.dim
     table = L.sparse_table
@@ -244,8 +252,8 @@ def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
                         "rhs": "-(" + L.render(L.table[b][a]) + ")"}])
 
     for a in range(m):
-        for b in range(m):
-            for c in range(m):
+        for b in range(a + 1, m):
+            for c in range(b + 1, m):
                 # [xi_a,[xi_b,xi_c]] + [xi_b,[xi_c,xi_a]] + [xi_c,[xi_a,xi_b]]
                 total = combine_rows(reduce, (table[b][c], table[a]),
                                      (table[c][a], table[b]),
@@ -421,8 +429,14 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
       (b) chi(anchor(xi_a)(e_i)) = 0 (anchor values land in ker chi).
 
     The verdict is the conjunction; witnesses carry the first failure of
-    each condition."""
+    each condition.  A character over another base algebra, or with
+    another number of values than R.dim, is refused."""
     name = "character-criterion"
+    if chi.algebra is not R and chi.algebra != R:
+        raise AlgebraMismatchError("character is over a different base "
+                                   "algebra")
+    if len(chi.values) != R.dim:
+        raise LrhInputError("character vector has wrong length")
     R.field.require(chi.values, "character value")
     reduce = R.field.reduce
     table = R.sparse_table

@@ -409,11 +409,11 @@ def render_problem(pf: ProblemFile) -> str:
     for a, label in enumerate(pf.L.labels):
         d = pf.anchor.rho(a)
         if pf.R.variables is not None:
-            gens = {}
-            for var in pf.R.variables:
-                j = pf.R.index_of(var)
-                gens[var] = str(d.column(j))
-            anchor[label] = gens
+            # a variable in the ideal (relation "x") is no basis element:
+            # it is zero in R, and so are its image and character value
+            anchor[label] = {
+                var: str(d.column(pf.R.index_of(var)))
+                if var in pf.R.labels else "0" for var in pf.R.variables}
         else:
             anchor[label] = {
                 lab: str(d.column(j))
@@ -424,6 +424,7 @@ def render_problem(pf: ProblemFile) -> str:
         chi = pf.action.character
         if pf.R.variables is not None:
             values = {var: str(chi.values[pf.R.index_of(var)])
+                      if var in pf.R.labels else "0"
                       for var in pf.R.variables}
         else:
             values = {lab: str(chi.values[k])

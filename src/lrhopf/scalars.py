@@ -24,11 +24,13 @@ its way out.
 Gauss-Jordan elimination in {col: value} rows of kernel values,
 fraction-free on integer rows over Q, with a per-column index of the
 rows that hold each column.  Only a row that holds a non-integral value,
-in its entries or its right-hand side, is scaled to integers first.  It
-always hands back checkable evidence: a particular witness plus a
-nullspace basis when feasible, or a Farkas-style row vector u with
-u.A = 0 and u.b != 0 when infeasible.  The evidence is normalised
-lazily: a pivot is inverted only where an evidence entry needs it.
+in its entries or its right-hand side, is scaled to integers first, and
+a pivot row that is the only holder of its column is neither scaled nor
+used to clear.  It always hands back checkable evidence: a particular
+witness plus a nullspace basis when feasible, or a Farkas-style row
+vector u with u.A = 0 and u.b != 0 when infeasible.  The evidence is
+normalised lazily: a pivot is inverted only where an evidence entry
+needs it.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
 from the sparse input on kernel values, reduced by ``Field.reduce``,
 independently of the elimination path that produced it: they read
@@ -322,16 +324,19 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     integral rational is an int, and as residues in [0, p) over GF(p);
     zeros are never stored, including explicit zero entries of the
     input.  A set per column holds the rows with an entry there, so
-    finding the pivot and the rows to clear reads no other row.  Over
-    GF(p) the pivot row is scaled to a leading one and a row is cleared
-    as row - f.pivot.  Over Q the elimination is fraction-free: a row
-    holding a Fraction in its entries or right-hand side is first scaled
-    by the lcm of their denominators, every other row is left as it is, a
-    row is cleared as y.row - f.pivot, y being the pivot entry, and then
-    divided by the common content of its entries, right-hand side and T
-    row.  Row operations are mirrored on a sparse block T of {row: value}
-    dicts, which starts as the identity times each row's scale and grows
-    only in rows that were combined.
+    finding the pivot and the rows to clear reads no other row.  A
+    pivot row that is the only row holding its column, as most are in
+    the systems of left_divide, is taken without a search, has nothing
+    to clear and is left unscaled.  Over GF(p) any other pivot row is
+    scaled to a leading one and a row is cleared as row - f.pivot.  Over
+    Q the elimination is fraction-free: a row holding a Fraction in its
+    entries or right-hand side is first scaled by the lcm of their
+    denominators, every other row is left as it is, a row is cleared as
+    y.row - f.pivot, y being the pivot entry, and then divided by the
+    common content of its entries, right-hand side and T row.  Row
+    operations are mirrored on a sparse block T of {row: value} dicts,
+    which starts as the identity times each row's scale and grows only
+    in rows that were combined.
 
     The evidence is normalised at the end, and lazily: a pivot column's
     witness entry is b_r / a_r[c], and a nullspace vector's entry
@@ -381,13 +386,23 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     for col in range(ncols):
         rank = len(pivots)
         holding = holders[col]
-        at = min((where[r] for r in holding if where[r] >= rank),
-                 default=None)
-        if at is None:
-            continue
-        pr = order[at]
+        sole = len(holding) == 1
+        if sole:  # no search: the one holder, unless it is a pivot row
+            (pr,) = holding
+            at = where[pr]
+            if at < rank:
+                continue
+        else:
+            at = min((where[r] for r in holding if where[r] >= rank),
+                     default=None)
+            if at is None:
+                continue
+            pr = order[at]
         order[at], order[rank] = order[rank], pr
         where[order[at]], where[pr] = at, rank
+        pivots.append((pr, col))
+        if sole:  # no other row to clear, so the pivot is left unscaled
+            continue
         if p:
             inv = inverse(a[pr][col])
             a[pr] = {c: v * inv % p for c, v in a[pr].items()}
@@ -429,7 +444,6 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
                     t[r] = {k: v // g for k, v in tr.items()}
                     br //= g
             b[r] = br
-        pivots.append((pr, col))
 
     def dense(sparse, size):
         out = [fld.zero] * size

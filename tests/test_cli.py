@@ -249,6 +249,22 @@ def test_committed_sl2_file_is_the_sl2_document():
     assert json.loads(path.read_text()) == SL2_DOC
 
 
+def test_committed_sl2_gf7_file_is_sl2_over_gf7(capsys):
+    """The CI workflow runs a feasible and an infeasible multi-term divide
+    in tests/data/sl2-gf7.lrh under python -O, so that GF(p) elimination
+    is run from the command line on more than a trivial system."""
+    path = Path(__file__).parent / "data" / "sl2-gf7.lrh"
+    assert json.loads(path.read_text()) == \
+        dict(SL2_DOC, field={"kind": "prime-field", "p": 7})
+    for left, target, verdict in (("e+2*f-h", "3*e+6*f-3*h", "feasible"),
+                                  ("e+f", "h", "infeasible")):
+        assert main(["divide", str(path), f"--left={left}",
+                     f"--target={target}", "--degree", "4",
+                     "--format", "structured"]) == 0
+        report, = json.loads(capsys.readouterr().out)["reports"]
+        assert report["verdict"] == verdict
+
+
 def _with(doc, path, value):
     doc = json.loads(json.dumps(doc))
     target = doc

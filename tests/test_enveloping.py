@@ -904,6 +904,22 @@ def test_elements_refuse_coefficients_over_another_field(q):
             NCElement.from_word(q, abar, coeff)
 
 
+def test_from_word_coerces_raw_coefficients(q):
+    """An int or a Fraction coefficient is coerced into the field, as
+    scalar multiplication does, and a Fraction over GF(5) is refused as a
+    literal; from_word(Q, word, 3) used to fail in the ownership check."""
+    gf5 = Field(5)
+    abar = (l_letter(0),)
+    for fld, raw in ((q, 3), (q, Fraction(-1, 2)), (gf5, 7), (gf5, -1)):
+        made = NCElement.from_word(fld, abar, raw)
+        assert made == NCElement.from_word(fld, abar, fld.scalar(raw))
+        assert made == raw * NCElement.from_word(fld, abar)
+    assert NCElement.from_word(gf5, abar, 7).terms == {abar: gf5.scalar(2)}
+    assert not NCElement.from_word(gf5, abar, 5)
+    with pytest.raises(FieldMismatchError, match="not a GF\\(5\\) literal"):
+        NCElement.from_word(gf5, abar, Fraction(1, 2))
+
+
 def test_left_action_is_multiplicative(obstructed, obstructed_env):
     R = obstructed[0]
     env = obstructed_env

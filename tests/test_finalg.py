@@ -256,6 +256,23 @@ def test_check_derivation_refuses_a_matrix_over_another_field(q):
         check_derivation(R, Derivation(R, foreign))
 
 
+def test_check_derivation_refuses_a_derivation_of_another_algebra(q):
+    """The Euler derivation x -> x of K[x]/(x^3) has the matrix
+    diag(0, 1, 2), which happens to satisfy Leibniz on the obstructed
+    example's base algebra, also of dimension 3.  As a Derivation it
+    belongs to K[x]/(x^3) and is refused there; its bare matrix is
+    checked on the algebra it is given with."""
+    cubic = make_monomial_quotient(("x",), ("x^3",), q)
+    euler = Derivation.from_variable_images(
+        cubic, {"x": cubic.basis_element(1)})
+    R = make_monomial_quotient(("x", "y"), ("x*y", "x^2", "y^2"), q)
+    assert check_derivation(cubic, euler).ok
+    assert check_derivation(R, euler.matrix).ok
+    with pytest.raises(AlgebraMismatchError,
+                       match="derivation is over a different algebra"):
+        check_derivation(R, euler)
+
+
 def test_derivation_commutator_frozen_example(q):
     """[x d/dx, x^2 d/dx] = x^2 d/dx on K[x]/(x^3)."""
     R = make_monomial_quotient(("x",), ("x^3",), q)
@@ -286,6 +303,16 @@ def test_check_character_refuses_values_over_another_field(q):
     g5 = Field(5)
     with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
         check_character(R, (g5.one, g5.zero))
+
+
+def test_check_character_refuses_a_character_for_its_values(q):
+    """check_character takes the values of a character on the basis;
+    the Character itself is refused, where it used to end in TypeError."""
+    R = make_monomial_quotient(("x",), ("x^2",), q)
+    chi = Character.from_variable_values(R, {"x": q.zero})
+    assert check_character(R, chi.values).ok
+    with pytest.raises(LrhInputError, match="not the Character"):
+        check_character(R, chi)
 
 
 def test_base_field_algebra(q):

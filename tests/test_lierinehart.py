@@ -7,6 +7,7 @@ from itertools import chain
 import pytest
 
 from lrhopf import (
+    AlgebraMismatchError,
     Anchor,
     Character,
     ConstructionRefusedError,
@@ -411,6 +412,40 @@ def test_character_criterion_refuses_values_over_another_field(obstructed):
         character_criterion(R, L, anchor, foreign)
     with pytest.raises(FieldMismatchError, match="GF\\(5\\) used in Q"):
         make_character_module(R, L, anchor, foreign)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_character_criterion_refuses_a_character_of_another_length(
+        obstructed, count):
+    """A character with fewer or more values than R.dim is refused, where
+    fewer used to end in IndexError inside the criterion."""
+    R, L, anchor, chi, _, _ = obstructed
+    values = (chi.values + (R.field.zero,))[:count]
+    with pytest.raises(LrhInputError, match="wrong length"):
+        character_criterion(R, L, anchor, Character(R, values))
+
+
+def test_character_criterion_refuses_a_character_of_another_algebra(
+        obstructed, euler):
+    """The Euler example's character lives on K[x]/(x^2), not on the
+    obstructed example's base algebra: it is refused, where it used to
+    end in IndexError."""
+    R, L, anchor, _, _, _ = obstructed
+    with pytest.raises(AlgebraMismatchError, match="different base algebra"):
+        character_criterion(R, L, anchor, euler[3])
+
+
+def test_make_character_module_refuses_a_foreign_anchor(obstructed, q):
+    """x -> x on K[x]/(x^3) has a matrix that passes Leibniz on the
+    obstructed example's base algebra; as an anchor there it is refused
+    by the derivation check, before the anchor's shape is compared."""
+    R, L, _, chi, _, _ = obstructed
+    cubic = make_monomial_quotient(("x",), ("x^3",), q)
+    foreign = Derivation.from_variable_images(
+        cubic, {"x": cubic.basis_element(1)})
+    with pytest.raises(AlgebraMismatchError,
+                       match="derivation is over a different algebra"):
+        make_character_module(R, L, Anchor((foreign,)), chi)
 
 
 def test_classical_case_has_trivial_criterion(classical):

@@ -143,3 +143,22 @@ def test_mutated_problem_files_parse_and_round_trip_or_are_refused(data):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_variable_in_the_ideal_renders_as_zero():
+    """With the relation "x", the variable x is zero in R and no basis
+    element, so its anchor image and character value are zero too:
+    rendering writes "0" for them, and the rendered file parses back to
+    equal components.  render_problem used to look x up as a basis label
+    and raise LrhInputError."""
+    doc = {"field": {"kind": "prime-field", "p": 2},
+           "algebra": {"kind": "monomial-quotient", "variables": ["x", "y"],
+                       "relations": ["x", "y^2"]},
+           "lie": {"dim": 1, "labels": ["a"], "brackets": []},
+           "anchor": {"a": {"x": "1", "y": "y"}},
+           "action": {"kind": "character", "values": {"x": "1", "y": "0"}}}
+    pf = parse_problem_text(json.dumps(doc))
+    rendered = json.loads(render_problem(pf))
+    assert rendered["anchor"] == {"a": {"x": "0", "y": "y"}}
+    assert rendered["action"]["values"] == {"x": "0", "y": "0"}
+    assert parse_problem_text(json.dumps(rendered)) == pf

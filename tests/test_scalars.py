@@ -438,6 +438,52 @@ def test_solver_equals_dense_reference():
     assert len(verdicts) == 8  # both verdicts occur over every field
 
 
+def _column_sparse_system(rng, fld, rows, cols):
+    """A tall system whose columns hold one or two entries each, valued
+    other than +-1 where the field has such values, and half the time a
+    right-hand side A.x in the column span.  Most pivots are the only
+    row holding their column, and a later pivot often clears such a
+    row through another of its columns."""
+    values = {0: (2, -3, Fraction(3, 2), Fraction(-5, 4)), 2: (1,),
+              3: (1, 2), 7: (2, 3, 4, 5)}[fld.characteristic]
+    raw = {}
+    for c in range(cols):
+        for r in rng.sample(range(rows), rng.choice((1, 1, 2))):
+            raw[r, c] = rng.choice(values)
+    if rng.random() < 0.5:
+        x = [rng.choice((0, 1, 2)) for _ in range(cols)]
+        rhs = [0] * rows
+        for (r, c), v in raw.items():
+            rhs[r] += v * x[c]
+    else:
+        rhs = [rng.choice((0, 0, 0, 1)) for _ in range(rows)]
+    return LinearSystem(rows=rows, cols=cols,
+                        entries=tuple((r, c, fld.scalar(v))
+                                      for (r, c), v in raw.items()),
+                        rhs=tuple(fld.scalar(v) for v in rhs), field=fld)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+def test_column_sparse_systems_equal_dense_reference(p):
+    """Seeded tall systems of 20 to 40 rows with one or two entries per
+    column, like the systems of left_divide: a pivot that is its
+    column's only holder is left unscaled, also over GF(p), where every
+    pivot that clears is scaled to a leading one, and later pivots clear
+    such rows.  The whole outcome equals the former dense solver's,
+    which scales every pivot, and both verdicts occur."""
+    fld = Field(p)
+    rng = random.Random(f"column-sparse/{p}")
+    verdicts = set()
+    for _ in range(40):
+        rows = rng.randint(20, 40)
+        system = _column_sparse_system(rng, fld, rows,
+                                       rng.randint(rows // 2, rows - 2))
+        out = solve_linear(system)
+        assert out == oracles.dense_solve(system)
+        verdicts.add(out.verdict)
+    assert verdicts == {"feasible", "infeasible"}
+
+
 def _row_kind_system(rng, kind, rows, cols):
     """A random system over Q whose entries are integers or hold
     fractions, and whose right-hand side is integral or fractional, as
