@@ -197,9 +197,12 @@ class RewriteSystem:
     holds collection's expansions of x.a^i (`_syllable`), and
     `basis_words` and `basis_index` hold the PBW basis that every
     truncated basis is a prefix of, with `basis_ends[d]` the number of
-    its words of degree at most d.  They belong to this object alone: a
-    `dataclasses.replace` copy starts empty, and the engines never share
-    results, so comparing them stays a real cross-check."""
+    its words of degree at most d.  Collection reads `basis_index` on a
+    memo miss: a basis word is irreducible, so it is its own normal
+    form.  The leftmost engine never reads it.  They belong to this
+    object alone: a `dataclasses.replace` copy starts empty, and the
+    engines never share results, so comparing them stays a real
+    cross-check."""
 
     field: object
     r_labels: tuple
@@ -341,7 +344,12 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     rest[0] are L-letters, x is folded onto each normal word v of
     NF(rest): x.v is normal unless (x, v[0]) is a rule.  An L-letter x
     moves past a leading power a^i of v in one step (`_fold`); any other
-    rule's bodies go in front of v[1:].  `leftmost` rewrites one leftmost
+    rule's bodies go in front of v[1:].  Collection takes no step on a
+    word it already knows is normal: a suffix rest held by the system's
+    basis index, and the tail v[1:] or v[i:] of a normal word v that a
+    fold turns into successors, enter its memo as {word: 1} when first
+    needed.  Such a word has no rule on any pair, so {word: 1} is the
+    entry collecting it would store.  `leftmost` rewrites one leftmost
     redex at a time: the independent path of the replays and the
     confluence check.
 
@@ -404,12 +412,16 @@ def _reduce(words, system: RewriteSystem, strategy: str) -> dict:
     strategy's step turns a word into its plan: the raw coefficients of
     the normal words it already knows and the (successor, raw
     coefficient) terms it needs.  The collection step may instead answer
-    _SUFFIX: the word x.rest then waits for NF(rest), and x is folded onto
-    it.  The stack holds (word, state) frames: a new word, a word waiting
-    for its suffix, or a word with its plan, waiting for the normal forms
-    of its successors.  A plan with no successors is stored as it stands,
-    and a word whose plan is one successor with coefficient one shares
-    that successor's memo entry; entries never change once stored."""
+    _SUFFIX, when NF(rest) is neither in the memo nor a basis word: the
+    word x.rest then waits for NF(rest), and x is folded onto it.  The
+    stack holds (word, state) frames: a new word, a word waiting for its
+    suffix, or a word with its plan, waiting for the normal forms of its
+    successors.  A plan with no successors is stored as it stands, and a
+    word whose plan is one successor with coefficient one shares that
+    successor's memo entry.  The collection step also stores {w: 1} for
+    a normal word w it knows (`_collect_step`, `_fold`); such a w is on
+    no frame waiting for its suffix or successors, so entries never
+    change once stored."""
     memo = system.normal_forms.setdefault(strategy, {})
     step = _STEPS[strategy]
     reduce = system.field.reduce
@@ -425,7 +437,7 @@ def _reduce(words, system: RewriteSystem, strategy: str) -> dict:
                 stack += ((word, _SUFFIX), (word[1:], None))
                 continue
         elif state is _SUFFIX:
-            plan = _fold(system, word[0], memo[word[1:]])
+            plan = _fold(system, word[0], memo[word[1:]], memo)
         else:
             waiting.discard(word)
             memo[word] = _planned(state, memo, reduce)
@@ -455,7 +467,10 @@ def _leftmost_step(system: RewriteSystem, word: tuple, memo: dict) -> tuple:
 def _collect_step(system: RewriteSystem, word: tuple, memo: dict):
     """The plan of x.rest: the rule's bodies in front of rest[1:] when
     (x, rest[0]) holds an R-letter and is a rule, else x folded onto
-    NF(rest), or _SUFFIX while NF(rest) is not in the memo."""
+    NF(rest).  On a memo miss a rest in the system's basis index is
+    normal, and enters the memo as its own normal form; any other rest
+    gives _SUFFIX, to be reduced first.  The index is read on a miss
+    only, as hashing a word costs time linear in its length."""
     if len(word) < 2:
         return {word: 1}, ()
     x, y = word[0], word[1]
@@ -463,10 +478,14 @@ def _collect_step(system: RewriteSystem, word: tuple, memo: dict):
     if rhs is not None:
         tail = word[2:]
         return {}, [(body + tail, c) for body, c in rhs]
-    reduced = memo.get(word[1:])
+    rest = word[1:]
+    reduced = memo.get(rest)
     if reduced is None:
-        return _SUFFIX
-    return _fold(system, x, reduced)
+        index = system.basis_index
+        if not (index and rest in index):
+            return _SUFFIX
+        reduced = memo[rest] = {rest: 1}
+    return _fold(system, x, reduced, memo)
 
 
 _STEPS = {"collect": _collect_step, "leftmost": _leftmost_step}
@@ -481,7 +500,8 @@ def _planned(plan: tuple, memo: dict, reduce) -> dict:
     return _combine(normal, terms, memo, reduce)
 
 
-def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
+def _fold(system: RewriteSystem, x: Letter, reduced: dict,
+          memo: dict) -> tuple:
     """The plan of x times the normal element `reduced` (raw values).
 
     x.v is normal unless (x, v[0]) is a rule.  When x and v[0] = a are
@@ -493,7 +513,13 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
     since right multiplication by a is left multiplication by a plus D,
     and the two commute.  A word a^(i-s).c.w is normal unless (a, c) or
     (c, w[0]) is a rule; otherwise it is a successor.  Any other v has
-    the rule's bodies put in front of v[1:]."""
+    the rule's bodies put in front of v[1:].
+
+    The tail v[1:] or v[i:] that such successors carry is a suffix of
+    the normal word v, so it is normal: it enters `memo`, the collection
+    memo, as its own normal form, when a successor is formed and the
+    tail is not there yet.  Reducing the successor then stops at the
+    tail."""
     normal, terms, syllables = {}, [], {}
     for v, d in reduced.items():
         rhs = pair_rule(system, x, v[0]) if v else None
@@ -504,6 +530,8 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
         if x.kind != L_KIND or a.kind != L_KIND or v[1:2] != (a,):
             tail = v[1:]
             terms += [(body + tail, d * c) for body, c in rhs]
+            if tail not in memo:
+                memo[tail] = {tail: 1}
             continue
         i = 2
         while i < len(v) and v[i] == a:
@@ -519,6 +547,8 @@ def _fold(system: RewriteSystem, x: Letter, reduced: dict) -> tuple:
             if blocked or \
                     (follows and pair_rule(system, c, follows) is not None):
                 terms.append((word, d * k))
+                if w not in memo:
+                    memo[w] = {w: 1}
             else:
                 syllables[word] = syllables.get(word, 0) + d * k
     if syllables:
@@ -792,7 +822,9 @@ def left_divide(g: NCElement, t: NCElement,
     terms, summed from the memo on raw values, enter the sparse system
     directly as the entries of its column; a column of one term is read
     from its word's memo entry in place, and each distinct raw value is
-    wrapped in one Scalar, which its entries share.  The outcome carries
+    wrapped in one Scalar, which its entries share.  Collection stops at
+    the basis words of env and at the tails its folds split off, which
+    it knows are normal (`normal_form`).  The outcome carries
     a witness z or an exact infeasibility certificate.  A system over the
     solver's size limit is refused before any product is formed."""
     system = env.system
@@ -895,12 +927,16 @@ def verify_divide_witness(g: NCElement, t: NCElement,
                           env: TruncatedEnvelope, witness: tuple) -> bool:
     """Independent check that g.z, normalised, equals t normalised, where
     z has the witness as its coordinates in the truncated basis; both are
-    normalised by leftmost rewriting, as in verify_divide_certificate."""
+    normalised by leftmost rewriting, as in verify_divide_certificate.
+    z is built from the witness's support: an entry that is the field's
+    own zero, as every zero solve_linear returns is, is passed over
+    without a test."""
     if len(witness) != env.dim:
         return False
     fld = env.system.field
     fld.require((t,), "target")
     fld.require(witness, "witness")
-    z = NCElement(fld, dict(zip(env.basis, witness)))
+    z = NCElement(fld, {w: c for w, c in zip(env.basis, witness)
+                        if c is not fld.zero})
     return normal_form(g.concat(z), env.system, "leftmost") == \
         normal_form(t, env.system, "leftmost")

@@ -331,7 +331,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     scaled to a leading one and a row is cleared as row - f.pivot.  Over
     Q the elimination is fraction-free: a row holding a Fraction in its
     entries or right-hand side is first scaled by the lcm of their
-    denominators, every other row is left as it is, a row is cleared as
+    denominators (only rows with entries are scanned for a Fraction
+    entry), every other row is left as it is, a row is cleared as
     y.row - f.pivot, y being the pivot entry, and then divided by the
     common content of its entries, right-hand side and T row.  Row
     operations are mirrored on a sparse block T of {row: value} dicts,
@@ -368,7 +369,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     t = [{r: 1} for r in range(nrows)]
     if not p:  # kernel values: a Fraction is never integral
         for r, row in enumerate(a):
-            if type(b[r]) is Fraction or Fraction in map(type, row.values()):
+            if type(b[r]) is Fraction or \
+                    row and Fraction in map(type, row.values()):
                 scale = lcm(b[r].denominator,
                             *(v.denominator for v in row.values()))
                 a[r] = {c: v.numerator * (scale // v.denominator)

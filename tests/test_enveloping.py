@@ -38,6 +38,8 @@ from lrhopf import (
     make_monomial_quotient,
     multiply_truncated,
     normal_form,
+    parse_generator_expression,
+    parse_problem,
     parse_problem_text,
     r_letter,
     relation_elements,
@@ -457,6 +459,77 @@ def test_collection_moves_letters_past_whole_powers(classical, q):
              _sl2_word(0, 10, 10), 600)):
         normal_form(NCElement.from_word(q, word), system)
         assert len(system.normal_forms["collect"]) <= bound
+
+
+def _collection_steps(monkeypatch) -> list:
+    """The list that the words of every later collection step are
+    appended to."""
+    steps = []
+    collect = enveloping._STEPS["collect"]
+
+    def counted(system, word, memo):
+        steps.append(word)
+        return collect(system, word, memo)
+
+    monkeypatch.setitem(enveloping._STEPS, "collect", counted)
+    return steps
+
+
+def test_left_divide_collects_no_word_it_knows_is_normal(monkeypatch):
+    """Dividing h by f in U(sl2) (tests/data/sl2.lrh) at degree 6 takes
+    106 collection steps, each on a different word.  A suffix found in
+    the basis index, and a tail that a fold splits off, enter the memo
+    as their own normal forms; collecting them letter by letter took
+    187 steps."""
+    data = parse_problem(str(Path(__file__).parent / "data" /
+                             "sl2.lrh")).to_data()
+    assert all(r.ok for r in validate_lie_rinehart(data))
+    system = build_rewrite_system(dataclasses.replace(data, validated=True))
+    f, h = (parse_generator_expression(s, system) for s in ("f", "h"))
+    steps = _collection_steps(monkeypatch)
+    outcome = left_divide(f, h, enumerate_basis(system, 6))
+    assert not outcome.feasible
+    assert len(steps) == 106
+    assert len(set(steps)) == len(steps)
+
+
+@pytest.mark.parametrize("p", (0, 3))
+def test_collection_of_basis_products_equals_leftmost_rewriting(p,
+                                                                monkeypatch):
+    """On random valid structures over Q and GF(3), with the basis grown
+    to degree 3 first, collection of every letter times a basis word, and
+    of drawn products of two basis words, equals leftmost rewriting; so
+    does every entry of the collection memo, the basis words and fold
+    tails it enters without collecting them included.  A product that is
+    itself a basis word, and new to the memo, takes one collection
+    step."""
+    fld = Field(p)
+    rng = random.Random(f"basis-products/{p}")
+    steps = _collection_steps(monkeypatch)
+    normal_products = 0
+    for _ in range(20):
+        data = oracles.random_valid_structure(rng, fld)
+        system = build_rewrite_system(dataclasses.replace(data,
+                                                          validated=True))
+        basis = enumerate_basis(system, 3).basis
+        letters = [r_letter(i) for i in range(1, system.r_dim)]
+        letters += [l_letter(a) for a in range(system.l_dim)]
+        words = [rng.choice(basis) + rng.choice(basis) for _ in range(40)]
+        words += [(x,) + v for x in letters for v in basis]
+        memo = system.normal_forms.setdefault("collect", {})
+        for word in words:
+            fresh = word not in memo
+            steps.clear()
+            elem = NCElement.from_word(fld, word)
+            assert normal_form(elem, system) == \
+                normal_form(elem, system, "leftmost")
+            if fresh and word in system.basis_index:
+                assert steps == [word]
+                normal_products += len(word) > 1
+        enveloping._reduce(list(memo), system, "leftmost")
+        leftmost = system.normal_forms["leftmost"]
+        assert all(leftmost[w] == entry for w, entry in memo.items())
+    assert normal_products
 
 
 def test_relations_normalize_to_zero(obstructed):
