@@ -152,6 +152,10 @@ def _cmd_partial(args) -> int:
 
 
 def _cmd_divide(args) -> int:
+    """Answer g.z = t at the given degree and replay the evidence before
+    it is printed.  A witness z is rendered from its support
+    (`TruncatedEnvelope.element`), as the replay builds it, so its zero
+    coordinates are neither coerced nor tested."""
     pf = parse_problem(args.problem)
     data = _validated(pf)
     system = build_rewrite_system(data)

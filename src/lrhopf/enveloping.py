@@ -257,13 +257,14 @@ class RewriteSystem:
     def grow_basis(self, size: int) -> list:
         """The basis words, extended by whole degrees to at least `size`.
         The next degree is read from `basis_ends`, so growing to degree D
-        rescans no word and costs time linear in the words it adds."""
+        rescans no word and costs time linear in the words it adds.  A
+        degree's words are the tuples `combinations_with_replacement`
+        yields over the L-letters themselves, taken as they come."""
         words, ends = self.basis_words, self.basis_ends
         letters = [l_letter(a) for a in range(self.l_dim)]
         while len(words) < size:
             degree = len(ends)
-            new = [tuple(map(letters.__getitem__, combo)) for combo in
-                   combinations_with_replacement(range(self.l_dim), degree)]
+            new = list(combinations_with_replacement(letters, degree))
             if degree == 0:
                 new += [(r_letter(i),) for i in range(1, self.r_dim)]
             self.basis_index.update(zip(new, count(len(words))))
@@ -650,11 +651,17 @@ class TruncatedEnvelope:
         return tuple(out)
 
     def element(self, coords) -> NCElement:
+        """The element with these coordinates, built from their support:
+        an entry that is the field's own `zero`, as every zero
+        solve_linear returns is, is passed over without a coercion or a
+        test, since `Field.scalar` would return it as it is and
+        `NCElement` would drop it."""
         if len(coords) != self.dim:
             raise LrhInputError("coordinate vector has wrong length")
-        return NCElement(self.system.field,
-                         {w: self.system.field.scalar(c)
-                          for w, c in zip(self.basis, coords)})
+        fld = self.system.field
+        return NCElement(fld, {w: fld.scalar(c)
+                               for w, c in zip(self.basis, coords)
+                               if c is not fld.zero})
 
     def basis_labels(self) -> tuple:
         """`render_word` of each basis word.  Every prefix of a basis word
@@ -928,15 +935,12 @@ def verify_divide_witness(g: NCElement, t: NCElement,
     """Independent check that g.z, normalised, equals t normalised, where
     z has the witness as its coordinates in the truncated basis; both are
     normalised by leftmost rewriting, as in verify_divide_certificate.
-    z is built from the witness's support: an entry that is the field's
-    own zero, as every zero solve_linear returns is, is passed over
-    without a test."""
+    z is built from the witness's support (`TruncatedEnvelope.element`)."""
     if len(witness) != env.dim:
         return False
     fld = env.system.field
     fld.require((t,), "target")
     fld.require(witness, "witness")
-    z = NCElement(fld, {w: c for w, c in zip(env.basis, witness)
-                        if c is not fld.zero})
+    z = env.element(witness)
     return normal_form(g.concat(z), env.system, "leftmost") == \
         normal_form(t, env.system, "leftmost")

@@ -325,6 +325,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     zeros are never stored, including explicit zero entries of the
     input.  A set per column holds the rows with an entry there, so
     finding the pivot and the rows to clear reads no other row.  A
+    column that no row holds, as most columns of theorem1's systems
+    are, is passed over before any search.  A
     pivot row that is the only row holding its column, as most are in
     the systems of left_divide, is taken without a search, has nothing
     to clear and is left unscaled.  Over GF(p) any other pivot row is
@@ -388,6 +390,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     for col in range(ncols):
         rank = len(pivots)
         holding = holders[col]
+        if not holding:  # no row holds this column: nothing to search
+            continue
         sole = len(holding) == 1
         if sole:  # no search: the one holder, unless it is a pivot row
             (pr,) = holding

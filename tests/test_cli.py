@@ -514,6 +514,28 @@ def test_divide_command_both_verdicts(capsys):
     assert "not a left multiple" in out
 
 
+def test_divide_renders_its_witness_from_its_support(monkeypatch, capsys):
+    """A feasible divide prints z built from the witness's support, so the
+    84 coordinates of the degree-6 basis of U(sl2) are not coerced one by
+    one through Field.scalar: the whole run, parsing included, makes
+    fewer calls than that."""
+    calls = []
+    original = Field.scalar
+
+    def counting(self, value):
+        calls.append(value)
+        return original(self, value)
+
+    path = str(Path(__file__).parent / "data" / "sl2.lrh")
+    dim = enumerate_basis(build_rewrite_system(
+        replace(parse_problem(path).to_data(), validated=True)), 6).dim
+    monkeypatch.setattr(Field, "scalar", counting)
+    assert main(["divide", path, "--left=h+2*f", "--target=3*h+6*f",
+                 "--degree", "6"]) == 0
+    assert "witness: z=3" in capsys.readouterr().out
+    assert dim == 84 and len(calls) < dim
+
+
 def test_divide_refuses_a_target_beyond_the_representable_degree(capsys):
     """g = x has degree 0, so at degree 0 no product x.z reaches the
     degree-1 target a."""

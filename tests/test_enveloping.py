@@ -679,6 +679,37 @@ def test_basis_labels_match_the_reference(obstructed, q):
                                       f"b2{MACRON}")
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_basis_words_and_labels_on_random_structures(p):
+    """On seeded oracles.random_valid_structure draws, the envelopes of
+    degree 0 to 5, read in rising order on some systems and falling order
+    on others, label their words as render_word does
+    (oracles.reference_basis_labels).  Each basis is the empty word, the
+    non-unit R-letters and then, degree by degree, the nondecreasing
+    L-letter tuples, enumerated here by filtering all tuples in
+    lexicographic order."""
+    fld = Field(p)
+    rng = random.Random(f"labels-by-position/{p}")
+    shapes = set()
+    for k in range(16):
+        data = oracles.random_valid_structure(rng, fld)
+        assert all(r.ok for r in validate_lie_rinehart(data))
+        system = build_rewrite_system(
+            dataclasses.replace(data, validated=True))
+        letters = [l_letter(a) for a in range(system.l_dim)]
+        expected = [()] + [(r_letter(i),) for i in range(1, system.r_dim)]
+        for degree in range(1, 6):
+            expected += [w for w in itertools.product(letters, repeat=degree)
+                         if list(w) == sorted(w)]
+        for degree in (range(6) if k % 2 else range(5, -1, -1)):
+            env = enumerate_basis(system, degree)
+            assert env.basis_labels() == oracles.reference_basis_labels(env)
+            assert list(env.basis) == expected[:env.dim]
+        shapes.add((system.r_dim, system.l_dim))
+    assert {r for r, _ in shapes} >= {1, 2, 3}
+    assert {m for _, m in shapes} >= {1, 2, 3}
+
+
 def test_negative_degree_refused(obstructed):
     with pytest.raises(LrhInputError):
         enumerate_basis(obstructed[5], -1)

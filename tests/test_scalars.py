@@ -484,6 +484,57 @@ def test_column_sparse_systems_equal_dense_reference(p):
     assert verdicts == {"feasible", "infeasible"}
 
 
+def _system_with_empty_columns(rng, fld, rows, cols):
+    """A tall system in which about a third of the columns hold no entry,
+    some of them an explicit zero, and the others one to four entries,
+    and half the time a right-hand side A.x in the column span."""
+    values = {0: (1, -1, 2, Fraction(3, 2)), 7: (1, 2, 3, 6)}[
+        fld.characteristic]
+    empty = set(rng.sample(range(cols), cols // 3))
+    raw, entries = {}, []
+    for c in range(cols):
+        if c in empty:
+            entries += [(r, c, fld.scalar(0)) for r in range(rows)
+                        if rng.random() < 0.1]
+            continue
+        for r in rng.sample(range(rows), rng.randint(1, 4)):
+            raw[r, c] = rng.choice(values)
+            entries.append((r, c, fld.scalar(raw[r, c])))
+    if rng.random() < 0.5:
+        x = [rng.choice((0, 1, 2)) for _ in range(cols)]
+        rhs = [0] * rows
+        for (r, c), v in raw.items():
+            rhs[r] += v * x[c]
+    else:
+        rhs = [rng.choice((0, 0, 1)) for _ in range(rows)]
+    return LinearSystem(rows=rows, cols=cols, entries=tuple(entries),
+                        rhs=tuple(fld.scalar(v) for v in rhs),
+                        field=fld), empty
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_empty_columns_equal_dense_reference(p):
+    """Seeded tall systems of 12 to 30 rows, about a third of whose
+    columns are empty and the others sparse, so that a column no row
+    holds is passed over before any pivot search.  The whole outcome
+    equals the former dense solver's, every empty column is free in a
+    feasible answer, and both verdicts occur."""
+    fld = Field(p)
+    rng = random.Random(f"empty-columns/{p}")
+    verdicts = set()
+    for _ in range(40):
+        rows = rng.randint(12, 30)
+        system, empty = _system_with_empty_columns(
+            rng, fld, rows, rng.randint(3, rows // 2))
+        out = solve_linear(system)
+        assert out == oracles.dense_solve(system)
+        if out.feasible:
+            assert out.nullity >= len(empty)
+            assert all(out.witness[c] == fld.zero for c in empty)
+        verdicts.add(out.verdict)
+    assert verdicts == {"feasible", "infeasible"}
+
+
 def _row_kind_system(rng, kind, rows, cols):
     """A random system over Q whose entries are integers or hold
     fractions, and whose right-hand side is integral or fractional, as
