@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, count
 from math import comb
 from typing import NamedTuple
 
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .finalg import (AlgebraElement, combine_rows, dense_row, render_linear,
                      sparse_row, sparse_table)
-from .lierinehart import LieRinehartData
+from .lierinehart import LieRinehartData, _check_shapes
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import (LinearSystem, Scalar, SolveOutcome, check_solve_size,
                       solve_linear)
@@ -246,6 +246,25 @@ class RewriteSystem:
         its own anchor."""
         return sparse_table(self.rho_table)
 
+    @cached_property
+    def letters(self) -> frozenset:
+        """The R-letters 0 .. r_dim - 1 and the L-letters 0 .. l_dim - 1."""
+        return frozenset([r_letter(i) for i in range(self.r_dim)]
+                         + [l_letter(a) for a in range(self.l_dim)])
+
+    def require(self, elements, what: str) -> None:
+        """Refuse the first of `elements` over another field than this
+        system's (Field.require), or with a letter it has not, naming it
+        as `what`."""
+        self.field.require(elements, what)
+        for elem in elements:
+            if not self.letters.issuperset(chain.from_iterable(elem.terms)):
+                x = next(x for w in elem.terms for x in w
+                         if x not in self.letters)
+                raise LrhInputError(
+                    f"{what} holds {x.kind}-letter {x.index}, which the "
+                    f"structure has not")
+
     @property
     def r_dim(self) -> int:
         return len(self.r_labels)
@@ -293,11 +312,14 @@ class RewriteSystem:
 def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:
     """Instantiate the four rule families from the structure constants.
     Only validated data is accepted: the rules encode the axioms, and on
-    invalid data the system they generate need not terminate on a basis."""
+    invalid data the system they generate need not terminate on a basis.
+    Data marked validated by hand is still refused when its parts make
+    no one structure (_check_shapes)."""
     if not data.validated:
         raise LrhInputError(
             "rewrite system requires validated data; run the axiom checks "
             "or use the character-module constructor")
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     n = data.R.dim
     rho = tuple(
         tuple(tuple(d.matrix[k][j] for k in range(n)) for j in range(n))
@@ -366,7 +388,7 @@ def normal_form(elem: NCElement, system: RewriteSystem,
     word therefore raises RewriteBudgetError, an internal error, at the
     first repeat."""
     fld = system.field
-    fld.require((elem,), "element")
+    system.require((elem,), "element")
     if strategy not in _STEPS:
         raise LrhInputError(f"unknown reduction strategy {strategy!r}")
     memo = _reduce(elem.terms, system, strategy)
@@ -644,6 +666,7 @@ class TruncatedEnvelope:
         return position
 
     def coords(self, elem: NCElement) -> tuple:
+        self.system.require((elem,), "element")
         position = self.locate()
         out = [self.system.field.zero] * self.dim
         for w, c in elem.terms.items():
@@ -699,6 +722,7 @@ def multiply_truncated(a: NCElement, b: NCElement,
                        env: TruncatedEnvelope) -> NCElement:
     """Concatenate then normalize.  Refuses when the degrees could leave
     the truncation window; silent truncation would corrupt verdicts."""
+    env.system.require((a, b), "element")
     if a.degree + b.degree > env.degree:
         raise DegreeOverflowError(
             f"product degree {a.degree}+{b.degree} exceeds the truncation "
@@ -754,9 +778,8 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
     """Act on the base algebra: an R-letter multiplies, an L-letter applies
     its anchor derivation, letters applied right to left along each word."""
     alg = env.system.source.R
-    if r.algebra != alg:
-        raise LrhInputError("element does not live in the base algebra")
-    alg.field.require((v,), "element")
+    alg.require((r,), "element does not live in the base algebra")
+    env.system.require((v,), "element")
     reduce = alg.field.reduce
     tables = {R_KIND: alg.sparse_table, L_KIND: env.system.sparse_rho}
     images = []
@@ -892,11 +915,11 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
     checked last."""
     system = env.system
     fld = system.field
+    system.require((t,), "target")
     g = normal_form(g, system, "leftmost")  # rows sized as in left_divide
     extended = enumerate_basis(system, env.degree + g.degree)
     if len(certificate) != extended.dim:
         return False
-    fld.require((t,), "target")
     fld.require(certificate, "certificate")
     u = [fld.kernel(s.value) for s in certificate]
     position = extended.locate()
@@ -936,11 +959,11 @@ def verify_divide_witness(g: NCElement, t: NCElement,
     z has the witness as its coordinates in the truncated basis; both are
     normalised by leftmost rewriting, as in verify_divide_certificate.
     z is built from the witness's support (`TruncatedEnvelope.element`)."""
+    env.system.require((g,), "element")
+    env.system.require((t,), "target")
     if len(witness) != env.dim:
         return False
-    fld = env.system.field
-    fld.require((t,), "target")
-    fld.require(witness, "witness")
+    env.system.field.require(witness, "witness")
     z = env.element(witness)
     return normal_form(g.concat(z), env.system, "leftmost") == \
         normal_form(t, env.system, "leftmost")

@@ -212,6 +212,16 @@ class CommAlgebra:
     def basis_product(self, i: int, j: int) -> "AlgebraElement":
         return AlgebraElement(self, self.mul_table[i][j])
 
+    def require(self, items, message: str) -> None:
+        """Refuse the first of `items` -- anything with an ``.algebra``:
+        an element, a derivation, a character, an action -- that lives
+        over another algebra than this one, with `message`.  The one
+        test of "same algebra", as Field.require is of "same field":
+        identity first, then equality."""
+        for x in items:
+            if x.algebra is not self and x.algebra != self:
+                raise AlgebraMismatchError(message)
+
     def __str__(self):
         return f"algebra<{', '.join(self.labels)} over {self.field}>"
 
@@ -221,17 +231,13 @@ class AlgebraElement:
     algebra: CommAlgebra
     coeffs: tuple
 
-    def _same(self, other: "AlgebraElement"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("elements of different algebras")
-
     def __add__(self, other):
-        self._same(other)
+        self.algebra.require((other,), "elements of different algebras")
         return AlgebraElement(self.algebra, tuple(
             a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        self._same(other)
+        self.algebra.require((other,), "elements of different algebras")
         return AlgebraElement(self.algebra, tuple(
             a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -240,8 +246,8 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._same(other)
             alg = self.algebra
+            alg.require((other,), "elements of different algebras")
             row = product_row(alg.field.reduce, alg.sparse_table,
                               sparse_row(self.coeffs),
                               sparse_row(other.coeffs))
@@ -438,9 +444,8 @@ class Derivation:
     matrix: tuple  # matrix[i][j]
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        if elem.algebra != self.algebra:
-            raise AlgebraMismatchError("derivation applied across algebras")
         alg = self.algebra
+        alg.require((elem,), "derivation applied across algebras")
         row = combine_rows(alg.field.reduce,
                            (sparse_row(elem.coeffs), self.sparse_columns))
         return AlgebraElement(alg, dense_row(alg.field, row, alg.dim))
@@ -478,8 +483,7 @@ class Derivation:
         if algebra.monomials is None:
             raise UnsupportedInputError(
                 "Leibniz extension needs a monomial-quotient algebra")
-        if any(image.algebra != algebra for image in images.values()):
-            raise AlgebraMismatchError("variable image in another algebra")
+        algebra.require(images.values(), "variable image in another algebra")
         table = algebra.sparse_table
         index = {m: k for k, m in enumerate(algebra.monomials)}
         images = {v: sparse_row(image.coeffs) for v, image in images.items()}
@@ -506,6 +510,7 @@ class Character:
     values: tuple
 
     def apply(self, elem: AlgebraElement) -> Scalar:
+        self.algebra.require((elem,), "character applied across algebras")
         return sum((v * c for v, c in zip(self.values, elem.coeffs)),
                    self.algebra.field.zero)
 
@@ -539,8 +544,7 @@ def commutator_columns(d1: Derivation, d2: Derivation) -> tuple:
 
 
 def derivation_commutator(d1: Derivation, d2: Derivation) -> Derivation:
-    if d1.algebra != d2.algebra:
-        raise AlgebraMismatchError("commutator across algebras")
+    d1.algebra.require((d2,), "commutator across algebras")
     return Derivation.from_columns(d1.algebra, commutator_columns(d1, d2))
 
 
@@ -599,8 +603,7 @@ def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
     cached, and one over another algebra is refused."""
     if not isinstance(d, Derivation):
         d = Derivation(algebra, d)
-    elif d.algebra is not algebra and d.algebra != algebra:
-        raise AlgebraMismatchError("derivation is over a different algebra")
+    algebra.require((d,), "derivation is over a different algebra")
     name = "derivation"
     n = algebra.dim
     if len(d.matrix) != n or any(len(row) != n for row in d.matrix):

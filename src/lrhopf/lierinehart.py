@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import (
-    AlgebraMismatchError,
-    ConstructionRefusedError,
-    LrhInputError,
-)
+from .errors import ConstructionRefusedError, LrhInputError
 from .finalg import (
     MAX_CHECK_WORK,
     AlgebraElement,
@@ -71,12 +67,23 @@ class LieAlgebra:
         return sparse_table(self.table)
 
     def bracket(self, u: tuple, v: tuple) -> tuple:
+        """[u, v] of two L-coordinate vectors (_require_vector)."""
+        for vec in (u, v):
+            _require_vector(self.field, vec, self.dim)
         row = product_row(self.field.reduce, self.sparse_table,
                           sparse_row(u), sparse_row(v))
         return dense_row(self.field, row, self.dim)
 
     def render(self, vec: tuple) -> str:
         return render_linear(vec, self.labels)
+
+
+def _require_vector(fld, vec: tuple, dim: int) -> None:
+    """Refuse an L-coordinate vector of another length than `dim`, or
+    with an entry over another field than `fld`."""
+    if len(vec) != dim:
+        raise LrhInputError("Lie vector has wrong length")
+    fld.require(vec, "Lie vector entry")
 
 
 def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
@@ -127,10 +134,12 @@ class ModuleAction:
         return sparse_table(self.tensor)
 
     def act(self, r: AlgebraElement, vec: tuple) -> tuple:
-        """r . (sum_a vec_a xi_a) as an L-coordinate vector."""
-        if r.algebra != self.algebra:
-            raise AlgebraMismatchError("action applied across algebras")
+        """r . (sum_a vec_a xi_a) as an L-coordinate vector; an r over
+        another algebra, or a vector that _require_vector refuses, is
+        refused."""
+        self.algebra.require((r,), "action applied across algebras")
         fld = self.algebra.field
+        _require_vector(fld, vec, self.lie_dim)
         row = product_row(fld.reduce, self.sparse_tensor,
                           sparse_row(r.coeffs), sparse_row(vec))
         return dense_row(fld, row, self.lie_dim)
@@ -192,8 +201,9 @@ class Anchor:
 
     def of_vector(self, vec: tuple) -> Derivation:
         """Derivation attached to a general Lie element, by linearity."""
-        return Derivation.from_columns(self.derivations[0].algebra,
-                                       self.columns_of(sparse_row(vec)))
+        alg = self.derivations[0].algebra
+        _require_vector(alg.field, vec, self.lie_dim)
+        return Derivation.from_columns(alg, self.columns_of(sparse_row(vec)))
 
 
 @dataclass(frozen=True)
@@ -205,15 +215,18 @@ class LieRinehartData:
     validated: bool = False
 
 
-def _check_shapes(data: LieRinehartData):
-    data.R.field.require((data.L,), "Lie algebra")
-    if data.action.algebra != data.R:
-        raise AlgebraMismatchError("action is over a different base algebra")
-    if data.action.lie_dim != data.L.dim or data.anchor.lie_dim != data.L.dim:
+def _check_shapes(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
+                  action: ModuleAction = None) -> None:
+    """Refuse parts that make no one structure: a Lie algebra over
+    another field than R, or an anchor, or an action when one is given,
+    over another algebra than R or not of L's dimension."""
+    R.field.require((L,), "Lie algebra")
+    if action is not None:
+        R.require((action,), "action is over a different base algebra")
+    if anchor.lie_dim != L.dim or (action is not None
+                                   and action.lie_dim != L.dim):
         raise LrhInputError("action/anchor dimension does not match L")
-    for d in data.anchor.derivations:
-        if d.algebra != data.R:
-            raise AlgebraMismatchError("anchor lands in a different algebra")
+    R.require(anchor.derivations, "anchor lands in a different algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +283,7 @@ def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
 def check_module_action(R: CommAlgebra, action: ModuleAction) -> VerdictReport:
     """Unit slice is the identity; action tensor is associative over the
     multiplication of R."""
-    if action.algebra != R:
-        raise AlgebraMismatchError("action is over a different base algebra")
+    R.require((action,), "action is over a different base algebra")
     name = "module-action"
     m = action.lie_dim
     tensor = action.sparse_tensor
@@ -340,7 +352,7 @@ def check_anchor_size(R: CommAlgebra, L: LieAlgebra, anchor: Anchor) -> None:
 def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
     """anchor([xi_a, xi_b]) equals the commutator of the anchor
     derivations, for every basis pair."""
-    _check_shapes(data)
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "anchor-lie-homomorphism"
     R, L, anchor = data.R, data.L, data.anchor
     zero = ({},) * R.dim
@@ -365,7 +377,7 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
 def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
     """anchor(e_i . xi_a)(e_j) = e_i * anchor(xi_a)(e_j) for all i, a, j,
     with the left side expanded through the module action."""
-    _check_shapes(data)
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "anchor-r-linearity"
     R, L = data.R, data.L
     reduce = R.field.reduce
@@ -389,7 +401,7 @@ def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
 def check_leibniz(data: LieRinehartData) -> VerdictReport:
     """[xi_a, e_i . xi_b] = e_i . [xi_a, xi_b] + anchor(xi_a)(e_i) . xi_b
     on every basis triple, both sides in L-coordinates."""
-    _check_shapes(data)
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "leibniz-compatibility"
     R, L = data.R, data.L
     m = L.dim
@@ -429,12 +441,12 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
       (b) chi(anchor(xi_a)(e_i)) = 0 (anchor values land in ker chi).
 
     The verdict is the conjunction; witnesses carry the first failure of
-    each condition.  A character over another base algebra, or with
-    another number of values than R.dim, is refused."""
+    each condition.  Parts that make no one structure (_check_shapes),
+    and a character over another base algebra or with another number of
+    values than R.dim, are refused."""
     name = "character-criterion"
-    if chi.algebra is not R and chi.algebra != R:
-        raise AlgebraMismatchError("character is over a different base "
-                                   "algebra")
+    _check_shapes(R, L, anchor)
+    R.require((chi,), "character is over a different base algebra")
     if len(chi.values) != R.dim:
         raise LrhInputError("character vector has wrong length")
     R.field.require(chi.values, "character value")
@@ -519,7 +531,7 @@ def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
 def validate_lie_rinehart(data: LieRinehartData) -> list:
     """Every check in one sweep: component laws first, then the three
     compatibility laws.  Returns the reports in a fixed order."""
-    _check_shapes(data)
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     reports = [
         check_algebra_axioms(data.R),
         check_lie_algebra(data.L),

@@ -43,6 +43,7 @@ from .finalg import (
 from .lierinehart import (
     Anchor,
     LieRinehartData,
+    _check_shapes,
     character_criterion,
     lie_algebra_from_brackets,
     make_character_module,
@@ -72,16 +73,30 @@ from .scalars import (
 @dataclass(frozen=True)
 class PartialMap:
     """Candidate images of the Lie basis in R, one AlgebraElement per
-    generator, plus the dimension of the ambient solution space."""
+    generator, plus the dimension of the ambient solution space.  Data
+    with another kind of action than a character's, another number of
+    images than dim L, or one over another algebra, is refused: over
+    R = K with one generator there is no defining relation to multiply
+    an image, and build_and_verify_right_action would answer PASS."""
 
     data: LieRinehartData
     values: tuple
     free_parameters: int = 0
 
+    def __post_init__(self):
+        if self.data.action.kind != "character":
+            raise UnsupportedInputError(
+                "verification is only formulated for character-kind actions")
+        if len(self.values) != self.data.L.dim:
+            raise LrhInputError("wrong number of generator images")
+        self.data.R.require(self.values, "generator image in another algebra")
+
 
 def partial_map_system(data: LieRinehartData) -> LinearSystem:
     """The exact linear system whose solutions are the valid maps.
-    Unknown a*n + j is the e_j-coefficient of the image of xi_a."""
+    Unknown a*n + j is the e_j-coefficient of the image of xi_a.  Parts
+    that make no one structure are refused (_check_shapes)."""
+    _check_shapes(data.R, data.L, data.anchor, data.action)
     if data.action.kind != "character":
         raise UnsupportedInputError(
             "the right-extension system is only formulated for "
@@ -144,9 +159,15 @@ def solve_partial(data: LieRinehartData) -> SolveOutcome:
 
 def partial_map_from_witness(data: LieRinehartData,
                              outcome: SolveOutcome) -> PartialMap:
+    """The candidate images that a feasible outcome of
+    partial_map_system(data) carries; a witness of another length than
+    that system's unknowns, or over another field, is refused."""
     if not outcome.feasible:
         raise LrhInputError("outcome carries no witness to repackage")
     n = data.R.dim
+    if len(outcome.witness) != n * data.L.dim:
+        raise LrhInputError("witness has wrong length")
+    data.R.field.require(outcome.witness, "witness")
     values = tuple(
         AlgebraElement(data.R, outcome.witness[a * n:(a + 1) * n])
         for a in range(data.L.dim))
@@ -159,13 +180,8 @@ def verify_partial(p: PartialMap) -> VerdictReport:
     solver bookkeeping."""
     name = "partial-map"
     data = p.data
-    if data.action.kind != "character":
-        raise UnsupportedInputError(
-            "verification is only formulated for character-kind actions")
     R, L = data.R, data.L
     chi = data.action.character
-    if len(p.values) != L.dim:
-        raise LrhInputError("wrong number of generator images")
     for a in range(L.dim):
         for i in range(R.dim):
             shifted = R.basis_element(i) - chi.values[i] * R.unit

@@ -362,7 +362,7 @@ def _with_unit_letters(rng, elem):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, print_blob=True)
 @given(st.sampled_from((0, 2, 3, 7)), st.integers(0, 2 ** 32 - 1))
 def test_collection_agrees_with_both_rewriting_orders(p, seed):
     """On random valid structures over Q, GF(2), GF(3) and GF(7) with a
