@@ -645,7 +645,8 @@ class TruncatedEnvelope:
 
     def position(self, word: tuple) -> int:
         """Index of a normal word in the basis; a word beyond the
-        truncation raises DegreeOverflowError."""
+        truncation raises DegreeOverflowError, and a word within it that
+        is not normal, so in no basis, LrhInputError."""
         return self.locate()(word)
 
     def locate(self):
@@ -658,6 +659,9 @@ class TruncatedEnvelope:
         def position(word):
             pos = index.get(word, dim)
             if pos >= dim:
+                if word_degree(word) <= self.degree:
+                    raise LrhInputError(f"term {system.render_word(word)} "
+                                        f"is not a normal word")
                 raise DegreeOverflowError(
                     f"term {system.render_word(word)} lies outside the "
                     f"degree-{self.degree} basis")
@@ -932,8 +936,7 @@ def verify_divide_certificate(g: NCElement, t: NCElement,
     # degree 0 extends the empty prefix, whose column is g: the empty word
     # by no letter, and each non-unit R-letter by itself
     columns, start = {(): dict(_kernel_terms(g))}, 0
-    for degree in range(env.degree + 1):
-        end = TruncatedEnvelope(system, degree).dim
+    for end in system.basis_ends[:env.degree + 1]:
         words = basis[start:end]
         products = [[(v + w[-1:], c) for v, c in
                      columns.get(w[:-1], {}).items()] for w in words]

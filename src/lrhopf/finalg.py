@@ -192,8 +192,7 @@ class CommAlgebra:
 
     def element(self, coeffs: Sequence[Scalar]) -> "AlgebraElement":
         coeffs = tuple(self.field.scalar(c) for c in coeffs)
-        if len(coeffs) != self.dim:
-            raise LrhInputError("coefficient vector has wrong length")
+        self.field.require_vector(coeffs, self.dim, "coefficient vector")
         return AlgebraElement(self, coeffs)
 
     def basis_element(self, k: int) -> "AlgebraElement":
@@ -643,9 +642,7 @@ def check_character(algebra: CommAlgebra, values: tuple) -> VerdictReport:
     if isinstance(values, Character):
         raise LrhInputError("check_character takes the values of a "
                             "character, not the Character")
-    if len(values) != n:
-        raise LrhInputError("character vector has wrong length")
-    fld.require(values, "character value")
+    fld.require_vector(values, n, "character vector")
     if values[0] != fld.one:
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "law": "unit-value", "value": str(values[0])}])

@@ -67,23 +67,15 @@ class LieAlgebra:
         return sparse_table(self.table)
 
     def bracket(self, u: tuple, v: tuple) -> tuple:
-        """[u, v] of two L-coordinate vectors (_require_vector)."""
+        """[u, v] of two L-coordinate vectors (Field.require_vector)."""
         for vec in (u, v):
-            _require_vector(self.field, vec, self.dim)
+            self.field.require_vector(vec, self.dim, "Lie vector")
         row = product_row(self.field.reduce, self.sparse_table,
                           sparse_row(u), sparse_row(v))
         return dense_row(self.field, row, self.dim)
 
     def render(self, vec: tuple) -> str:
         return render_linear(vec, self.labels)
-
-
-def _require_vector(fld, vec: tuple, dim: int) -> None:
-    """Refuse an L-coordinate vector of another length than `dim`, or
-    with an entry over another field than `fld`."""
-    if len(vec) != dim:
-        raise LrhInputError("Lie vector has wrong length")
-    fld.require(vec, "Lie vector entry")
 
 
 def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
@@ -100,8 +92,7 @@ def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
         if not (0 <= a < m and 0 <= b < m):
             raise LrhInputError(f"bracket index pair ({a},{b}) out of range")
         vec = tuple(fld.scalar(c) for c in vec)
-        if len(vec) != m:
-            raise LrhInputError("bracket vector has wrong length")
+        fld.require_vector(vec, m, "bracket vector")
         table[a][b] = vec
         if (b, a) not in brackets:
             table[b][a] = tuple(-c for c in vec)
@@ -135,11 +126,11 @@ class ModuleAction:
 
     def act(self, r: AlgebraElement, vec: tuple) -> tuple:
         """r . (sum_a vec_a xi_a) as an L-coordinate vector; an r over
-        another algebra, or a vector that _require_vector refuses, is
-        refused."""
+        another algebra, or a vector that Field.require_vector refuses,
+        is refused."""
         self.algebra.require((r,), "action applied across algebras")
         fld = self.algebra.field
-        _require_vector(fld, vec, self.lie_dim)
+        fld.require_vector(vec, self.lie_dim, "Lie vector")
         row = product_row(fld.reduce, self.sparse_tensor,
                           sparse_row(r.coeffs), sparse_row(vec))
         return dense_row(fld, row, self.lie_dim)
@@ -202,7 +193,7 @@ class Anchor:
     def of_vector(self, vec: tuple) -> Derivation:
         """Derivation attached to a general Lie element, by linearity."""
         alg = self.derivations[0].algebra
-        _require_vector(alg.field, vec, self.lie_dim)
+        alg.field.require_vector(vec, self.lie_dim, "Lie vector")
         return Derivation.from_columns(alg, self.columns_of(sparse_row(vec)))
 
 
@@ -447,9 +438,7 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     name = "character-criterion"
     _check_shapes(R, L, anchor)
     R.require((chi,), "character is over a different base algebra")
-    if len(chi.values) != R.dim:
-        raise LrhInputError("character vector has wrong length")
-    R.field.require(chi.values, "character value")
+    R.field.require_vector(chi.values, R.dim, "character vector")
     reduce = R.field.reduce
     table = R.sparse_table
     values = [R.field.kernel(v.value) for v in chi.values]

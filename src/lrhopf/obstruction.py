@@ -165,9 +165,7 @@ def partial_map_from_witness(data: LieRinehartData,
     if not outcome.feasible:
         raise LrhInputError("outcome carries no witness to repackage")
     n = data.R.dim
-    if len(outcome.witness) != n * data.L.dim:
-        raise LrhInputError("witness has wrong length")
-    data.R.field.require(outcome.witness, "witness")
+    data.R.field.require_vector(outcome.witness, n * data.L.dim, "witness")
     values = tuple(
         AlgebraElement(data.R, outcome.witness[a * n:(a + 1) * n])
         for a in range(data.L.dim))

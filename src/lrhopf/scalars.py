@@ -9,9 +9,10 @@ in this package.
 ``Field`` owns the arithmetic on these raw values (``reduce``,
 ``inverse``, ``zero.value``, ``one.value``); ``Field.scalar`` coerces
 values from outside the package, and nothing else.  ``Field`` also owns
-the one ownership check: ``Field.require`` refuses any value, element or
-structure over another field, and every module asks it, never comparing
-fields by hand.
+the one ownership check: ``Field.require`` refuses a raw number, or any
+value, element or structure over another field, and
+``Field.require_vector`` a vector of another length as well; every
+module asks them, never comparing fields or lengths by hand.
 
 ``Scalar`` is the boundary type: systems come in and evidence goes out
 as Scalars, and its operators work through the field's raw operations.
@@ -125,13 +126,24 @@ class Field:
         return Scalar(self, Fraction(v))
 
     def require(self, values, what: str) -> None:
-        """Refuse the first of `values` -- anything with a ``.field``: a
-        Scalar, an element, an algebra -- that lives over another field
-        than this one, naming it as `what`."""
+        """Refuse the first of `values` that is not a value over this
+        field -- one with no ``.field``, such as an int, or a Scalar,
+        element or algebra over another field -- naming it as `what`."""
         for v in values:
-            if v.field is not self and v.field != self:
+            try:
+                fld = v.field
+            except AttributeError:
                 raise FieldMismatchError(
-                    f"{what} over {v.field} used in {self}")
+                    f"{what} {v!r} is not a value over {self}") from None
+            if fld is not self and fld != self:
+                raise FieldMismatchError(f"{what} over {fld} used in {self}")
+
+    def require_vector(self, values, size: int, what: str) -> None:
+        """Refuse a vector of another length than `size`, or with an
+        entry that `require` refuses, naming it as `what`."""
+        if len(values) != size:
+            raise LrhInputError(f"{what} has wrong length")
+        self.require(values, f"{what} entry")
 
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         """Coerce a value from outside the package into this field."""
@@ -275,9 +287,7 @@ class LinearSystem:
                 raise LrhInputError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
         fld.require((s for _, _, s in self.entries), "system entry")
-        if len(self.rhs) != self.rows:
-            raise LrhInputError("rhs length != rows")
-        fld.require(self.rhs, "rhs entry")
+        fld.require_vector(self.rhs, self.rows, "rhs")
 
 
 @dataclass(frozen=True)

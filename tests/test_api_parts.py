@@ -13,6 +13,8 @@ it pin each door the generative test found open."""
 
 import dataclasses
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,7 @@ from lrhopf import (
     LrhInputError,
     NCElement,
     PartialMap,
+    SolveOutcome,
     build_and_verify_right_action,
     build_rewrite_system,
     character_criterion,
@@ -57,9 +60,11 @@ from lrhopf import (
     solve_partial,
     tensor_action,
     validate_lie_rinehart,
+    verify_certificate,
     verify_divide_certificate,
     verify_divide_witness,
     verify_partial,
+    verify_witness,
 )
 
 import oracles
@@ -388,3 +393,38 @@ def test_partial_maps_refuse_images_that_do_not_fit(obstructed, q):
     rep = build_and_verify_right_action(
         PartialMap(data=data, values=(R.unit,)), enumerate_basis(system, 2))
     assert not rep.ok
+
+
+@pytest.mark.parametrize("raw", [1, Fraction(1, 2), None],
+                         ids=["int", "Fraction", "None"])
+def test_raw_numbers_are_refused_as_not_field_values(obstructed_env,
+                                                     obstructed, q, raw):
+    """A raw number where a Scalar belongs ended in AttributeError, read
+    from its missing .field, at each of these ten entry points."""
+    R, L, _, _, data, _ = obstructed
+    env = obstructed_env
+    a = NCElement.from_word(q, (l_letter(0),))
+    system = LinearSystem(rows=1, cols=1, entries=((0, 0, q.one),),
+                          rhs=(q.one,), field=q)
+    zero_matrix = [[q.zero] * R.dim for _ in range(R.dim)]
+    zero_matrix[0][0] = raw
+    witness = (raw,) + (q.zero,) * (R.dim * L.dim - 1)
+    calls = [
+        lambda: L.bracket((raw,), (q.one,)),
+        lambda: data.action.act(R.unit, (raw,)),
+        lambda: check_character(R, (raw,) + (q.zero,) * (R.dim - 1)),
+        lambda: check_derivation(R, zero_matrix),
+        lambda: LinearSystem(rows=1, cols=1, entries=((0, 0, raw),),
+                             rhs=(q.one,), field=q),
+        lambda: NCElement(q, {(): raw}),
+        lambda: verify_witness(system, (raw,)),
+        lambda: verify_certificate(system, (raw,)),
+        lambda: verify_divide_witness(a, a, env,
+                                      (raw,) + (q.zero,) * (env.dim - 1)),
+        lambda: partial_map_from_witness(
+            data, SolveOutcome("feasible", witness=witness, nullity=0)),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError,
+                           match=re.escape(f"{raw!r} is not a value over Q")):
+            call()

@@ -265,6 +265,22 @@ def test_committed_sl2_gf7_file_is_sl2_over_gf7(capsys):
         assert report["verdict"] == verdict
 
 
+def test_committed_criterion_fails_file_renders_failing_witnesses(capsys):
+    """The CI workflow checks tests/data/criterion-fails.lrh under
+    python -O, so that failing witnesses are rendered there: over GF(2),
+    the anchor x |-> 1 of K[x]/(x^2) is a derivation, but it is not
+    R-linear under the character x |-> 0, nor does it land in ker chi."""
+    path = Path(__file__).parent / "data" / "criterion-fails.lrh"
+    assert main(["check", str(path), "--format", "structured"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    failed = {r["name"]: r for r in reports if r["verdict"] == "fail"}
+    assert list(failed) == ["anchor-r-linearity", "leibniz-compatibility",
+                            "character-criterion"]
+    assert [w["condition"] for w in
+            failed["character-criterion"]["witnesses"]] == \
+        ["r-linearity", "anchor-into-kernel"]
+
+
 def _with(doc, path, value):
     doc = json.loads(json.dumps(doc))
     target = doc

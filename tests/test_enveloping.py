@@ -18,6 +18,7 @@ from hypothesis import (HealthCheck, assume, given, settings,
 
 from lrhopf import (
     Anchor,
+    Character,
     ConstructionRefusedError,
     Derivation,
     DegreeOverflowError,
@@ -751,6 +752,37 @@ def test_element_refuses_coordinates_of_the_wrong_length(obstructed_env):
     for bad in (coords[:-1], coords + (env.system.field.one,), ()):
         with pytest.raises(LrhInputError, match="wrong length"):
             env.element(bad)
+
+
+def test_coords_name_a_word_that_is_not_normal(obstructed, q):
+    """a-bar x is of degree 1 but not normal, so in no basis; it was
+    refused as lying outside the degree-3 basis.  A word taller than the
+    truncation keeps DegreeOverflowError."""
+    env = enumerate_basis(obstructed[5], 3)
+    for word in ((l_letter(0), r_letter(1)), (r_letter(0),),
+                 (l_letter(0), r_letter(0), l_letter(0))):
+        with pytest.raises(LrhInputError, match="is not a normal word") \
+                as caught:
+            env.coords(NCElement.from_word(q, word))
+        assert not isinstance(caught.value, DegreeOverflowError)
+    with pytest.raises(DegreeOverflowError,
+                       match="lies outside the degree-3 basis"):
+        env.coords(NCElement.from_word(q, (l_letter(0), r_letter(1))
+                                       + (l_letter(0),) * 3))
+
+
+def test_certificate_replay_with_a_zero_dimensional_L(q):
+    """With dim L = 0 the basis has degree 0 only; x does not divide 1
+    in K[x]/(x^2), and the replay accepts its certificate."""
+    R = make_monomial_quotient(("x",), ("x^2",), q)
+    data = make_character_module(
+        R, lie_algebra_from_brackets(q, (), {}), Anchor(()),
+        Character.from_variable_values(R, {"x": q.zero}))
+    env = enumerate_basis(build_rewrite_system(data), 2)
+    x, unit = NCElement.from_word(q, (r_letter(1),)), NCElement.unit(q)
+    outcome = left_divide(x, unit, env)
+    assert not outcome.feasible
+    assert verify_divide_certificate(x, unit, env, outcome.certificate)
 
 
 def test_multiply_truncated(obstructed_env, q):
