@@ -182,17 +182,23 @@ class Anchor:
     def rho(self, a: int) -> Derivation:
         return self.derivations[a]
 
+    @property
+    def algebra(self) -> CommAlgebra:
+        if not self.derivations:
+            raise LrhInputError("an empty anchor has no algebra to act on")
+        return self.derivations[0].algebra
+
     def columns_of(self, vec: dict) -> tuple:
         """Sparse raw columns of the derivation attached to the Lie element
         with sparse raw coefficients `vec`, by linearity."""
-        reduce = self.derivations[0].algebra.field.reduce
+        reduce = self.algebra.field.reduce
         # column j of the result combines column j of every derivation
         return tuple(combine_rows(reduce, (vec, col_j)) for col_j in
                      zip(*(d.sparse_columns for d in self.derivations)))
 
     def of_vector(self, vec: tuple) -> Derivation:
         """Derivation attached to a general Lie element, by linearity."""
-        alg = self.derivations[0].algebra
+        alg = self.algebra
         alg.field.require_vector(vec, self.lie_dim, "Lie vector")
         return Derivation.from_columns(alg, self.columns_of(sparse_row(vec)))
 

@@ -326,44 +326,42 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     Columns are taken left to right.  Each takes as pivot the first row
     at or below the current rank with a nonzero entry in that column,
     swapped up to the rank, and the column is cleared from every other
-    row.  So witnesses, nullspace bases and certificates are
-    reproducible.
+    row, so all evidence is reproducible.
 
     Rows are sparse {col: value} dicts of kernel values: entries and
     right-hand sides are read through Field.kernel over Q, so an
     integral rational is an int, and as residues in [0, p) over GF(p);
-    zeros are never stored, including explicit zero entries of the
-    input.  A set per column holds the rows with an entry there, so
-    finding the pivot and the rows to clear reads no other row.  A
+    no zero is stored, explicit input zeros included.  A set per column
+    holds the rows with an entry there, so finding the pivot and the
+    rows to clear reads no other row.  A
     column that no row holds, as most columns of theorem1's systems
-    are, is passed over before any search.  A
-    pivot row that is the only row holding its column, as most are in
-    the systems of left_divide, is taken without a search, has nothing
-    to clear and is left unscaled.  Over GF(p) any other pivot row is
-    scaled to a leading one and a row is cleared as row - f.pivot.  Over
-    Q the elimination is fraction-free: a row holding a Fraction in its
+    are, is passed over before any search.  A pivot row that is the
+    only row holding its column, as most are in the systems of
+    left_divide, is taken without a search, has nothing to clear and is
+    left unscaled.  Over GF(p) any other pivot row is scaled to a
+    leading one and a row is cleared as row - f.pivot.  Over Q the
+    elimination is fraction-free: a row holding a Fraction in its
     entries or right-hand side is first scaled by the lcm of their
-    denominators (only rows with entries are scanned for a Fraction
-    entry), every other row is left as it is, a row is cleared as
-    y.row - f.pivot, y being the pivot entry, and then divided by the
-    common content of its entries, right-hand side and T row.  Row
-    operations are mirrored on a sparse block T of {row: value} dicts,
-    which starts as the identity times each row's scale and grows only
-    in rows that were combined.
+    denominators, every other row is left as it is, and a row is cleared
+    as (y.row - f.pivot) / g, y being the pivot entry and g the content
+    of the result.  Only A and b are eliminated, and each row operation
+    is logged as (r, pr, f, y, g): row r := (y.row r - f.row pr) / g,
+    and a scaling of row r by s (a row's first one over Q, a pivot's
+    over GF(p)) as (r, r, 0, s, 1).
 
     The evidence is normalised at the end, and lazily: a pivot column's
     witness entry is b_r / a_r[c], and a nullspace vector's entry
     -a_r[f] / a_r[c], and a pivot is inverted only when one of these is
     nonzero, once per pivot.  Most right-hand sides are zero, so most
-    pivots are never inverted.  When elimination leaves a zero row with
-    a nonzero right-hand side, the Farkas certificate is its T row
-    divided by the entry on the row's own original row.  Scaling a row
-    changes no zero pattern, so the pivots are those of elimination with
-    leading ones, and so is the evidence: the pivot rows are multiples of
-    the reduced echelon rows, and the certificate is the one combination
-    that vanishes on A of the zero row's original row, with coefficient
-    1, and the original pivot rows.  Only the evidence is wrapped into
-    Scalars.
+    pivots are never inverted.  When elimination leaves a zero row r0
+    with a nonzero right-hand side, one pass over the log, last
+    operation first, takes w = e_r0 through each operation's transpose:
+    w[pr] -= w[r].f/g, then w[r] *= y/g.  The Farkas certificate is w
+    divided by its entry on r0.  Row scaling changes no zero pattern,
+    so the pivots are those of elimination with leading ones, and so is
+    the evidence: the certificate is the one combination that vanishes
+    on A of r0's original row, with coefficient 1, and the original
+    pivot rows.  Only the evidence is wrapped into Scalars.
     """
     check_solve_size(system.rows, system.cols)
     fld = system.field
@@ -378,17 +376,17 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         if v:
             a[r][c] = v
     b = [read(s.value) for s in system.rhs]
-    t = [{r: 1} for r in range(nrows)]
+    log = []  # (r, pr, f, y, g): row r := (y.row r - f.row pr) / g
     if not p:  # kernel values: a Fraction is never integral
         for r, row in enumerate(a):
             if type(b[r]) is Fraction or \
                     row and Fraction in map(type, row.values()):
                 scale = lcm(b[r].denominator,
                             *(v.denominator for v in row.values()))
+                log.append((r, r, 0, scale, 1))
                 a[r] = {c: v.numerator * (scale // v.denominator)
                         for c, v in row.items()}
                 b[r] = b[r].numerator * (scale // b[r].denominator)
-                t[r] = {r: scale}
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(a):
         for c in row:
@@ -423,15 +421,14 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
             inv = inverse(a[pr][col])
             a[pr] = {c: v * inv % p for c, v in a[pr].items()}
             b[pr] = b[pr] * inv % p
-            t[pr] = {k: v * inv % p for k, v in t[pr].items()}
-        pivot, bp, tp = a[pr], b[pr], t[pr]
+            log.append((pr, pr, 0, inv, 1))
+        pivot, bp = a[pr], b[pr]
         y = pivot[col]  # 1 over GF(p)
         for r in [r for r in holding if r != pr]:
-            row, br, tr = a[r], b[r], t[r]
+            row, br = a[r], b[r]
             f = row[col]
             if y != 1:
                 row = a[r] = {c: y * v for c, v in row.items()}
-                tr = t[r] = {k: y * v for k, v in tr.items()}
                 br *= y
             for c, v in pivot.items():
                 x = row.get(c, 0) - f * v
@@ -444,22 +441,12 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
                 else:
                     del row[c]
                     holders[c].discard(r)
-            for k, v in tp.items():
-                x = tr.get(k, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    tr[k] = x
-                else:
-                    del tr[k]
             br = (br - f * bp) % p if p else br - f * bp
-            if not p:
-                g = gcd(br, *row.values(), *tr.values())
-                if g != 1:
-                    row = a[r] = {c: v // g for c, v in row.items()}
-                    t[r] = {k: v // g for k, v in tr.items()}
-                    br //= g
-            b[r] = br
+            g = 1 if p else gcd(br, *row.values()) or 1  # 0: a zero row
+            if g != 1:
+                a[r] = {c: v // g for c, v in row.items()}
+            b[r] = br // g
+            log.append((r, pr, f, y, g))
 
     def dense(sparse, size):
         out = [fld.zero] * size
@@ -467,11 +454,18 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
             out[k] = fld.wrap(reduce(v))
         return tuple(out)
 
-    for r in order[len(pivots):]:
-        if b[r]:
-            own = inverse(t[r][r])
+    for r0 in order[len(pivots):]:
+        if b[r0]:
+            w = {r0: 1}  # e_r0 times the logged operations, last first
+            for r, pr, f, y, g in reversed(log):
+                x = w.get(r)
+                if x:
+                    x = Fraction(x, g) if g != 1 else x
+                    w[pr] = reduce(w.get(pr, 0) - x * f)
+                    w[r] = reduce(x * y)
+            own = inverse(w[r0])
             return SolveOutcome(verdict="infeasible", certificate=dense(
-                {k: v * own for k, v in t[r].items()}, nrows))
+                {k: v * own for k, v in w.items() if v}, nrows))
 
     scales = {}  # row -> inverse of its pivot, taken on first use
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lrhopf import (
+    Anchor,
     Character,
     Derivation,
     LrhInputError,
@@ -85,6 +86,12 @@ CASES = {
     "element-times-str": (TypeError, None, lambda q, ob: ob[0].unit * "x"),
     "element-times-fraction": (
         TypeError, None, lambda q, ob: ob[0].unit * Fraction(1, 2)),
+    "vector-of-an-empty-anchor": (
+        LrhInputError, "an empty anchor has no algebra",
+        lambda q, ob: Anchor(()).of_vector(())),
+    "columns-of-an-empty-anchor": (
+        LrhInputError, "an empty anchor has no algebra",
+        lambda q, ob: Anchor(()).columns_of({})),
     "negated-enveloping-element": (
         None, None, _negation_is_scaling_by_minus_one),
 }
