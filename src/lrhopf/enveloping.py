@@ -743,8 +743,10 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     is rewritten at both positions, all the reducts are normalised in one
     pass of leftmost rewriting, with its own memo, and the two sides are
     compared as raw values, so a report does not depend on what
-    collection stored.  The witness is the first failing overlap in
-    basis order.  The pass reduces every reduct, so a rule table that
+    collection stored.  Each overlap is compared in one signed sum, the
+    normal forms of its reducts at 0 minus those at 1; the two sides are
+    built on their own only for the witness, the first failing overlap
+    in basis order.  The pass reduces every reduct, so a rule table that
     cycles raises RewriteBudgetError even when some overlap fails."""
     system = env.system
     name = "local-confluence"
@@ -759,14 +761,20 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
                     for w, _ in terms], system, "leftmost")
     reduce = system.field.reduce
     failing = []
-    for word, sides in zip(overlaps, reducts):
-        left, right = (_combine({}, terms, memo, reduce) for terms in sides)
-        if left != right:
-            failing.append((_word_sort_key(word), word, left, right))
+    for word, (left, right) in zip(overlaps, reducts):
+        acc = {}
+        for terms, sign in ((left, 1), (right, -1)):
+            for w, c in terms:
+                c *= sign
+                for v, c2 in memo[w].items():
+                    acc[v] = acc.get(v, 0) + c * c2
+        if any(map(reduce, acc.values())):
+            failing.append((_word_sort_key(word), word, (left, right)))
     if failing:
-        _, word, left, right = min(failing)
-        shown = [system.render_element(_from_raw(system.field, r.items()))
-                 for r in (left, right)]
+        _, word, sides = min(failing)
+        shown = [system.render_element(_from_raw(
+            system.field, _combine({}, terms, memo, reduce).items()))
+            for terms in sides]
         return VerdictReport(name=name, verdict=FAIL, witnesses=[{
             "word": system.render_word(word), "positions": [0, 1],
             "reduct-at-0": shown[0], "reduct-at-1": shown[1]}])

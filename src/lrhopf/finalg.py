@@ -38,11 +38,13 @@ from .scalars import Field, Scalar
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Steps of the associativity or Jacobi check of one table, or of the
 # anchor checks of one structure, as table_work and anchor_work count
-# them.  Timed with `check` over Q, a step takes about 1.4 us on the
-# table of K[x]/(x^103) and 0.7 us on dense anchors with integral
-# entries, which the rows hold as ints, so such a check at the limit
-# takes 1 to 2 s; non-integral entries stay Fractions, at up to about
-# 5 us a step.
+# them.  Timed with `check` over Q (Python 3.11, one core), a step takes
+# about 0.3 us on the table of K[x]/(x^103) and on four dense anchors on
+# K[x]/(x^58), whose integral entries the rows hold as ints, so such a
+# check at the limit takes about 0.4 s; a basis tuple whose coefficient
+# rows are all empty is passed over without a call to combine_rows.
+# Non-integral entries stay Fractions, at about 3.4 us a step on a
+# dense table with fractional constants.
 MAX_CHECK_WORK = 1_500_000
 # Monomials enumerated for a quotient basis, the product of the
 # pure-power bounds: 100 k of them take about 0.3 s.
@@ -109,9 +111,15 @@ def check_table_size(what: str, dim: int, table: tuple = None,
 # int in [0, p).  Two rows are equal exactly when their vectors are.
 
 def sparse_row(vec) -> dict:
-    """The sparse raw row of a Scalar vector, in kernel form."""
-    kernel = vec[0].field.kernel if vec else None
-    return {k: kernel(c.value) for k, c in enumerate(vec) if c.value}
+    """The sparse raw row of a Scalar vector, in kernel form.  An entry
+    that is the field's shared `zero` is passed over by identity, before
+    its value is read; any other zero by its value."""
+    if not vec:
+        return {}
+    fld = vec[0].field
+    kernel, zero = fld.kernel, fld.zero
+    return {k: kernel(c.value) for k, c in enumerate(vec)
+            if c is not zero and c.value}
 
 
 def sparse_table(table) -> tuple:
@@ -123,7 +131,8 @@ def combine_rows(reduce, *terms) -> dict:
     """sum_t coeffs[t] * rows[t] over the (coeffs, rows) pairs in `terms`,
     coeffs a sparse row and rows a sequence of them.  Products are summed
     unreduced and each sum is reduced once by `reduce` (Field.reduce);
-    entries that cancel are dropped."""
+    entries that cancel are dropped.  When every coeffs is empty the sum
+    is {}, so the checks skip the call then and take {} as it stands."""
     acc = {}
     for coeffs, rows in terms:
         for t, c in coeffs.items():
@@ -536,9 +545,10 @@ def commutator_columns(d1: Derivation, d2: Derivation) -> tuple:
     """The sparse raw columns of d1.d2 - d2.d1, over d1's algebra."""
     cols1, cols2 = d1.sparse_columns, d2.sparse_columns
     reduce = d1.algebra.field.reduce
-    # column j is d1(d2(e_j)) - d2(d1(e_j))
+    # column j is d1(d2(e_j)) - d2(d1(e_j)); {} when both e_j go to 0
     return tuple(combine_rows(reduce, (c2, cols1),
                               ({t: -x for t, x in c1.items()}, cols2))
+                 if c1 or c2 else {}
                  for c1, c2 in zip(cols1, cols2))
 
 
@@ -561,7 +571,9 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
     two sides swapped, and (i, j, i) holds, as both its sides combine
     the rows of e_i by e_i e_j = e_j e_i.  So the first failing triple
     of the full scan has i < k and is the first one found, with the
-    same sides."""
+    same sides.  A side whose coefficient row e_i e_j or e_j e_k is empty
+    is 0 and is not combined, so a triple with both empty costs one
+    comparison; every triple is still checked."""
     name = "algebra-axioms"
     n = algebra.dim
     labels = algebra.labels
@@ -583,8 +595,9 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
         for j in range(1, n):
             for k in range(i + 1, n):
                 # (e_i e_j) e_k is e_k (e_i e_j): commutativity holds here
-                lhs = combine_rows(reduce, (table[i][j], table[k]))
-                rhs = combine_rows(reduce, (table[j][k], table[i]))
+                ij, jk = table[i][j], table[j][k]
+                lhs = combine_rows(reduce, (ij, table[k])) if ij else {}
+                rhs = combine_rows(reduce, (jk, table[i])) if jk else {}
                 if lhs != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "law": "associativity",
@@ -599,7 +612,9 @@ def check_algebra_axioms(algebra: CommAlgebra) -> VerdictReport:
 def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
     """D(1) = 0 and the Leibniz rule on all basis pairs, for a Derivation
     or its matrix; a Derivation is checked on the sparse columns it has
-    cached, and one over another algebra is refused."""
+    cached, and one over another algebra is refused.  A side whose
+    coefficient rows (e_i e_j, or D(e_i) and D(e_j)) are all empty is 0
+    and is not combined."""
     if not isinstance(d, Derivation):
         d = Derivation(algebra, d)
     algebra.require((d,), "derivation is over a different algebra")
@@ -619,9 +634,10 @@ def check_derivation(algebra: CommAlgebra, d) -> VerdictReport:
     for i in range(n):
         for j in range(n):
             # D(e_i e_j) against D(e_i) e_j + e_i D(e_j)
-            lhs = combine_rows(reduce, (table[i][j], images))
-            rhs = combine_rows(reduce, (images[i], by_column[j]),
-                               (images[j], table[i]))
+            ij, di, dj = table[i][j], images[i], images[j]
+            lhs = combine_rows(reduce, (ij, images)) if ij else {}
+            rhs = combine_rows(reduce, (di, by_column[j]),
+                               (dj, table[i])) if di or dj else {}
             if lhs != rhs:
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "law": "leibniz",

@@ -95,7 +95,7 @@ def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
         fld.require_vector(vec, m, "bracket vector")
         table[a][b] = vec
         if (b, a) not in brackets:
-            table[b][a] = tuple(-c for c in vec)
+            table[b][a] = tuple(-c if c else fld.zero for c in vec)
     L = LieAlgebra(field=fld, labels=labels,
                    table=tuple(tuple(row) for row in table))
     check_table_size("the Lie algebra", m, L.sparse_table, sides=3)
@@ -190,7 +190,10 @@ class Anchor:
 
     def columns_of(self, vec: dict) -> tuple:
         """Sparse raw columns of the derivation attached to the Lie element
-        with sparse raw coefficients `vec`, by linearity."""
+        with sparse raw coefficients `vec`, by linearity; of an empty
+        `vec`, one distinct empty row per column, combining nothing."""
+        if not vec:
+            return tuple({} for _ in range(self.algebra.dim))
         reduce = self.algebra.field.reduce
         # column j of the result combines column j of every derivation
         return tuple(combine_rows(reduce, (vec, col_j)) for col_j in
@@ -239,7 +242,9 @@ def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
     it vanishes on every triple exactly when it does on the sorted ones,
     and the lexicographically first failing triple of the full m^3 scan
     is sorted, since it comes before every other ordering of its indices;
-    the sorted scan reports the same triple with the same value."""
+    the sorted scan reports the same triple with the same value.  A
+    triple whose three brackets [xi_b, xi_c], [xi_c, xi_a], [xi_a, xi_b]
+    are all 0 has Jacobiator 0 and is not combined."""
     name = "lie-algebra"
     m = L.dim
     table = L.sparse_table
@@ -265,9 +270,11 @@ def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
         for b in range(a + 1, m):
             for c in range(b + 1, m):
                 # [xi_a,[xi_b,xi_c]] + [xi_b,[xi_c,xi_a]] + [xi_c,[xi_a,xi_b]]
-                total = combine_rows(reduce, (table[b][c], table[a]),
-                                     (table[c][a], table[b]),
-                                     (table[a][b], table[c]))
+                bc, ca, ab = table[b][c], table[c][a], table[a][b]
+                if not (bc or ca or ab):
+                    continue
+                total = combine_rows(reduce, (bc, table[a]), (ca, table[b]),
+                                     (ab, table[c]))
                 if total:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "law": "jacobi",
@@ -279,7 +286,8 @@ def check_lie_algebra(L: LieAlgebra) -> VerdictReport:
 
 def check_module_action(R: CommAlgebra, action: ModuleAction) -> VerdictReport:
     """Unit slice is the identity; action tensor is associative over the
-    multiplication of R."""
+    multiplication of R.  A side whose coefficient row (e_i e_j, or
+    e_j.xi_a) is empty is 0 and is not combined."""
     R.require((action,), "action is over a different base algebra")
     name = "module-action"
     m = action.lie_dim
@@ -298,8 +306,9 @@ def check_module_action(R: CommAlgebra, action: ModuleAction) -> VerdictReport:
         for j in range(R.dim):
             for a in range(m):
                 # (e_i e_j).xi_a against e_i.(e_j.xi_a)
-                lhs = combine_rows(reduce, (table[i][j], acting_on[a]))
-                rhs = combine_rows(reduce, (tensor[j][a], tensor[i]))
+                ij, ja = table[i][j], tensor[j][a]
+                lhs = combine_rows(reduce, (ij, acting_on[a])) if ij else {}
+                rhs = combine_rows(reduce, (ja, tensor[i])) if ja else {}
                 if lhs != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "law": "action-associativity",
@@ -352,11 +361,9 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
     _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "anchor-lie-homomorphism"
     R, L, anchor = data.R, data.L, data.anchor
-    zero = ({},) * R.dim
     for a in range(L.dim):
         for b in range(L.dim):
-            bracket = L.sparse_table[a][b]
-            lhs = anchor.columns_of(bracket) if bracket else zero
+            lhs = anchor.columns_of(L.sparse_table[a][b])
             rhs = commutator_columns(anchor.rho(a), anchor.rho(b))
             if lhs != rhs:
                 lhs, rhs = (Derivation.from_columns(R, cols).matrix
@@ -373,7 +380,9 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
 
 def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
     """anchor(e_i . xi_a)(e_j) = e_i * anchor(xi_a)(e_j) for all i, a, j,
-    with the left side expanded through the module action."""
+    with the left side expanded through the module action.  A side whose
+    coefficient row (e_i . xi_a, or anchor(xi_a)(e_j)) is empty is 0 and
+    is not combined."""
     _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "anchor-r-linearity"
     R, L = data.R, data.L
@@ -385,7 +394,8 @@ def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
             scaled = data.anchor.columns_of(tensor[i][a])
             images = data.anchor.rho(a).sparse_columns
             for j in range(R.dim):
-                rhs = combine_rows(reduce, (images[j], table[i]))
+                img = images[j]
+                rhs = combine_rows(reduce, (img, table[i])) if img else {}
                 if scaled[j] != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "triple": [R.labels[i], L.labels[a], R.labels[j]],
@@ -397,7 +407,8 @@ def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
 
 def check_leibniz(data: LieRinehartData) -> VerdictReport:
     """[xi_a, e_i . xi_b] = e_i . [xi_a, xi_b] + anchor(xi_a)(e_i) . xi_b
-    on every basis triple, both sides in L-coordinates."""
+    on every basis triple, both sides in L-coordinates.  A side whose
+    coefficient rows are all empty is 0 and is not combined."""
     _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "leibniz-compatibility"
     R, L = data.R, data.L
@@ -413,9 +424,11 @@ def check_leibniz(data: LieRinehartData) -> VerdictReport:
             for b in range(m):
                 # [xi_a, e_i.xi_b] against
                 # e_i.[xi_a, xi_b] + anchor(xi_a)(e_i).xi_b
-                lhs = combine_rows(reduce, (tensor[i][b], table[a]))
-                rhs = combine_rows(reduce, (table[a][b], tensor[i]),
-                                   (shift, acting_on[b]))
+                ib, ab = tensor[i][b], table[a][b]
+                lhs = combine_rows(reduce, (ib, table[a])) if ib else {}
+                rhs = combine_rows(reduce, (ab, tensor[i]),
+                                   (shift, acting_on[b])) \
+                    if ab or shift else {}
                 if lhs != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "triple": [R.labels[i], L.labels[a], L.labels[b]],
@@ -438,9 +451,10 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
       (b) chi(anchor(xi_a)(e_i)) = 0 (anchor values land in ker chi).
 
     The verdict is the conjunction; witnesses carry the first failure of
-    each condition.  Parts that make no one structure (_check_shapes),
-    and a character over another base algebra or with another number of
-    values than R.dim, are refused."""
+    each condition.  In (a) a column anchor(xi_a)(e_j) that is 0 makes
+    both sides 0, and is not combined.  Parts that make no one structure
+    (_check_shapes), and a character over another base algebra or with
+    another number of values than R.dim, are refused."""
     name = "character-criterion"
     _check_shapes(R, L, anchor)
     R.require((chi,), "character is over a different base algebra")
@@ -454,6 +468,8 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
             for a in range(anchor.lie_dim):
                 for j in range(R.dim):
                     img = anchor.rho(a).sparse_columns[j]
+                    if not img:
+                        continue
                     lhs = {k: reduce(values[i] * x) for k, x in img.items()} \
                         if values[i] else {}
                     rhs = combine_rows(reduce, (img, table[i]))

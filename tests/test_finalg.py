@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from lrhopf import (
     FieldMismatchError,
     InfiniteDimensionalError,
     LrhInputError,
+    Scalar,
     UnsupportedInputError,
     algebra_from_constants,
     check_algebra_axioms,
@@ -24,7 +26,8 @@ from lrhopf import (
     make_monomial_quotient,
 )
 
-from lrhopf.finalg import MAX_CHECK_WORK, MAX_MONOMIALS, table_work
+from lrhopf.finalg import MAX_CHECK_WORK, MAX_MONOMIALS, sparse_row, \
+    table_work
 
 import oracles
 
@@ -375,3 +378,22 @@ def test_unknown_label_is_an_input_error(q):
     with pytest.raises(LrhInputError) as err:
         R.index_of("z")
     assert "z" in str(err.value)
+
+
+def test_sparse_row_drops_every_zero_and_keeps_kernel_form():
+    """A vector mixing the field's shared zero, zeros made on their own
+    (directly, or as the zero of an equal field) and nonzero entries
+    gives exactly the nonzero entries, in kernel form: over Q an
+    integral value as an int."""
+    q = Field(0)
+    row = sparse_row((q.zero, Scalar(q, Fraction(0)), q.scalar(3),
+                      Field(0).zero, q.parse("1/2"), q.zero,
+                      Scalar(q, Fraction(-4, 2))))
+    assert row == {2: 3, 4: Fraction(1, 2), 6: -2}
+    assert [type(v) for v in row.values()] == [int, Fraction, int]
+    gf5 = Field(5)
+    row = sparse_row((Scalar(gf5, 0), gf5.zero, gf5.scalar(4),
+                      Field(5).zero, gf5.scalar(7), gf5.zero))
+    assert row == {2: 4, 4: 2}
+    assert all(type(v) is int for v in row.values())
+    assert sparse_row((q.zero,) * 3) == sparse_row(()) == {}

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ import lrhopf.finalg as finalg
 import lrhopf.lierinehart as lierinehart
 from lrhopf.lierinehart import (LieRinehartData, anchor_work,
                                 anchor_work_bound)
+from lrhopf.problemfile import PRESETS, parse_problem
 
 import oracles
 
@@ -481,6 +483,45 @@ def test_reports_match_the_dense_reference_checks(fld):
             else:
                 broken_failures += not all(r.ok for r in reports)
     assert broken_failures >= 25
+
+
+def test_checks_combine_no_tuple_whose_rows_are_all_empty(monkeypatch):
+    """validate_lie_rinehart and character_criterion never call
+    combine_rows with only empty coefficient rows, whose sum is {}: on
+    both presets, the sl2 and criterion-fails files and random valid
+    structures over Q and GF(3), each with a copy with one entry broken.
+    Every report still equals the dense reference's."""
+    data_dir = Path(__file__).parent / "data"
+    valid = [parse_problem(source).to_data() for source in (
+        *sorted(PRESETS), str(data_dir / "sl2.lrh"),
+        str(data_dir / "criterion-fails.lrh"))]
+    rng = random.Random("all-empty-rows")
+    valid += [oracles.random_valid_structure(rng, fld)
+              for fld in (Field(0), Field(3)) for _ in range(30)]
+    cases = [(data, oracles.break_one_entry(rng, data)) for data in valid]
+    calls = []
+
+    def recorded(reduce, *terms):
+        calls.append(any(coeffs for coeffs, _ in terms))
+        return combine_rows(reduce, *terms)
+
+    combine_rows = finalg.combine_rows
+    monkeypatch.setattr(finalg, "combine_rows", recorded)
+    monkeypatch.setattr(lierinehart, "combine_rows", recorded)
+    failures = 0
+    for pair in cases:
+        for data in pair:
+            reports = validate_lie_rinehart(data)
+            assert [r.to_dict() for r in reports] == \
+                [r.to_dict() for r in oracles.dense_validate(data)]
+            chi = data.action.character or oracles.natural_character(data.R)
+            args = (data.R, data.L, data.anchor, chi)
+            criterion = character_criterion(*args)
+            assert criterion.to_dict() == \
+                oracles.dense_character_criterion(*args).to_dict()
+            failures += not (criterion.ok and all(r.ok for r in reports))
+    assert calls and all(calls)
+    assert failures >= 60
 
 
 # ------------------------------------------------------ kernel-form rows
