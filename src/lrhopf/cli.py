@@ -41,7 +41,6 @@ from .enveloping import (
 from .obstruction import (
     partial_map_from_witness,
     partial_map_system,
-    solve_partial,
     theorem1_pipeline,
     verify_partial,
 )
@@ -51,7 +50,7 @@ from .problemfile import (
     parse_problem,
 )
 from .reports import FEASIBLE, INFEASIBLE, PASS, VerdictReport
-from .scalars import Field, verify_certificate
+from .scalars import Field, solve_linear, verify_certificate
 
 _FIELD_FLAG_RE = re.compile(r"^(?:Q|GF(\d+)|GF\((\d+)\))$")
 
@@ -122,7 +121,8 @@ def _cmd_envelope(args) -> int:
 def _cmd_partial(args) -> int:
     pf = parse_problem(args.problem)
     data = _validated(pf)
-    outcome = solve_partial(data)
+    system = partial_map_system(data)
+    outcome = solve_linear(system)
     if outcome.feasible:
         candidate = partial_map_from_witness(data, outcome)
         replayed = verify_partial(candidate).ok
@@ -136,8 +136,7 @@ def _cmd_partial(args) -> int:
                        f"parameter(s)",
                        f"witness replay: {PASS}"])
     else:
-        replayed = verify_certificate(partial_map_system(data),
-                                      outcome.certificate)
+        replayed = verify_certificate(system, outcome.certificate)
         report = VerdictReport(
             name="right-extension-system", verdict=INFEASIBLE,
             certificates=[{

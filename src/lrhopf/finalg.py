@@ -420,6 +420,8 @@ def algebra_from_constants(fld: Field, labels: Sequence[str],
     except e_0 which always acts as the unit."""
     labels = tuple(labels)
     n = len(labels)
+    if len(set(labels)) != n:
+        raise LrhInputError("duplicate algebra labels")
     check_table_size("the algebra", n)
     table = [[[fld.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in constants.items():

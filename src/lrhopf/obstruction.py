@@ -250,8 +250,6 @@ def build_and_verify_right_action(p: PartialMap,
 
 @dataclass
 class ObstructionReport:
-    criterion_verdict: VerdictReport
-    confluence_verdict: VerdictReport
     partial_outcome: SolveOutcome
     divisibility_outcome: SolveOutcome
     narrative: list
@@ -371,8 +369,6 @@ def theorem1_pipeline(fld: Field = Field(0),
                    f"degree 1..{degree}"])
 
     return ObstructionReport(
-        criterion_verdict=criterion,
-        confluence_verdict=confluence,
         partial_outcome=partial,
         divisibility_outcome=divisibility,
         narrative=[criterion, confluence, basis_step, partial_step,

@@ -38,6 +38,7 @@ from .finalg import (
     Derivation,
     algebra_from_constants,
     make_monomial_quotient,
+    sparse_row,
 )
 from .lierinehart import (
     Anchor,
@@ -250,38 +251,56 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
     return lie_algebra_from_brackets(fld, labels, sparse)
 
 
+def _generator_keys(R: CommAlgebra, unit: bool) -> dict:
+    """{key: basis index} for the keys of a file's anchor images
+    (unit=False) and character values (unit=True), in file order: a
+    monomial quotient's variables, otherwise the basis labels, the unit's
+    label only for character values.  A variable in the ideal (relation
+    "x") is no basis element but zero in R, and its index is None."""
+    basis = {lab: k for k, lab in enumerate(R.labels) if unit or k}
+    if R.variables is not None:
+        return {var: basis.get(var) for var in R.variables}
+    return basis
+
+
+def _parse_keyed(values: dict, keys: dict, where: str, unknown: str,
+                 parse) -> dict:
+    """{key: parse(text)} for each of `keys`, in order, read from the
+    JSON object `values` at `where`; a missing key reads "1" for the
+    unit's label and "0" otherwise.  A key of `values` outside `keys` is
+    refused as `unknown`, and a nonzero value for a variable in the ideal
+    by its path."""
+    for key in values:
+        if key not in keys:
+            raise ProblemFileError(f"{unknown} {key!r}")
+    out = {}
+    for key, k in keys.items():
+        path = f"{where}.{key}"
+        out[key] = parse(_literal(values.get(key, "1" if k == 0 else "0"),
+                                  path))
+        if k is None and out[key]:
+            raise ProblemFileError(
+                f"{path} must be 0: the variable {key} lies in the ideal")
+    return out
+
+
 def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
     derivations = []
     known = set(L.labels)
     for key in section:
         if key not in known:
             raise ProblemFileError(f"anchor names unknown Lie label {key!r}")
+    keys = _generator_keys(R, unit=False)
     for label in L.labels:
-        values = _require(section, label, "anchor", dict, {})
-        if R.variables is not None:
-            for var in values:
-                if var not in R.variables:
-                    raise ProblemFileError(
-                        f"anchor.{label} names unknown generator {var!r}")
-            images = {var: parse_algebra_expression(_literal(
-                          values.get(var, "0"), f"anchor.{label}.{var}"), R)
-                      for var in R.variables}
-            derivations.append(Derivation.from_variable_images(R, images))
-        else:
-            matrix = [[R.field.zero] * R.dim for _ in range(R.dim)]
-            for lab in values:
-                if lab not in R.labels or lab == R.labels[0]:
-                    raise ProblemFileError(
-                        f"anchor.{label} names unknown generator {lab!r}")
-            for j, lab in enumerate(R.labels):
-                if j == R.unit_index:
-                    continue
-                image = parse_algebra_expression(_literal(
-                    values.get(lab, "0"), f"anchor.{label}.{lab}"), R)
-                for i in range(R.dim):
-                    matrix[i][j] = image.coeffs[i]
-            derivations.append(
-                Derivation(R, tuple(tuple(row) for row in matrix)))
+        images = _parse_keyed(
+            _require(section, label, "anchor", dict, {}), keys,
+            f"anchor.{label}", f"anchor.{label} names unknown generator",
+            lambda text: parse_algebra_expression(text, R))
+        derivations.append(
+            Derivation.from_variable_images(R, images)
+            if R.monomials is not None else Derivation.from_columns(R, [
+                sparse_row(images[lab].coeffs) if lab in images else {}
+                for lab in R.labels]))
     anchor = Anchor(tuple(derivations))
     check_anchor_size(R, L, anchor)
     return anchor
@@ -291,21 +310,16 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
     kind = _require(section, "kind", "action", str)
     if kind == "character":
         values = _require(section, "values", "action", dict)
-        if R.variables is not None and set(values) <= set(R.variables):
-            parsed = {var: R.field.parse(_literal(
-                          values.get(var, "0"), f"action.values.{var}"))
-                      for var in R.variables}
-            chi = Character.from_variable_values(R, parsed)
-        else:
-            for lab in values:
-                if lab not in R.labels:
-                    raise ProblemFileError(
-                        f"action.values names unknown label {lab!r}")
-            chi = Character(R, tuple(
-                R.field.parse(_literal(
-                    values.get(lab, "1" if k == 0 else "0"),
-                    f"action.values.{lab}"))
-                for k, lab in enumerate(R.labels)))
+        keys = _generator_keys(R, unit=True)
+        if not values.keys() <= keys.keys():
+            # a monomial quotient's character may be given on its basis
+            keys = {lab: k for k, lab in enumerate(R.labels)}
+        parsed = _parse_keyed(values, keys, "action.values",
+                              "action.values names unknown label",
+                              R.field.parse)
+        chi = Character(R, tuple(parsed.values())) \
+            if tuple(parsed) == R.labels \
+            else Character.from_variable_values(R, parsed)
         return character_action(chi, L.dim)
     if kind == "tensor":
         entries = {}
@@ -405,30 +419,16 @@ def render_problem(pf: ProblemFile) -> str:
                   "brackets": _entries(pf.L.table, (pf.L.labels,) * 3,
                                        lambda a, b: any(pf.L.table[b][a]))}
 
-    anchor = {}
-    for a, label in enumerate(pf.L.labels):
-        d = pf.anchor.rho(a)
-        if pf.R.variables is not None:
-            # a variable in the ideal (relation "x") is no basis element:
-            # it is zero in R, and so are its image and character value
-            anchor[label] = {
-                var: str(d.column(pf.R.index_of(var)))
-                if var in pf.R.labels else "0" for var in pf.R.variables}
-        else:
-            anchor[label] = {
-                lab: str(d.column(j))
-                for j, lab in enumerate(pf.R.labels) if j != pf.R.unit_index}
-    doc["anchor"] = anchor
+    # a variable in the ideal has no basis index: it is zero in R
+    keys = _generator_keys(pf.R, unit=False)
+    doc["anchor"] = {label: {
+        key: "0" if k is None else str(pf.anchor.rho(a).column(k))
+        for key, k in keys.items()} for a, label in enumerate(pf.L.labels)}
 
     if pf.action.kind == "character":
         chi = pf.action.character
-        if pf.R.variables is not None:
-            values = {var: str(chi.values[pf.R.index_of(var)])
-                      if var in pf.R.labels else "0"
-                      for var in pf.R.variables}
-        else:
-            values = {lab: str(chi.values[k])
-                      for k, lab in enumerate(pf.R.labels)}
+        values = {key: "0" if k is None else str(chi.values[k])
+                  for key, k in _generator_keys(pf.R, unit=True).items()}
         doc["action"] = {"kind": "character", "values": values}
     else:
         tensor = pf.action.tensor

@@ -281,6 +281,30 @@ def test_committed_criterion_fails_file_renders_failing_witnesses(capsys):
         ["r-linearity", "anchor-into-kernel"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("run", [
+    ["check"],
+    ["envelope", "--degree", "4", "--basis"],
+    ["partial"],
+    ["divide", "--left=2*a+x", "--target=1", "--degree", "6"],
+    ["divide", "--left=a+2*x", "--target=x", "--degree", "6"],
+], ids=["check", "envelope", "partial", "divide-unit", "divide-x"])
+def test_euler_constants_file_answers_as_the_euler_preset(run, fmt, capsys):
+    """tests/data/euler-constants.lrh writes the Euler example with
+    structure constants: labels 1, x with x^2 = 0 left out, the anchor
+    x |-> x and the character on both labels.  Each command prints what
+    it prints for the euler-example preset, byte for byte; the CI
+    workflow runs check, envelope and partial on the file under
+    python -O."""
+    path = Path(__file__).parent / "data" / "euler-constants.lrh"
+    results = []
+    for problem in ("euler-example", str(path)):
+        code = main([run[0], problem, *run[1:], "--format", fmt])
+        results.append((code,) + tuple(capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 def _with(doc, path, value):
     doc = json.loads(json.dumps(doc))
     target = doc
@@ -396,13 +420,29 @@ def test_any_value_of_the_wrong_type_exits_cleanly(doc, tmp_path, capsys):
     capsys.readouterr()
 
 
+IDEAL_VARIABLE_DOC = json.loads(
+    (Path(__file__).parent / "data" / "ideal-variable.lrh").read_text())
+
+
 @pytest.mark.parametrize("doc, message", [
     (dict(MONOMIAL_DOC, lie={"dim": 2, "labels": ["a", "a"], "brackets": []}),
      "duplicate Lie labels"),
     ([MONOMIAL_DOC], "problem document must be a JSON object"),
-], ids=["duplicate-lie-labels", "json-array"])
+    (IDEAL_VARIABLE_DOC, "anchor.a.x must be 0: the variable x lies in the "
+     "ideal"),
+    (dict(IDEAL_VARIABLE_DOC, anchor={"a": {"y": "y"}},
+          action={"kind": "character", "values": {"x": "1"}}),
+     "action.values.x must be 0: the variable x lies in the ideal"),
+    (json.loads((Path(__file__).parent / "data"
+                 / "duplicate-label.lrh").read_text()),
+     "duplicate algebra labels"),
+], ids=["duplicate-lie-labels", "json-array", "ideal-variable-anchor",
+        "ideal-variable-character", "duplicate-algebra-labels"])
 def test_malformed_documents_are_input_errors(doc, message, tmp_path,
                                               capsys):
+    """The ideal-variable and duplicate-label inputs are the files that
+    the CI workflow refuses under python -O, or that file with the fault
+    moved from the anchor to the character."""
     bad = tmp_path / "bad.lrh"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad)]) == 2
@@ -856,16 +896,16 @@ def test_divide_replays_its_evidence(fake, monkeypatch, capsys):
     assert "left-divisibility" in err and "degree 3" in err
 
 
-def _zeroed_partial_certificate(real, data):
-    out = real(data)
-    return replace(out, certificate=(data.R.field.zero,)
+def _zeroed_partial_certificate(real, system):
+    out = real(system)
+    return replace(out, certificate=(system.field.zero,)
                    * len(out.certificate))
 
 
-def _false_partial_witness(real, data):
+def _false_partial_witness(real, system):
     """The unique solution with its first entry moved by one."""
-    out = real(data)
-    return replace(out, witness=(out.witness[0] + data.R.field.one,)
+    out = real(system)
+    return replace(out, witness=(out.witness[0] + system.field.one,)
                    + out.witness[1:])
 
 
@@ -881,8 +921,8 @@ def test_partial_replays_its_evidence(fake, problem, fmt, monkeypatch,
     exit 3, with nothing printed, as for divide."""
     assert main(["partial", problem, "--format", fmt]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "solve_partial",
-                        partial(fake, cli.solve_partial))
+    monkeypatch.setattr(cli, "solve_linear",
+                        partial(fake, cli.solve_linear))
     assert main(["partial", problem, "--format", fmt]) == 3
     out, err = capsys.readouterr()
     assert out == ""

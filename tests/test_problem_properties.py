@@ -9,6 +9,7 @@ import time
 from importlib import resources
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from lrhopf import (
     Anchor,
@@ -150,15 +151,78 @@ def test_a_variable_in_the_ideal_renders_as_zero():
     element, so its anchor image and character value are zero too:
     rendering writes "0" for them, and the rendered file parses back to
     equal components.  render_problem used to look x up as a basis label
-    and raise LrhInputError."""
+    and raise LrhInputError.  A nonzero value for x is refused."""
     doc = {"field": {"kind": "prime-field", "p": 2},
            "algebra": {"kind": "monomial-quotient", "variables": ["x", "y"],
                        "relations": ["x", "y^2"]},
            "lie": {"dim": 1, "labels": ["a"], "brackets": []},
-           "anchor": {"a": {"x": "1", "y": "y"}},
-           "action": {"kind": "character", "values": {"x": "1", "y": "0"}}}
+           "anchor": {"a": {"x": "0", "y": "y"}},
+           "action": {"kind": "character", "values": {"x": "0", "y": "0"}}}
     pf = parse_problem_text(json.dumps(doc))
     rendered = json.loads(render_problem(pf))
     assert rendered["anchor"] == {"a": {"x": "0", "y": "y"}}
     assert rendered["action"]["values"] == {"x": "0", "y": "0"}
     assert parse_problem_text(json.dumps(rendered)) == pf
+
+
+def _expression(coeffs, labels):
+    """The linear expression sum_i coeffs[i] * labels[i], or "0"."""
+    text = "+".join(f"{c}*{lab}" for c, lab in zip(coeffs, labels) if c)
+    return text.replace("+-", "-") or "0"
+
+
+def _random_constants_problem(rng, p):
+    """(document, anchor matrices): a structure-constants algebra of
+    dimension 2-4 with a few random constants, one or two abelian Lie
+    generators with random anchor columns, some keys left out, and a
+    character or a tensor action.  matrices[a][i][j] is the coefficient
+    of e_i in the image of e_j that the document gives xi_a."""
+    n = rng.randint(2, 4)
+    labels = ["1"] + [f"e{k}" for k in range(1, n)]
+    lie = [f"a{k}" for k in range(rng.randint(1, 2))]
+    constants = [[rng.randrange(n), rng.randrange(n), rng.randrange(n),
+                  str(rng.randint(-2, 2))] for _ in range(rng.randint(0, 4))]
+    anchor, matrices = {}, []
+    for label in lie:
+        matrix = [[0] * n for _ in range(n)]
+        anchor[label] = {}
+        for j in range(1, n):
+            if rng.random() < 0.3:
+                continue  # left out: the image of e_j is 0
+            column = [rng.randint(-2, 2) for _ in range(n)]
+            anchor[label][labels[j]] = _expression(column, labels)
+            for i, c in enumerate(column):
+                matrix[i][j] = c
+        matrices.append(matrix)
+    if rng.random() < 0.5:
+        action = {"kind": "character", "values": {
+            lab: str(rng.randint(-2, 2)) for lab in labels
+            if rng.random() < 0.7}}
+    else:
+        action = {"kind": "tensor", "values": [
+            [rng.choice(labels), rng.choice(lie), rng.choice(lie),
+             str(rng.randint(-2, 2))] for _ in range(rng.randint(0, 3))]}
+    field = {"kind": "prime-field", "p": p} if p else {"kind": "rationals"}
+    doc = {"field": field,
+           "algebra": {"kind": "structure-constants", "dim": n,
+                       "labels": labels, "constants": constants},
+           "lie": {"dim": len(lie), "labels": lie, "brackets": []},
+           "anchor": anchor, "action": action}
+    return doc, matrices
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_structure_constant_anchors_parse_as_their_matrices(p):
+    """Seeded structure-constants files with random anchor columns: each
+    parsed derivation equals Derivation(R, matrix) built from the numbers
+    the file was written from, and the file round-trips through
+    render_problem."""
+    fld = Field(p)
+    rng = random.Random(f"constant-anchors/{p}")
+    for _ in range(40):
+        doc, matrices = _random_constants_problem(rng, fld.characteristic)
+        pf = parse_problem_text(json.dumps(doc))
+        for a, matrix in enumerate(matrices):
+            assert pf.anchor.rho(a) == Derivation(pf.R, tuple(
+                tuple(fld.scalar(c) for c in row) for row in matrix))
+        assert parse_problem_text(render_problem(pf)) == pf

@@ -17,6 +17,7 @@ from lrhopf import (
     ProblemFileError,
     SolveOutcome,
     UnsupportedInputError,
+    algebra_from_constants,
     l_letter,
     lie_algebra_from_brackets,
     make_base_field_algebra,
@@ -41,6 +42,9 @@ CASES = {
     "element-of-wrong-length": (
         LrhInputError, "coefficient vector has wrong length",
         lambda q, ob: ob[0].element((q.one,))),
+    "duplicate-algebra-labels": (
+        LrhInputError, "duplicate algebra labels",
+        lambda q, ob: algebra_from_constants(q, ("1", "x", "x"), {})),
     "bad-variable-name": (
         LrhInputError, "bad variable name",
         lambda q, ob: make_monomial_quotient(("1x",), ("1x^2",), q)),
