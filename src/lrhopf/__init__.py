@@ -88,7 +88,6 @@ from .obstruction import (
     verify_partial,
 )
 from .problemfile import (
-    ProblemFile,
     parse_algebra_expression,
     parse_generator_expression,
     parse_problem,

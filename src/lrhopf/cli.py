@@ -71,8 +71,7 @@ def parse_field_flag(text: str) -> Field:
             f"(MAX_CHARACTERISTIC)") from None
 
 
-def _validated(pf):
-    data = pf.to_data()
+def _validated(data):
     reports = validate_lie_rinehart(data)
     for report in reports:
         if not report.ok:
@@ -93,19 +92,17 @@ def _emit(reports: list, fmt: str, command: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    pf = parse_problem(args.problem)
-    data = pf.to_data()
+    data = parse_problem(args.problem)
     reports = validate_lie_rinehart(data)
     if data.action.kind == "character":
         reports.append(character_criterion(
-            pf.R, pf.L, pf.anchor, data.action.character))
+            data.R, data.L, data.anchor, data.action.character))
     _emit(reports, args.format, "check")
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    pf = parse_problem(args.problem)
-    data = _validated(pf)
+    data = _validated(parse_problem(args.problem))
     system = build_rewrite_system(data)
     env = enumerate_basis(system, args.degree)
     narrative = [f"degree {d}: dimension {TruncatedEnvelope(system, d).dim}"
@@ -119,15 +116,14 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_partial(args) -> int:
-    pf = parse_problem(args.problem)
-    data = _validated(pf)
+    data = _validated(parse_problem(args.problem))
     system = partial_map_system(data)
     outcome = solve_linear(system)
     if outcome.feasible:
         candidate = partial_map_from_witness(data, outcome)
         replayed = verify_partial(candidate).ok
         witnesses = [{label: str(value)
-                      for label, value in zip(pf.L.labels,
+                      for label, value in zip(data.L.labels,
                                               candidate.values)}]
         report = VerdictReport(
             name="right-extension-system", verdict=FEASIBLE,
@@ -155,8 +151,7 @@ def _cmd_divide(args) -> int:
     it is printed.  A witness z is rendered from its support
     (`TruncatedEnvelope.element`), as the replay builds it, so its zero
     coordinates are neither coerced nor tested."""
-    pf = parse_problem(args.problem)
-    data = _validated(pf)
+    data = _validated(parse_problem(args.problem))
     system = build_rewrite_system(data)
     env = enumerate_basis(system, args.degree)
     g = parse_generator_expression(args.left, system)

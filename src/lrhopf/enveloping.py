@@ -187,8 +187,9 @@ class RewriteSystem:
     """The four rule families, compiled once from `source` into `rules`:
     each reducible letter pair, the unit letter's included, maps to its
     right-hand side, a list of (word, raw value in kernel form) over
-    distinct words, family by family and left letter outer.  `rho_table`
-    stays a field so that tests can tamper with the anchor; a
+    distinct words, family by family and left letter outer.  The field
+    and both label tuples are read from `source`, never copied.
+    `rho_table` stays a field so that tests can tamper with the anchor; a
     `dataclasses.replace` copy recompiles its rules, and acts on the base
     algebra, from the sparse rows of its own `rho_table` (`sparse_rho`).
 
@@ -204,9 +205,6 @@ class RewriteSystem:
     engines never share results, so comparing them stays a real
     cross-check."""
 
-    field: object
-    r_labels: tuple
-    l_labels: tuple
     rho_table: tuple      # R2: rho_table[a][i] = coeffs of rho_a(e_i) in R
     source: LieRinehartData
     rules: dict = dc_field(default_factory=dict, init=False,
@@ -238,6 +236,18 @@ class RewriteSystem:
                     rhs += [(_word(kind, k), c) for k, c in
                             table[x.index][y.index].items()]
                     self.rules[x, y] = rhs
+
+    @property
+    def field(self):
+        return self.source.R.field
+
+    @property
+    def r_labels(self) -> tuple:
+        return self.source.R.labels
+
+    @property
+    def l_labels(self) -> tuple:
+        return self.source.L.labels
 
     @cached_property
     def sparse_rho(self) -> tuple:
@@ -320,15 +330,9 @@ def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:
             "rewrite system requires validated data; run the axiom checks "
             "or use the character-module constructor")
     _check_shapes(data.R, data.L, data.anchor, data.action)
-    n = data.R.dim
-    rho = tuple(
-        tuple(tuple(d.matrix[k][j] for k in range(n)) for j in range(n))
-        for d in data.anchor.derivations)
     return RewriteSystem(
-        field=data.R.field,
-        r_labels=data.R.labels,
-        l_labels=data.L.labels,
-        rho_table=rho,
+        rho_table=tuple(tuple(zip(*d.matrix))
+                        for d in data.anchor.derivations),
         source=data)
 
 
@@ -762,13 +766,7 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
     reduce = system.field.reduce
     failing = []
     for word, (left, right) in zip(overlaps, reducts):
-        acc = {}
-        for terms, sign in ((left, 1), (right, -1)):
-            for w, c in terms:
-                c *= sign
-                for v, c2 in memo[w].items():
-                    acc[v] = acc.get(v, 0) + c * c2
-        if any(map(reduce, acc.values())):
+        if _combine({}, left + [(w, -c) for w, c in right], memo, reduce):
             failing.append((_word_sort_key(word), word, (left, right)))
     if failing:
         _, word, sides = min(failing)

@@ -199,12 +199,6 @@ class Anchor:
         return tuple(combine_rows(reduce, (vec, col_j)) for col_j in
                      zip(*(d.sparse_columns for d in self.derivations)))
 
-    def of_vector(self, vec: tuple) -> Derivation:
-        """Derivation attached to a general Lie element, by linearity."""
-        alg = self.algebra
-        alg.field.require_vector(vec, self.lie_dim, "Lie vector")
-        return Derivation.from_columns(alg, self.columns_of(sparse_row(vec)))
-
 
 @dataclass(frozen=True)
 class LieRinehartData:

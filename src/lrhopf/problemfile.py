@@ -27,7 +27,6 @@ deliberately broken tables reach the checkers intact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import LrhInputError, ProblemFileError
@@ -131,20 +130,6 @@ def parse_generator_expression(text: str, system: RewriteSystem) -> NCElement:
 
 # ---------------------------------------------------------------------------
 # section parsers
-
-@dataclass(frozen=True)
-class ProblemFile:
-    field: Field
-    R: CommAlgebra
-    L: LieAlgebra
-    anchor: Anchor
-    action: ModuleAction
-
-    def to_data(self) -> LieRinehartData:
-        """Unvalidated structure; run the axiom checks to promote it."""
-        return LieRinehartData(R=self.R, L=self.L, action=self.action,
-                               anchor=self.anchor)
-
 
 _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 _MISSING = object()
@@ -341,7 +326,9 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
     raise ProblemFileError(f"unknown action.kind {kind!r}")
 
 
-def parse_problem_text(text: str) -> ProblemFile:
+def parse_problem_text(text: str) -> LieRinehartData:
+    """The structure a problem document describes, unvalidated: run the
+    axiom checks to promote it."""
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -361,10 +348,10 @@ def parse_problem_text(text: str) -> ProblemFile:
     L = _parse_lie(lie, fld, R.labels)
     anchor = _parse_anchor(anchor, R, L)
     action = _parse_action(action, R, L)
-    return ProblemFile(field=fld, R=R, L=L, anchor=anchor, action=action)
+    return LieRinehartData(R=R, L=L, action=action, anchor=anchor)
 
 
-def parse_problem(source: str) -> ProblemFile:
+def parse_problem(source: str) -> LieRinehartData:
     """`source` is a path or the name of a bundled preset."""
     if source in PRESETS:
         text = resources.files("lrhopf").joinpath(
@@ -395,44 +382,46 @@ def _entries(table, labels, filled_in) -> list:
             if c or (k == 0 and not any(vec) and filled_in(i, j))]
 
 
-def render_problem(pf: ProblemFile) -> str:
-    """Canonical JSON for a parsed problem.  Parsing the output gives
-    back equal in-memory components, which is tested, not assumed."""
-    fld = pf.field
+def render_problem(data: LieRinehartData) -> str:
+    """Canonical JSON for a structure, over its base algebra's field.
+    Parsing the output gives back equal in-memory components, which is
+    tested, not assumed."""
+    R, L = data.R, data.L
+    fld = R.field
     doc = {}
     doc["field"] = {"kind": fld.kind}
     if fld.characteristic:
         doc["field"]["p"] = fld.characteristic
 
-    if pf.R.variables is not None:
+    if R.variables is not None:
         doc["algebra"] = {"kind": "monomial-quotient",
-                          "variables": list(pf.R.variables),
-                          "relations": list(pf.R.relations)}
+                          "variables": list(R.variables),
+                          "relations": list(R.relations)}
     else:
-        doc["algebra"] = {"kind": "structure-constants", "dim": pf.R.dim,
-                          "labels": list(pf.R.labels),
+        doc["algebra"] = {"kind": "structure-constants", "dim": R.dim,
+                          "labels": list(R.labels),
                           "constants": _entries(
-                              pf.R.mul_table, (range(pf.R.dim),) * 3,
+                              R.mul_table, (range(R.dim),) * 3,
                               lambda i, j: 0 in (i, j))}
 
-    doc["lie"] = {"dim": pf.L.dim, "labels": list(pf.L.labels),
-                  "brackets": _entries(pf.L.table, (pf.L.labels,) * 3,
-                                       lambda a, b: any(pf.L.table[b][a]))}
+    doc["lie"] = {"dim": L.dim, "labels": list(L.labels),
+                  "brackets": _entries(L.table, (L.labels,) * 3,
+                                       lambda a, b: any(L.table[b][a]))}
 
     # a variable in the ideal has no basis index: it is zero in R
-    keys = _generator_keys(pf.R, unit=False)
+    keys = _generator_keys(R, unit=False)
     doc["anchor"] = {label: {
-        key: "0" if k is None else str(pf.anchor.rho(a).column(k))
-        for key, k in keys.items()} for a, label in enumerate(pf.L.labels)}
+        key: "0" if k is None else str(data.anchor.rho(a).column(k))
+        for key, k in keys.items()} for a, label in enumerate(L.labels)}
 
-    if pf.action.kind == "character":
-        chi = pf.action.character
+    if data.action.kind == "character":
+        chi = data.action.character
         values = {key: "0" if k is None else str(chi.values[k])
-                  for key, k in _generator_keys(pf.R, unit=True).items()}
+                  for key, k in _generator_keys(R, unit=True).items()}
         doc["action"] = {"kind": "character", "values": values}
     else:
-        tensor = pf.action.tensor
-        values = _entries(tensor, (pf.R.labels, pf.L.labels, pf.L.labels),
+        tensor = data.action.tensor
+        values = _entries(tensor, (R.labels, L.labels, L.labels),
                           lambda i, a: i == a == 0
                           and not any(map(any, tensor[0])))
         doc["action"] = {"kind": "tensor", "values": values}

@@ -152,7 +152,6 @@ def _element_calls(rng, A, B):
     yield (vector_fits, "LieAlgebra.bracket", lambda: a.L.bracket(u, v))
     yield (vector_fits, "LieAlgebra.bracket, swapped",
            lambda: a.L.bracket(v, u))
-    yield (vector_fits, "Anchor.of_vector", lambda: a.anchor.of_vector(v))
     yield (vector_fits, "ModuleAction.act, vector",
            lambda: a.action.act(ra, v))
     yield (same, "ModuleAction.act, element", lambda: a.action.act(rb, u))
@@ -325,8 +324,6 @@ def test_brackets_and_actions_refuse_vectors_of_another_length(parts, q):
             L.bracket(vec, (q.one,))
         with pytest.raises(LrhInputError, match="Lie vector has wrong length"):
             data.action.act(R.unit, vec)
-        with pytest.raises(LrhInputError, match="Lie vector has wrong length"):
-            anchor.of_vector(vec)
 
 
 def test_partial_map_refuses_another_systems_witness(parts, q):

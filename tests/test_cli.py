@@ -22,13 +22,13 @@ from lrhopf import (
     SolveOutcome,
     build_rewrite_system,
     enumerate_basis,
+    validate_lie_rinehart,
 )
 import lrhopf.cli as cli
 from lrhopf.cli import main, parse_field_flag
 import oracles
 from lrhopf.problemfile import (
     PRESETS,
-    ProblemFile,
     parse_generator_expression,
     parse_problem,
     parse_problem_text,
@@ -53,10 +53,9 @@ def test_parse_field_flag():
 
 def test_presets_parse_and_validate():
     for name in PRESETS:
-        pf = parse_problem(name)
-        data = pf.to_data()
-        assert data.R.field == pf.field
-        assert pf.action.kind == "character"
+        data = parse_problem(name)
+        assert all(r.ok for r in validate_lie_rinehart(data))
+        assert data.action.kind == "character"
 
 
 def test_preset_roundtrip_is_exact():
@@ -81,7 +80,7 @@ def test_structure_constants_and_tensor_roundtrip(tmp_path):
     path = tmp_path / "idempotent.lrh"
     path.write_text(json.dumps(doc))
     pf = parse_problem(str(path))
-    assert pf.field == Field(3)
+    assert pf.R.field == Field(3)
     assert pf.R.labels == ("1", "e")
     assert pf.action.kind == "tensor"
     again = parse_problem_text(render_problem(pf))
@@ -496,15 +495,13 @@ def test_envelope_dimensions_match_enumeration(problem, classical, tmp_path,
                          {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
                           (2, 1): (0, -2, 0)})
         path = tmp_path / "sl2.lrh"
-        path.write_text(render_problem(ProblemFile(
-            field=data.R.field, R=data.R, L=data.L, anchor=data.anchor,
-            action=data.action)))
+        path.write_text(render_problem(data))
         problem = str(path)
     assert main(["envelope", problem, "--degree", "6"]) == 0
     found = re.findall(r"degree (\d+): dimension (\d+)",
                        capsys.readouterr().out)
     system = build_rewrite_system(
-        replace(parse_problem(problem).to_data(), validated=True))
+        replace(parse_problem(problem), validated=True))
     assert [(int(d), int(n)) for d, n in found] == [
         (d, enumerate_basis(system, d).dim) for d in range(7)]
 
@@ -584,7 +581,7 @@ def test_divide_renders_its_witness_from_its_support(monkeypatch, capsys):
 
     path = str(Path(__file__).parent / "data" / "sl2.lrh")
     dim = enumerate_basis(build_rewrite_system(
-        replace(parse_problem(path).to_data(), validated=True)), 6).dim
+        replace(parse_problem(path), validated=True)), 6).dim
     monkeypatch.setattr(Field, "scalar", counting)
     assert main(["divide", path, "--left=h+2*f", "--target=3*h+6*f",
                  "--degree", "6"]) == 0
@@ -953,9 +950,7 @@ def test_random_problem_files_run_cleanly(p, tmp_path, capsys):
     while drawn < 30 or len(verdicts) < 4 and drawn < 100:
         drawn += 1
         data = oracles.random_valid_structure(rng, fld)
-        path.write_text(render_problem(ProblemFile(
-            field=fld, R=data.R, L=data.L, anchor=data.anchor,
-            action=data.action)))
+        path.write_text(render_problem(data))
         labels = data.R.labels + data.L.labels
         runs = [["divide", str(path),
                  f"--left={_random_expression(rng, labels)}",

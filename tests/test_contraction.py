@@ -25,6 +25,7 @@ from lrhopf import (
     make_monomial_quotient,
     tensor_action,
 )
+from lrhopf.finalg import sparse_row
 from lrhopf.lierinehart import LieAlgebra, LieRinehartData, ModuleAction
 
 import oracles
@@ -140,7 +141,8 @@ def test_contractions_match_naive_reference(fld):
         for d in anchor.derivations:
             assert oracles.raw(d.apply(r).coeffs) == oracles.naive_apply(
                 oracles.raw(d.matrix), oracles.raw(r.coeffs), p)
-        assert oracles.raw(anchor.of_vector(u).matrix) == \
+        assert oracles.raw(Derivation.from_columns(
+            R, anchor.columns_of(sparse_row(u))).matrix) == \
             oracles.naive_of_vector(
                 [oracles.raw(d.matrix) for d in anchor.derivations],
                 oracles.raw(u), p)

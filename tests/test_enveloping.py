@@ -482,8 +482,7 @@ def test_left_divide_collects_no_word_it_knows_is_normal(monkeypatch):
     the basis index, and a tail that a fold splits off, enter the memo
     as their own normal forms; collecting them letter by letter took
     187 steps."""
-    data = parse_problem(str(Path(__file__).parent / "data" /
-                             "sl2.lrh")).to_data()
+    data = parse_problem(str(Path(__file__).parent / "data" / "sl2.lrh"))
     assert all(r.ok for r in validate_lie_rinehart(data))
     system = build_rewrite_system(dataclasses.replace(data, validated=True))
     f, h = (parse_generator_expression(s, system) for s in ("f", "h"))
@@ -1548,7 +1547,7 @@ def test_witness_replay_refuses_a_foreign_field(q):
     field: 1/2 solves 2e.z = e over Q, but is no GF(5) value."""
     doc = json.loads((Path(__file__).parent / "data" / "sl2.lrh").read_text())
     doc["field"] = {"kind": "prime-field", "p": 5}
-    data = parse_problem_text(json.dumps(doc)).to_data()
+    data = parse_problem_text(json.dumps(doc))
     assert all(r.ok for r in validate_lie_rinehart(data))
     system = build_rewrite_system(dataclasses.replace(data, validated=True))
     env = enumerate_basis(system, 2)

@@ -347,7 +347,8 @@ def test_leibniz_on_non_basis_elements(q):
         u = (q.scalar(rng.randint(-3, 3)),)
         v = (q.scalar(rng.randint(-3, 3)),)
         lhs = L.bracket(u, action.act(r, v))
-        correction = data.anchor.of_vector(u).apply(r)
+        correction = Derivation.from_columns(
+            R, data.anchor.columns_of(finalg.sparse_row(u))).apply(r)
         rhs = tuple(
             a + b for a, b in zip(
                 action.act(r, L.bracket(u, v)),
@@ -492,7 +493,7 @@ def test_checks_combine_no_tuple_whose_rows_are_all_empty(monkeypatch):
     structures over Q and GF(3), each with a copy with one entry broken.
     Every report still equals the dense reference's."""
     data_dir = Path(__file__).parent / "data"
-    valid = [parse_problem(source).to_data() for source in (
+    valid = [parse_problem(source) for source in (
         *sorted(PRESETS), str(data_dir / "sl2.lrh"),
         str(data_dir / "criterion-fails.lrh"))]
     rng = random.Random("all-empty-rows")

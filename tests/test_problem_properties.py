@@ -15,6 +15,7 @@ from lrhopf import (
     Anchor,
     Derivation,
     Field,
+    LieRinehartData,
     LrhInputError,
     algebra_from_constants,
     character_action,
@@ -23,7 +24,6 @@ from lrhopf import (
 )
 from lrhopf.problemfile import (
     PRESETS,
-    ProblemFile,
     parse_problem_text,
     render_problem,
 )
@@ -44,13 +44,13 @@ def _oracle_texts():
         rng = random.Random(p)
         for _ in range(3):
             R, L, anchor, chi = oracles.random_character_candidate(rng, fld)
-            texts.append(render_problem(ProblemFile(
-                field=fld, R=R, L=L, anchor=anchor,
+            texts.append(render_problem(LieRinehartData(
+                R=R, L=L, anchor=anchor,
                 action=character_action(chi, L.dim))))
         R = algebra_from_constants(fld, ("1", "e"), {(1, 1, 1): fld.one})
         L = lie_algebra_from_brackets(fld, ("b",), {})
-        texts.append(render_problem(ProblemFile(
-            field=fld, R=R, L=L, anchor=Anchor((Derivation.zero(R),)),
+        texts.append(render_problem(LieRinehartData(
+            R=R, L=L, anchor=Anchor((Derivation.zero(R),)),
             action=tensor_action(R, 1, {(0, 0, 0): fld.one,
                                         (1, 0, 0): fld.one}))))
     return texts

@@ -90,9 +90,6 @@ CASES = {
     "element-times-str": (TypeError, None, lambda q, ob: ob[0].unit * "x"),
     "element-times-fraction": (
         TypeError, None, lambda q, ob: ob[0].unit * Fraction(1, 2)),
-    "vector-of-an-empty-anchor": (
-        LrhInputError, "an empty anchor has no algebra",
-        lambda q, ob: Anchor(()).of_vector(())),
     "columns-of-an-empty-anchor": (
         LrhInputError, "an empty anchor has no algebra",
         lambda q, ob: Anchor(()).columns_of({})),

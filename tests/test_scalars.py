@@ -19,7 +19,6 @@ from lrhopf import (
 )
 
 from lrhopf.problemfile import (
-    ProblemFile,
     parse_problem,
     parse_problem_text,
     render_problem,
@@ -695,9 +694,7 @@ def test_kernel_does_not_coerce_values_it_built(classical, monkeypatch):
         data = classical(("e", "f", "h"),
                          {(0, 1): (0, 0, 1), (2, 0): (2, 0, 0),
                           (2, 1): (0, -2, 0)}, fld)
-        problems.append(parse_problem_text(render_problem(ProblemFile(
-            field=fld, R=data.R, L=data.L, anchor=data.anchor,
-            action=data.action))))
+        problems.append(parse_problem_text(render_problem(data)))
     calls = []
     original = Field.scalar
 
@@ -706,8 +703,7 @@ def test_kernel_does_not_coerce_values_it_built(classical, monkeypatch):
         return original(self, value)
 
     monkeypatch.setattr(Field, "scalar", counting)
-    for pf in problems:
-        data = pf.to_data()
+    for data in problems:
         assert all(report.ok for report in validate_lie_rinehart(data))
         solve_partial(data)
     assert calls == []
