@@ -16,8 +16,12 @@ A problem is a single JSON document with five sections:
 
 Scalars are written as literals ("3", "-1/2"); anchor values and other
 element positions use a linear-expression grammar: terms of the shape
-`label`, `scalar`, or `scalar*label`, joined by + and -.  Labels never
-start with a digit, so the two token kinds cannot collide.
+`label`, `scalar`, or `scalar*label`, joined by + and -.  Every label a
+file defines is a name (a letter or _, then letters, digits and _), and
+only the unit of a structure-constants algebra may instead be labelled
+"1", so the two token kinds cannot collide.  A JSON object that gives a
+key twice is refused, naming the key.  A structure constant, bracket or
+tensor entry given more than once adds up.
 
 A bracket pair whose mirror is absent is completed antisymmetrically;
 files that spell out both orientations are taken verbatim, which lets
@@ -31,6 +35,7 @@ from importlib import resources
 
 from .errors import LrhInputError, ProblemFileError
 from .finalg import (
+    _NAME_RE,
     AlgebraElement,
     Character,
     CommAlgebra,
@@ -154,6 +159,27 @@ def _require(section: dict, key: str, where: str, kind, default=_MISSING):
     return value
 
 
+def _require_names(labels, where: str) -> None:
+    """Refuse a label of `labels` that is no name (a letter or _, then
+    letters, digits and _), so that no label reads as a scalar or an
+    expression."""
+    for label in labels:
+        if not _NAME_RE.match(label):
+            raise ProblemFileError(f"{where} label {label!r} is not a name")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key given twice, which
+    json.loads would otherwise read as its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ProblemFileError(f"key {key!r} is given twice in one "
+                                   f"JSON object")
+        out[key] = value
+    return out
+
+
 def _literal(value, path: str) -> str:
     """The text of a scalar or expression value, which must be a JSON
     string or integer; `path` names its key."""
@@ -191,6 +217,8 @@ def _parse_algebra(section, fld: Field) -> CommAlgebra:
         if dim < 1:
             raise ProblemFileError(
                 "algebra.dim must be at least 1: basis element 0 is the unit")
+        # the unit alone may be labelled 1, which reads as the unit
+        _require_names(labels[1:] if labels[0] == "1" else labels, "algebra")
         constants = {}
         for n, entry in enumerate(_require(section, "constants", "algebra",
                                            [list], [])):
@@ -198,9 +226,10 @@ def _parse_algebra(section, fld: Field) -> CommAlgebra:
                                       for x in entry[:3]):
                 raise ProblemFileError(
                     f"algebra constant {entry!r} is not [i, j, k, coeff]")
-            i, j, k, coeff = entry
-            constants[(i, j, k)] = fld.parse(
-                _literal(coeff, f"algebra.constants[{n}][3]"))
+            key, coeff = tuple(entry[:3]), fld.parse(
+                _literal(entry[3], f"algebra.constants[{n}][3]"))
+            constants[key] = constants[key] + coeff if key in constants \
+                else coeff
         return algebra_from_constants(fld, labels, constants)
     raise ProblemFileError(f"unknown algebra.kind {kind!r}")
 
@@ -212,6 +241,7 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
         raise ProblemFileError("lie.dim does not match its labels")
     if len(set(labels)) != dim:
         raise ProblemFileError("duplicate Lie labels")
+    _require_names(labels, "Lie")
     clash = set(labels) & set(r_labels)
     if clash:
         raise ProblemFileError(
@@ -330,7 +360,7 @@ def parse_problem_text(text: str) -> LieRinehartData:
     """The structure a problem document describes, unvalidated: run the
     axiom checks to promote it."""
     try:
-        tree = json.loads(text)
+        tree = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"not well-formed JSON: {exc.msg} at line {exc.lineno}, "

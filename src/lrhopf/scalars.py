@@ -22,16 +22,16 @@ Fraction; ``Field.kernel`` converts a raw value on its way in and
 ``Field.wrap`` makes the Scalar, over Q always holding a Fraction, on
 its way out.
 ``solve_linear`` decides A.x = b by deterministic exact sparse
-Gauss-Jordan elimination in {col: value} rows of kernel values,
-fraction-free on integer rows over Q, with a per-column index of the
-rows that hold each column.  Only a row that holds a non-integral value,
-in its entries or its right-hand side, is scaled to integers first, and
-a pivot row that is the only holder of its column is neither scaled nor
-used to clear.  It always hands back checkable evidence: a particular
-witness plus a nullspace basis when feasible, or a Farkas-style row
-vector u with u.A = 0 and u.b != 0 when infeasible.  The evidence is
-normalised lazily: a pivot is inverted only where an evidence entry
-needs it.
+Gauss-Jordan elimination on the augmented rows [A | b], one {col: value}
+dict of kernel values per equation with b_r at key ``cols``, so one row
+operation updates A and b alike.  It is fraction-free on integer rows
+over Q, with a per-column index of the rows that hold each column.  Only
+a row that holds a non-integral value is scaled to integers first, and a
+pivot row that is the only holder of its column is used to clear
+nothing.  It always hands back checkable evidence: a particular witness
+plus a nullspace basis when feasible, or a Farkas-style row vector u
+with u.A = 0 and u.b != 0 when infeasible.  The evidence is normalised
+lazily: a pivot is inverted only where an evidence entry needs it.
 ``verify_witness`` and ``verify_certificate`` recheck that evidence
 from the sparse input on kernel values, reduced by ``Field.reduce``,
 independently of the elimination path that produced it: they read
@@ -328,40 +328,39 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     swapped up to the rank, and the column is cleared from every other
     row, so all evidence is reproducible.
 
-    Rows are sparse {col: value} dicts of kernel values: entries and
-    right-hand sides are read through Field.kernel over Q, so an
-    integral rational is an int, and as residues in [0, p) over GF(p);
-    no zero is stored, explicit input zeros included.  A set per column
-    holds the rows with an entry there, so finding the pivot and the
-    rows to clear reads no other row.  A
-    column that no row holds, as most columns of theorem1's systems
-    are, is passed over before any search.  A pivot row that is the
-    only row holding its column, as most are in the systems of
-    left_divide, is taken without a search, has nothing to clear and is
-    left unscaled.  Over GF(p) any other pivot row is scaled to a
-    leading one and a row is cleared as row - f.pivot.  Over Q the
-    elimination is fraction-free: a row holding a Fraction in its
-    entries or right-hand side is first scaled by the lcm of their
-    denominators, every other row is left as it is, and a row is cleared
-    as (y.row - f.pivot) / g, y being the pivot entry and g the content
-    of the result.  Only A and b are eliminated, and each row operation
-    is logged as (r, pr, f, y, g): row r := (y.row r - f.row pr) / g,
-    and a scaling of row r by s (a row's first one over Q, a pivot's
-    over GF(p)) as (r, r, 0, s, 1).
+    Row r is the sparse {col: value} dict of row r of [A | b], with b_r
+    at key n = system.cols, so every row operation below updates A and b
+    together.  Its values are kernel values: read through Field.kernel
+    over Q, so an integral rational is an int, and as residues in
+    [0, p) over GF(p); no zero is stored, explicit input zeros included.
+    A set per column holds the rows with an entry there, so finding the
+    pivot and the rows to clear reads no other row.  A column that no
+    row holds, as most columns of theorem1's systems are, is passed over
+    before any search.  A pivot row that is the only row holding its
+    column, as most are in the systems of left_divide, is taken without
+    a search and has nothing to clear.  No pivot row is ever scaled.
+    With y the pivot entry and f the entry of the row to clear, a row
+    is cleared over GF(p) as row - (f.y^-1).pivot, and over Q
+    fraction-free as (y.row - f.pivot) / g, g being the content of the
+    resulting augmented row.  Over Q a row holding a Fraction is first
+    scaled by the lcm of its denominators; every other row is left as
+    it is.  Each row operation is logged as (r, pr, f, y, g): row r :=
+    (y.row r - f.row pr) / g, with y = g = 1 and f = f.y^-1 over GF(p),
+    and the scaling of row r by s over Q as (r, r, 0, s, 1).
 
-    The evidence is normalised at the end, and lazily: a pivot column's
-    witness entry is b_r / a_r[c], and a nullspace vector's entry
-    -a_r[f] / a_r[c], and a pivot is inverted only when one of these is
-    nonzero, once per pivot.  Most right-hand sides are zero, so most
-    pivots are never inverted.  When elimination leaves a zero row r0
-    with a nonzero right-hand side, one pass over the log, last
-    operation first, takes w = e_r0 through each operation's transpose:
-    w[pr] -= w[r].f/g, then w[r] *= y/g.  The Farkas certificate is w
-    divided by its entry on r0.  Row scaling changes no zero pattern,
-    so the pivots are those of elimination with leading ones, and so is
-    the evidence: the certificate is the one combination that vanishes
-    on A of r0's original row, with coefficient 1, and the original
-    pivot rows.  Only the evidence is wrapped into Scalars.
+    A row below the rank holds no entry of A, so the system is
+    infeasible exactly when one of them is not empty.  Then one pass
+    over the log, last operation first, takes w = e_r0 for the first
+    such row r0 through each operation's transpose: w[pr] -= w[r].f/g,
+    then w[r] *= y/g.  The Farkas certificate is w divided by its entry
+    on r0: the one combination that vanishes on A of r0's original row,
+    with coefficient 1, and the original pivot rows.  Pivots depend
+    only on A's zero pattern, and the evidence is normalised at the
+    end, and lazily: a pivot column's witness entry is b_r / a_r[c],
+    read from key n, and a nullspace vector's entry -a_r[f] / a_r[c],
+    and a pivot is inverted only when one of these is nonzero, once
+    per pivot.  Most right-hand sides are zero, so most pivots are
+    never inverted.  Only the evidence is wrapped into Scalars.
     """
     check_solve_size(system.rows, system.cols)
     fld = system.field
@@ -370,24 +369,24 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
     nrows, ncols = system.rows, system.cols
 
     read = reduce if p else fld.kernel
-    a = [{} for _ in range(nrows)]
+    a = [{} for _ in range(nrows)]  # row r of [A | b], b_r at key ncols
     for r, c, s in system.entries:
         v = read(s.value)
         if v:
             a[r][c] = v
-    b = [read(s.value) for s in system.rhs]
+    for r, s in enumerate(system.rhs):
+        v = read(s.value)
+        if v:
+            a[r][ncols] = v
     log = []  # (r, pr, f, y, g): row r := (y.row r - f.row pr) / g
     if not p:  # kernel values: a Fraction is never integral
         for r, row in enumerate(a):
-            if type(b[r]) is Fraction or \
-                    row and Fraction in map(type, row.values()):
-                scale = lcm(b[r].denominator,
-                            *(v.denominator for v in row.values()))
+            if Fraction in map(type, row.values()):
+                scale = lcm(*(v.denominator for v in row.values()))
                 log.append((r, r, 0, scale, 1))
                 a[r] = {c: v.numerator * (scale // v.denominator)
                         for c, v in row.items()}
-                b[r] = b[r].numerator * (scale // b[r].denominator)
-    holders = [set() for _ in range(ncols)]
+    holders = [set() for _ in range(ncols + 1)]
     for r, row in enumerate(a):
         for c in row:
             holders[c].add(r)
@@ -415,21 +414,17 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         order[at], order[rank] = order[rank], pr
         where[order[at]], where[pr] = at, rank
         pivots.append((pr, col))
-        if sole:  # no other row to clear, so the pivot is left unscaled
+        if sole:  # no other row to clear
             continue
-        if p:
-            inv = inverse(a[pr][col])
-            a[pr] = {c: v * inv % p for c, v in a[pr].items()}
-            b[pr] = b[pr] * inv % p
-            log.append((pr, pr, 0, inv, 1))
-        pivot, bp = a[pr], b[pr]
-        y = pivot[col]  # 1 over GF(p)
+        pivot = a[pr]
+        y = pivot[col]
+        if p:  # clear as row - (f.y^-1).pivot, logged with y = 1
+            inv, y = inverse(y), 1
         for r in [r for r in holding if r != pr]:
-            row, br = a[r], b[r]
-            f = row[col]
+            row = a[r]
+            f = row[col] * inv % p if p else row[col]
             if y != 1:
                 row = a[r] = {c: y * v for c, v in row.items()}
-                br *= y
             for c, v in pivot.items():
                 x = row.get(c, 0) - f * v
                 if p:
@@ -441,11 +436,9 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
                 else:
                     del row[c]
                     holders[c].discard(r)
-            br = (br - f * bp) % p if p else br - f * bp
-            g = 1 if p else gcd(br, *row.values()) or 1  # 0: a zero row
+            g = 1 if p else gcd(*row.values()) or 1  # 0: a zero row
             if g != 1:
                 a[r] = {c: v // g for c, v in row.items()}
-            b[r] = br // g
             log.append((r, pr, f, y, g))
 
     def dense(sparse, size):
@@ -455,7 +448,7 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
         return tuple(out)
 
     for r0 in order[len(pivots):]:
-        if b[r0]:
+        if a[r0]:  # below the rank a row holds only b
             w = {r0: 1}  # e_r0 times the logged operations, last first
             for r, pr, f, y, g in reversed(log):
                 x = w.get(r)
@@ -475,8 +468,8 @@ def solve_linear(system: LinearSystem) -> SolveOutcome:
             inv = scales[r] = inverse(a[r][c])
         return x * inv
 
-    witness = dense({c: over_pivot(b[r], r, c) for r, c in pivots if b[r]},
-                    ncols)
+    witness = dense({c: over_pivot(a[r][ncols], r, c) for r, c in pivots
+                     if ncols in a[r]}, ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace = []

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -421,6 +422,8 @@ def test_any_value_of_the_wrong_type_exits_cleanly(doc, tmp_path, capsys):
 
 IDEAL_VARIABLE_DOC = json.loads(
     (Path(__file__).parent / "data" / "ideal-variable.lrh").read_text())
+BAD_LABEL_DOC = json.loads(
+    (Path(__file__).parent / "data" / "bad-label.lrh").read_text())
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -435,18 +438,80 @@ IDEAL_VARIABLE_DOC = json.loads(
     (json.loads((Path(__file__).parent / "data"
                  / "duplicate-label.lrh").read_text()),
      "duplicate algebra labels"),
+    (BAD_LABEL_DOC, "algebra label 'u-v' is not a name"),
+    (dict(CONSTANTS_DOC, algebra=dict(CONSTANTS_DOC["algebra"],
+                                      labels=["1", "2x"]),
+          anchor={"a": {"2x": "0"}}),
+     "algebra label '2x' is not a name"),
+    (dict(CONSTANTS_DOC, algebra=dict(CONSTANTS_DOC["algebra"],
+                                      labels=["e", "1"]),
+          anchor={"a": {"1": "0"}}),
+     "algebra label '1' is not a name"),
+    (dict(MONOMIAL_DOC, lie={"dim": 1, "labels": ["2a"], "brackets": []},
+          anchor={"2a": {"x": "y"}}),
+     "Lie label '2a' is not a name"),
+    (dict(MONOMIAL_DOC, lie={"dim": 2, "labels": ["a", "u-v"],
+                             "brackets": []}),
+     "Lie label 'u-v' is not a name"),
 ], ids=["duplicate-lie-labels", "json-array", "ideal-variable-anchor",
-        "ideal-variable-character", "duplicate-algebra-labels"])
+        "ideal-variable-character", "duplicate-algebra-labels",
+        "bad-algebra-label", "algebra-label-of-a-digit",
+        "non-unit-label-one", "lie-label-of-a-digit", "bad-lie-label"])
 def test_malformed_documents_are_input_errors(doc, message, tmp_path,
                                               capsys):
-    """The ideal-variable and duplicate-label inputs are the files that
-    the CI workflow refuses under python -O, or that file with the fault
-    moved from the anchor to the character."""
+    """The ideal-variable, duplicate-label and bad-label inputs are the
+    files that the CI workflow refuses under python -O, or that file
+    with the fault moved from the anchor to the character.  Only the
+    unit of a structure-constants algebra may be labelled 1."""
     bad = tmp_path / "bad.lrh"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"error: {message}" in err
+
+
+REPEATED_KEY_TEXT = (Path(__file__).parent / "data"
+                     / "repeated-key.lrh").read_text()
+
+
+@pytest.mark.parametrize("text, key", [
+    (REPEATED_KEY_TEXT, "a"),
+    (REPEATED_KEY_TEXT.replace('{"a": {"x": "1"}, ', "{"), "x"),
+], ids=["anchor", "character"])
+def test_repeated_keys_are_input_errors(text, key, tmp_path, capsys):
+    """JSON objects that give a key twice are refused, naming the key.
+    json.loads alone would keep the last value, and the committed
+    repeated-key.lrh would then pass every check, though x -> 1 is no
+    derivation and chi(x) = 1 no character of K[x]/(x^2)."""
+    bad = tmp_path / "bad.lrh"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and \
+        f"error: key {key!r} is given twice in one JSON object" in err
+
+
+def test_repeated_entries_add_up():
+    """A structure constant, bracket or tensor entry given twice reads as
+    one entry holding the sum of both coefficients."""
+    def doc(constants, brackets, values):
+        return json.dumps({
+            "field": {"kind": "rationals"},
+            "algebra": {"kind": "structure-constants", "dim": 2,
+                        "labels": ["1", "x"], "constants": constants},
+            "lie": {"dim": 2, "labels": ["a", "b"], "brackets": brackets},
+            "anchor": {},
+            "action": {"kind": "tensor", "values": values}})
+
+    twice = parse_problem_text(doc(
+        [[1, 1, 0, "1"], [1, 1, 0, "2/3"]],
+        [["a", "b", "b", "1"], ["a", "b", "b", "-3"]],
+        [["x", "a", "b", "2"], ["x", "a", "b", "5"]]))
+    summed = parse_problem_text(doc(
+        [[1, 1, 0, "5/3"]], [["a", "b", "b", "-2"]],
+        [["x", "a", "b", "7"]]))
+    assert twice == summed
+    assert twice.R.mul_table[1][1][0].value == Fraction(5, 3)
 
 
 # ------------------------------------------------------------ command: main
