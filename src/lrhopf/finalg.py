@@ -472,10 +472,14 @@ class Derivation:
 
     @classmethod
     def from_columns(cls, algebra: CommAlgebra, columns) -> "Derivation":
-        """The map whose column j is the sparse raw row columns[j]."""
-        cols = [dense_row(algebra.field, col, algebra.dim)
-                for col in columns]
-        return cls(algebra, tuple(zip(*cols)))
+        """The map whose column j is the reduced sparse raw row
+        columns[j], kept in kernel form as its sparse_columns."""
+        fld, n = algebra.field, algebra.dim
+        cols = tuple({k: fld.kernel(v) for k, v in sorted(col.items()) if v}
+                     for col in columns)
+        d = cls(algebra, tuple(zip(*(dense_row(fld, c, n) for c in cols))))
+        d.__dict__["sparse_columns"] = cols
+        return d
 
     @classmethod
     def zero(cls, algebra: CommAlgebra) -> "Derivation":

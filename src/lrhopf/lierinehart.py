@@ -19,7 +19,7 @@ that refuses to build the data when the criterion fails.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -137,15 +137,19 @@ class ModuleAction:
 
 
 def character_action(chi: Character, lie_dim: int) -> ModuleAction:
+    """r.xi = chi(r) xi, its sparse tensor e_i.xi_a = {a: chi(e_i)} kept."""
     alg = chi.algebra
     fld = alg.field
-    tensor = tuple(
-        tuple(tuple(chi.values[i] if a == b else fld.zero
-                    for b in range(lie_dim))
-              for a in range(lie_dim))
-        for i in range(alg.dim))
-    return ModuleAction(kind="character", algebra=alg, tensor=tensor,
-                        character=chi)
+    values = [chi.values[i] for i in range(alg.dim)]
+    zero = (fld.zero,) * lie_dim
+    tensor = tuple(tuple(zero[:a] + (v,) + zero[a + 1:]
+                         for a in range(lie_dim)) for v in values)
+    action = ModuleAction(kind="character", algebra=alg, tensor=tensor,
+                          character=chi)
+    raw = (fld.kernel(v.value) for v in values)
+    action.__dict__["sparse_tensor"] = tuple(
+        tuple({a: v} if v else {} for a in range(lie_dim)) for v in raw)
+    return action
 
 
 def tensor_action(algebra: CommAlgebra, lie_dim: int,
@@ -360,10 +364,9 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
             lhs = anchor.columns_of(L.sparse_table[a][b])
             rhs = commutator_columns(anchor.rho(a), anchor.rho(b))
             if lhs != rhs:
-                lhs, rhs = (Derivation.from_columns(R, cols).matrix
-                            for cols in (lhs, rhs))
-                diff = tuple(tuple(x - y for x, y in zip(r1, r2))
-                             for r1, r2 in zip(lhs, rhs))
+                diff = Derivation.from_columns(R, (combine_rows(
+                    R.field.reduce, ({0: 1, 1: -1}, pair))
+                    for pair in zip(lhs, rhs))).matrix
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "pair": [L.labels[a], L.labels[b]],
                     "difference-matrix": [[str(c) for c in row]
@@ -374,26 +377,27 @@ def check_anchor_lie_hom(data: LieRinehartData) -> VerdictReport:
 
 def check_anchor_r_linear(data: LieRinehartData) -> VerdictReport:
     """anchor(e_i . xi_a)(e_j) = e_i * anchor(xi_a)(e_j) for all i, a, j,
-    with the left side expanded through the module action.  A side whose
-    coefficient row (e_i . xi_a, or anchor(xi_a)(e_j)) is empty is 0 and
-    is not combined."""
+    character_criterion (a) on a character's action; e_i . xi_a combines
+    by_column[j][b] = anchor(xi_b)(e_j), read once per check.  A side with
+    no entries to combine is 0 and is not combined."""
     _check_shapes(data.R, data.L, data.anchor, data.action)
     name = "anchor-r-linearity"
     R, L = data.R, data.L
     reduce = R.field.reduce
     table = R.sparse_table
     tensor = data.action.sparse_tensor
+    columns = [d.sparse_columns for d in data.anchor.derivations]
+    by_column = [col if any(col) else () for col in zip(*columns)]
     for i in range(R.dim):
-        for a in range(L.dim):
-            scaled = data.anchor.columns_of(tensor[i][a])
-            images = data.anchor.rho(a).sparse_columns
+        for a, row in enumerate(tensor[i]):
             for j in range(R.dim):
-                img = images[j]
+                img, col = columns[a][j], by_column[j]
+                lhs = combine_rows(reduce, (row, col)) if row and col else {}
                 rhs = combine_rows(reduce, (img, table[i])) if img else {}
-                if scaled[j] != rhs:
+                if lhs != rhs:
                     return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                         "triple": [R.labels[i], L.labels[a], R.labels[j]],
-                        "lhs": R.render_row(scaled[j]),
+                        "lhs": R.render_row(lhs),
                         "rhs": R.render_row(rhs)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[
         f"R-linearity verified on all {R.dim}x{L.dim}x{R.dim} triples"])
@@ -445,49 +449,37 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
       (b) chi(anchor(xi_a)(e_i)) = 0 (anchor values land in ker chi).
 
     The verdict is the conjunction; witnesses carry the first failure of
-    each condition.  In (a) a column anchor(xi_a)(e_j) that is 0 makes
-    both sides 0, and is not combined.  Parts that make no one structure
+    each condition, (a) as check_anchor_r_linear finds it on
+    character_action(chi, dim L).  Parts that make no one structure
     (_check_shapes), and a character over another base algebra or with
     another number of values than R.dim, are refused."""
-    name = "character-criterion"
     _check_shapes(R, L, anchor)
     R.require((chi,), "character is over a different base algebra")
     R.field.require_vector(chi.values, R.dim, "character vector")
-    reduce = R.field.reduce
-    table = R.sparse_table
-    values = [R.field.kernel(v.value) for v in chi.values]
+    return _criterion_of(LieRinehartData(
+        R=R, L=L, action=character_action(chi, L.dim), anchor=anchor))
 
-    def r_linearity_failure():
-        for i in range(R.dim):
-            for a in range(anchor.lie_dim):
-                for j in range(R.dim):
-                    img = anchor.rho(a).sparse_columns[j]
-                    if not img:
-                        continue
-                    lhs = {k: reduce(values[i] * x) for k, x in img.items()} \
-                        if values[i] else {}
-                    rhs = combine_rows(reduce, (img, table[i]))
-                    if lhs != rhs:
-                        return {"condition": "r-linearity",
-                                "triple": [R.labels[i], L.labels[a],
-                                           R.labels[j]],
-                                "lhs": R.render_row(lhs),
-                                "rhs": R.render_row(rhs)}
+
+def _criterion_of(data: LieRinehartData) -> VerdictReport:
+    """character_criterion of checked parts with a character's action."""
+    R, L = data.R, data.L
+    reduce = R.field.reduce
+    values = [R.field.kernel(v.value) for v in data.action.character.values]
 
     def kernel_failure():
-        for a in range(anchor.lie_dim):
-            for i in range(R.dim):
-                img = anchor.rho(a).sparse_columns[i]
+        for a, d in enumerate(data.anchor.derivations):
+            for i, img in enumerate(d.sparse_columns):
                 value = reduce(sum(values[k] * x for k, x in img.items()))
                 if value:
                     return {"condition": "anchor-into-kernel",
                             "pair": [L.labels[a], R.labels[i]],
                             "value": str(value)}
 
-    witnesses = []
-    narrative = []
+    linear = check_anchor_r_linear(data)
+    witnesses, narrative = [], []
     for found, held in (
-            (r_linearity_failure(),
+            (None if linear.ok else
+             {"condition": "r-linearity", **linear.witnesses[0]},
              "(a) anchor is R-linear for the character action"),
             (kernel_failure(),
              "(b) every anchor value is annihilated by chi")):
@@ -495,10 +487,9 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
             witnesses.append(found)
         else:
             narrative.append(held)
-
-    verdict = PASS if not witnesses else FAIL
-    return VerdictReport(name=name, verdict=verdict, witnesses=witnesses,
-                         narrative=narrative)
+    return VerdictReport(name="character-criterion",
+                         verdict=FAIL if witnesses else PASS,
+                         witnesses=witnesses, narrative=narrative)
 
 
 def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
@@ -507,6 +498,14 @@ def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     when any component is malformed, when the anchor fails to be a Lie
     homomorphism, or when the character criterion fails; the refusal
     carries the offending report."""
+    return _character_module(R, L, anchor, chi)
+
+
+def _character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
+                      chi: Character, criterion=None) -> LieRinehartData:
+    """make_character_module; `criterion`, when given, is the criterion's
+    report of the same parts and is not recomputed.  The data is built
+    once, marked validated, and returned only if every check passes."""
     for report in (check_algebra_axioms(R), check_lie_algebra(L),
                    check_character(R, chi.values)):
         if not report.ok:
@@ -520,17 +519,16 @@ def make_character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
                 report=report)
 
     data = LieRinehartData(R=R, L=L, action=character_action(chi, L.dim),
-                           anchor=anchor)
+                           anchor=anchor, validated=True)
     hom = check_anchor_lie_hom(data)
     if not hom.ok:
         raise ConstructionRefusedError(
             "anchor is not a Lie algebra homomorphism", report=hom)
-    criterion = character_criterion(R, L, anchor, chi)
+    criterion = criterion or _criterion_of(data)
     if not criterion.ok:
         raise ConstructionRefusedError(
             "character-action criterion failed", report=criterion)
-    return LieRinehartData(R=R, L=L, action=data.action, anchor=anchor,
-                           validated=True)
+    return data
 
 
 def validate_lie_rinehart(data: LieRinehartData) -> list:
@@ -543,11 +541,8 @@ def validate_lie_rinehart(data: LieRinehartData) -> list:
         check_module_action(data.R, data.action),
     ]
     for a, d in enumerate(data.anchor.derivations):
-        rep = check_derivation(data.R, d)
-        rep = VerdictReport(name=f"derivation[{data.L.labels[a]}]",
-                            verdict=rep.verdict, witnesses=rep.witnesses,
-                            narrative=rep.narrative)
-        reports.append(rep)
+        reports.append(replace(check_derivation(data.R, d),
+                               name=f"derivation[{data.L.labels[a]}]"))
     if data.action.kind == "character":
         reports.append(check_character(data.R, data.action.character.values))
     reports.extend([

@@ -43,10 +43,10 @@ from .finalg import (
 from .lierinehart import (
     Anchor,
     LieRinehartData,
+    _character_module,
     _check_shapes,
     character_criterion,
     lie_algebra_from_brackets,
-    make_character_module,
 )
 from .enveloping import (
     NCElement,
@@ -311,7 +311,7 @@ def theorem1_pipeline(fld: Field = Field(0),
         raise PipelineError("character-criterion",
                             "the built-in example must satisfy the "
                             "character-action criterion")
-    data = make_character_module(R, L, anchor, chi)
+    data = _character_module(R, L, anchor, chi, criterion)
 
     system = build_rewrite_system(data)
     env = enumerate_basis(system, degree)

@@ -606,3 +606,71 @@ def test_validation_reads_the_cached_derivation_columns(obstructed,
     assert [r.to_dict() for r in validate_lie_rinehart(data)] == first
     assert make_character_module(R, L, anchor, chi).validated
     assert built == []
+
+
+def test_given_anchor_columns_are_kept_in_kernel_form(q, monkeypatch):
+    """Derivation.from_columns keeps the columns it is given as its
+    sparse_columns: each value in kernel form (an integral Fraction over
+    Q is an int), zeros dropped, keys ascending.  Anchors built through
+    from_variable_images and from_columns are checked by
+    validate_lie_rinehart with no sparse row built but that of the
+    variable image, and every report equals the dense reference's."""
+    R = make_monomial_quotient(("x",), ("x^4",), q)
+    L = lie_algebra_from_brackets(q, ("a", "b"), {})
+    action = character_action(oracles.natural_character(R), 2)
+    tables = (R.sparse_table, L.sparse_table, action.sparse_tensor)
+    half = R.element((q.zero, q.parse("1/2"), q.zero, q.zero))
+    built = []
+    sparse_row = finalg.sparse_row
+    monkeypatch.setattr(finalg, "sparse_row",
+                        lambda vec: built.append(vec) or sparse_row(vec))
+    # x -> x/2: D(x^2) = 2x * x/2 sums to the integral Fraction 1
+    D = Derivation.from_variable_images(R, {"x": half})
+    # x -> x^2 + x^3, its columns given with keys descending, an integral
+    # Fraction and zeros
+    E = Derivation.from_columns(R, [{}, {3: Fraction(1), 2: 1, 0: 0},
+                                    {3: Fraction(4, 2)}, {1: Fraction(0)}])
+    data = LieRinehartData(R=R, L=L, action=action, anchor=Anchor((D, E)))
+    reports = validate_lie_rinehart(data)
+    assert built == [half.coeffs]
+    assert tables == (R.sparse_table, L.sparse_table, action.sparse_tensor)
+    assert [r.to_dict() for r in reports] == \
+        [r.to_dict() for r in oracles.dense_validate(data)]
+    assert E.sparse_columns == ({}, {2: 1, 3: 1}, {3: 2}, {})
+    for d in (D, E):
+        for col, vec in zip(d.sparse_columns, zip(*d.matrix)):
+            assert list(col) == sorted(col)
+            assert col == {k: c.value for k, c in enumerate(vec) if c}
+            for v in col.values():
+                assert v and type(v) is (int if v.denominator == 1
+                                         else Fraction)
+
+
+@pytest.mark.parametrize("fld", [Field(0), Field(2), Field(3)], ids=str)
+def test_criterion_condition_a_is_the_r_linearity_check(fld):
+    """Condition (a) of character_criterion is check_anchor_r_linear on
+    the character action: on seeded random valid structures and copies
+    with one entry broken, (a) fails exactly when that check does, its
+    witness that check's first one with "condition": "r-linearity" as
+    first key, and its narrative line stands exactly when it passes."""
+    rng = random.Random(f"criterion-r-linearity/{fld}")
+    held = "(a) anchor is R-linear for the character action"
+    failures = 0
+    for _ in range(100):
+        valid = oracles.random_valid_structure(rng, fld)
+        for data in (valid, oracles.break_one_entry(rng, valid)):
+            chi = data.action.character or oracles.natural_character(data.R)
+            args = (data.R, data.L, data.anchor, chi)
+            linear = check_anchor_r_linear(oracles.candidate_data(*args))
+            criterion = character_criterion(*args)
+            found = [w for w in criterion.witnesses
+                     if w["condition"] == "r-linearity"]
+            if linear.ok:
+                assert found == [] and held in criterion.narrative
+            else:
+                assert criterion.witnesses[0] == {
+                    "condition": "r-linearity", **linear.witnesses[0]}
+                assert next(iter(criterion.witnesses[0])) == "condition"
+                assert held not in criterion.narrative
+                failures += 1
+    assert failures >= 10

@@ -39,7 +39,7 @@ from lrhopf import (
     verify_divide_witness,
     verify_partial,
 )
-from lrhopf import obstruction
+from lrhopf import lierinehart, obstruction
 from lrhopf.cli import main
 from lrhopf.lierinehart import LieRinehartData
 from lrhopf.obstruction import PartialMap, right_act_word
@@ -487,3 +487,24 @@ def test_random_queries_replay_their_evidence(p):
                                       out.certificate)
     assert set(divides) == set(partials) == {True, False}, (divides,
                                                               partials)
+
+
+def test_theorem1_computes_the_criterion_once(q, monkeypatch):
+    """theorem1_pipeline runs character_criterion once per run, counted
+    under the names both obstruction and lierinehart reach it by, and the
+    R-linearity check of its condition (a) once; the report is the one
+    an uncounted run gives."""
+    expected = theorem1_pipeline(q, degree=4).to_dict()
+    calls = Counter()
+
+    def counted(name, real, *args):
+        calls[name] += 1
+        return real(*args)
+
+    for module, name in ((obstruction, "character_criterion"),
+                         (lierinehart, "character_criterion"),
+                         (lierinehart, "check_anchor_r_linear")):
+        monkeypatch.setattr(module, name,
+                            partial(counted, name, getattr(module, name)))
+    assert theorem1_pipeline(q, degree=4).to_dict() == expected
+    assert calls == {"character_criterion": 1, "check_anchor_r_linear": 1}
