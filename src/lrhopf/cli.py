@@ -28,7 +28,7 @@ from dataclasses import replace
 
 from .errors import (ConstructionRefusedError, LrhInputError,
                      LrhInternalError, PipelineError)
-from .lierinehart import character_criterion, validate_lie_rinehart
+from .lierinehart import _criterion_of, validate_lie_rinehart
 from .enveloping import (
     TruncatedEnvelope,
     build_rewrite_system,
@@ -95,8 +95,9 @@ def _cmd_check(args) -> int:
     data = parse_problem(args.problem)
     reports = validate_lie_rinehart(data)
     if data.action.kind == "character":
-        reports.append(character_criterion(
-            data.R, data.L, data.anchor, data.action.character))
+        # the criterion's condition (a) is the sweep's R-linearity check
+        linear = next(r for r in reports if r.name == "anchor-r-linearity")
+        reports.append(_criterion_of(data, linear))
     _emit(reports, args.format, "check")
     return 0
 

@@ -53,7 +53,7 @@ from .errors import (
     RewriteBudgetError,
 )
 from .finalg import (AlgebraElement, combine_rows, dense_row, render_linear,
-                     sparse_row, sparse_table)
+                     sparse_row)
 from .lierinehart import LieRinehartData, _check_shapes
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import (LinearSystem, Scalar, SolveOutcome, check_solve_size,
@@ -187,11 +187,10 @@ class RewriteSystem:
     """The four rule families, compiled once from `source` into `rules`:
     each reducible letter pair, the unit letter's included, maps to its
     right-hand side, a list of (word, raw value in kernel form) over
-    distinct words, family by family and left letter outer.  The field
-    and both label tuples are read from `source`, never copied.
-    `rho_table` stays a field so that tests can tamper with the anchor; a
-    `dataclasses.replace` copy recompiles its rules, and acts on the base
-    algebra, from the sparse rows of its own `rho_table` (`sparse_rho`).
+    distinct words, family by family and left letter outer.  The field,
+    both label tuples and the anchor are read from `source`, never
+    copied: the straighten rules read each anchor derivation's own
+    `sparse_columns`, column i being rho_a(e_i).
 
     `normal_forms` memoises reduced words, one dict per engine ("collect"
     and "leftmost") from word to {normal word: raw value}, `expansions`
@@ -205,7 +204,6 @@ class RewriteSystem:
     engines never share results, so comparing them stays a real
     cross-check."""
 
-    rho_table: tuple      # R2: rho_table[a][i] = coeffs of rho_a(e_i) in R
     source: LieRinehartData
     rules: dict = dc_field(default_factory=dict, init=False,
                            compare=False, repr=False)
@@ -223,9 +221,10 @@ class RewriteSystem:
     def __post_init__(self):
         rs = [r_letter(i) for i in range(self.r_dim)]
         ls = [l_letter(a) for a in range(self.l_dim)]
+        rho = [d.sparse_columns for d in self.source.anchor.derivations]
         for lefts, rights, table, kind, swaps in (
                 (rs, rs, self.source.R.sparse_table, R_KIND, False),
-                (ls, rs, self.sparse_rho, R_KIND, True),
+                (ls, rs, rho, R_KIND, True),
                 (rs, ls, self.source.action.sparse_tensor, L_KIND, False),
                 (ls, ls, self.source.L.sparse_table, L_KIND, True)):
             for x in lefts:
@@ -248,13 +247,6 @@ class RewriteSystem:
     @property
     def l_labels(self) -> tuple:
         return self.source.L.labels
-
-    @cached_property
-    def sparse_rho(self) -> tuple:
-        """rho_table as sparse raw rows, sparse_rho[a][i] = rho_a(e_i);
-        made from this object's own rho_table, so a tampered copy reads
-        its own anchor."""
-        return sparse_table(self.rho_table)
 
     @cached_property
     def letters(self) -> frozenset:
@@ -330,10 +322,7 @@ def build_rewrite_system(data: LieRinehartData) -> RewriteSystem:
             "rewrite system requires validated data; run the axiom checks "
             "or use the character-module constructor")
     _check_shapes(data.R, data.L, data.anchor, data.action)
-    return RewriteSystem(
-        rho_table=tuple(tuple(zip(*d.matrix))
-                        for d in data.anchor.derivations),
-        source=data)
+    return RewriteSystem(source=data)
 
 
 def pair_rule(system: RewriteSystem, x: Letter, y: Letter):
@@ -791,7 +780,9 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
     alg.require((r,), "element does not live in the base algebra")
     env.system.require((v,), "element")
     reduce = alg.field.reduce
-    tables = {R_KIND: alg.sparse_table, L_KIND: env.system.sparse_rho}
+    tables = {R_KIND: alg.sparse_table,
+              L_KIND: [d.sparse_columns
+                       for d in env.system.source.anchor.derivations]}
     images = []
     for word in v.terms:
         acc = sparse_row(r.coeffs)

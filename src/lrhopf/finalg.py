@@ -35,7 +35,7 @@ from .errors import (
 from .reports import FAIL, PASS, VerdictReport
 from .scalars import Field, Scalar
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Steps of the associativity or Jacobi check of one table, or of the
 # anchor checks of one structure, as table_work and anchor_work count
 # them.  Timed with `check` over Q (Python 3.11, one core), a step takes
@@ -358,7 +358,7 @@ def make_monomial_quotient(variables: Sequence[str],
     if len(set(variables)) != len(variables):
         raise LrhInputError("duplicate variable names")
     for v in variables:
-        if not _NAME_RE.match(v):
+        if not _NAME_RE.fullmatch(v):
             raise LrhInputError(f"bad variable name {v!r}")
     rel_exps = tuple(parse_monomial(r, variables) for r in relations)
     for r in rel_exps:

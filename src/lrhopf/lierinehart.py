@@ -456,12 +456,16 @@ def character_criterion(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     _check_shapes(R, L, anchor)
     R.require((chi,), "character is over a different base algebra")
     R.field.require_vector(chi.values, R.dim, "character vector")
-    return _criterion_of(LieRinehartData(
-        R=R, L=L, action=character_action(chi, L.dim), anchor=anchor))
+    data = LieRinehartData(R=R, L=L, action=character_action(chi, L.dim),
+                           anchor=anchor)
+    return _criterion_of(data, check_anchor_r_linear(data))
 
 
-def _criterion_of(data: LieRinehartData) -> VerdictReport:
-    """character_criterion of checked parts with a character's action."""
+def _criterion_of(data: LieRinehartData,
+                  linear: VerdictReport) -> VerdictReport:
+    """character_criterion of checked parts with a character's action,
+    given `linear`, the check_anchor_r_linear report of `data`, as its
+    condition (a)."""
     R, L = data.R, data.L
     reduce = R.field.reduce
     values = [R.field.kernel(v.value) for v in data.action.character.values]
@@ -475,7 +479,6 @@ def _criterion_of(data: LieRinehartData) -> VerdictReport:
                             "pair": [L.labels[a], R.labels[i]],
                             "value": str(value)}
 
-    linear = check_anchor_r_linear(data)
     witnesses, narrative = [], []
     for found, held in (
             (None if linear.ok else
@@ -524,7 +527,7 @@ def _character_module(R: CommAlgebra, L: LieAlgebra, anchor: Anchor,
     if not hom.ok:
         raise ConstructionRefusedError(
             "anchor is not a Lie algebra homomorphism", report=hom)
-    criterion = criterion or _criterion_of(data)
+    criterion = criterion or _criterion_of(data, check_anchor_r_linear(data))
     if not criterion.ok:
         raise ConstructionRefusedError(
             "character-action criterion failed", report=criterion)

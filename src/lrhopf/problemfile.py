@@ -17,11 +17,12 @@ A problem is a single JSON document with five sections:
 Scalars are written as literals ("3", "-1/2"); anchor values and other
 element positions use a linear-expression grammar: terms of the shape
 `label`, `scalar`, or `scalar*label`, joined by + and -.  Every label a
-file defines is a name (a letter or _, then letters, digits and _), and
-only the unit of a structure-constants algebra may instead be labelled
-"1", so the two token kinds cannot collide.  A JSON object that gives a
-key twice is refused, naming the key.  A structure constant, bracket or
-tensor entry given more than once adds up.
+file defines is a name (a letter or _, then letters, digits and _,
+matched against the whole label, so a name followed by a newline is
+none), and only the unit of a structure-constants algebra may instead
+be labelled "1", so the two token kinds cannot collide.  A JSON object
+that gives a key twice is refused, naming the key.  A structure
+constant, bracket or tensor entry given more than once adds up.
 
 A bracket pair whose mirror is absent is completed antisymmetrically;
 files that spell out both orientations are taken verbatim, which lets
@@ -164,7 +165,7 @@ def _require_names(labels, where: str) -> None:
     letters, digits and _), so that no label reads as a scalar or an
     expression."""
     for label in labels:
-        if not _NAME_RE.match(label):
+        if not _NAME_RE.fullmatch(label):
             raise ProblemFileError(f"{where} label {label!r} is not a name")
 
 

@@ -424,6 +424,8 @@ IDEAL_VARIABLE_DOC = json.loads(
     (Path(__file__).parent / "data" / "ideal-variable.lrh").read_text())
 BAD_LABEL_DOC = json.loads(
     (Path(__file__).parent / "data" / "bad-label.lrh").read_text())
+NEWLINE_LABEL_DOC = json.loads(
+    (Path(__file__).parent / "data" / "newline-label.lrh").read_text())
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -453,16 +455,19 @@ BAD_LABEL_DOC = json.loads(
     (dict(MONOMIAL_DOC, lie={"dim": 2, "labels": ["a", "u-v"],
                              "brackets": []}),
      "Lie label 'u-v' is not a name"),
+    (NEWLINE_LABEL_DOC, "Lie label 'a\\n' is not a name"),
 ], ids=["duplicate-lie-labels", "json-array", "ideal-variable-anchor",
         "ideal-variable-character", "duplicate-algebra-labels",
         "bad-algebra-label", "algebra-label-of-a-digit",
-        "non-unit-label-one", "lie-label-of-a-digit", "bad-lie-label"])
+        "non-unit-label-one", "lie-label-of-a-digit", "bad-lie-label",
+        "newline-lie-label"])
 def test_malformed_documents_are_input_errors(doc, message, tmp_path,
                                               capsys):
-    """The ideal-variable, duplicate-label and bad-label inputs are the
-    files that the CI workflow refuses under python -O, or that file
-    with the fault moved from the anchor to the character.  Only the
-    unit of a structure-constants algebra may be labelled 1."""
+    """The ideal-variable, duplicate-label, bad-label and newline-label
+    inputs are the files that the CI workflow refuses under python -O,
+    or that file with the fault moved from the anchor to the character.
+    Only the unit of a structure-constants algebra may be labelled 1,
+    and a name followed by a newline is no name."""
     bad = tmp_path / "bad.lrh"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad)]) == 2

@@ -371,7 +371,8 @@ def test_collection_agrees_with_both_rewriting_orders(p, seed):
     of leftmost and of rightmost rewriting, on words of up to 6 letters
     with and without the unit letter."""
     rng, system = _random_valid_system(seed, Field(p))
-    assume(any(c for row in system.rho_table for col in row for c in col))
+    assume(any(c for row in _anchor_columns(system) for col in row
+               for c in col))
     for _ in range(20):
         elem = oracles.random_nc_element(rng, system, max_len=6)
         for probe in (elem, _with_unit_letters(rng, elem)):
@@ -831,11 +832,9 @@ def test_confluence_detects_corrupted_rule(obstructed, q):
     """Replacing the anchor image of x by the unit (not a derivation)
     breaks joinability, first seen on the word x a-bar x."""
     system = obstructed[5]
-    rho = list(map(list, system.rho_table))
-    rho[0] = list(rho[0])
+    rho = _anchor_columns(system)
     rho[0][1] = (q.one, q.zero, q.zero)
-    bad = dataclasses.replace(system,
-                              rho_table=tuple(tuple(r) for r in rho))
+    bad = _with_anchor(system, rho)
     report = check_local_confluence(enumerate_basis(bad, 3))
     assert not report.ok
     w = report.witnesses[0]
@@ -845,13 +844,30 @@ def test_confluence_detects_corrupted_rule(obstructed, q):
     assert w["reduct-at-1"] == "x"
 
 
+def _anchor_columns(system):
+    """rho[a][i], the coefficients of rho_a(e_i) as a list of Scalars:
+    column i of anchor a's matrix."""
+    return [[list(col) for col in zip(*d.matrix)]
+            for d in system.source.anchor.derivations]
+
+
+def _with_anchor(system, rho):
+    """A copy of `system` presenting its structure with the anchor whose
+    image rho_a(e_i) has the coefficients rho[a][i]; the copy compiles
+    its rules, and acts on the base algebra, from that anchor."""
+    data = system.source
+    anchor = Anchor(tuple(Derivation(data.R, tuple(zip(*cols)))
+                          for cols in rho))
+    return dataclasses.replace(
+        system, source=dataclasses.replace(data, anchor=anchor))
+
+
 def _tampered_anchor(system, a, i, k, delta):
     """A copy whose anchor image rho_a(e_i) has coordinate k moved by
     delta."""
-    rho = [[list(col) for col in row] for row in system.rho_table]
+    rho = _anchor_columns(system)
     rho[a][i][k] = rho[a][i][k] + delta
-    return dataclasses.replace(system, rho_table=tuple(
-        tuple(map(tuple, row)) for row in rho))
+    return _with_anchor(system, rho)
 
 
 def _tampered_bracket(system, a, b, c, delta):
@@ -999,11 +1015,9 @@ def test_compiled_rules_match_the_raw_tables(p, seed):
     assert agree(system.rules)
     for (x, y), rhs in system.rules.items():
         assert pair_rule(system, x, y) is rhs
-    # rho_table[a][j] is column j of anchor a's matrix
-    rho = [list(map(list, row)) for row in system.rho_table]
+    rho = _anchor_columns(system)
     rho[0][-1][0] = rho[0][-1][0] + 1
-    tampered = dataclasses.replace(
-        system, rho_table=tuple(tuple(map(tuple, row)) for row in rho))
+    tampered = _with_anchor(system, rho)
     anchors[0][0][-1] += 1
     assert agree(tampered.rules)
     assert not agree(system.rules)
@@ -1088,11 +1102,9 @@ def test_certify_left_action(obstructed_env):
 
 def test_certify_rejects_corrupted_system(obstructed, q):
     system = obstructed[5]
-    rho = list(map(list, system.rho_table))
-    rho[0] = list(rho[0])
+    rho = _anchor_columns(system)
     rho[0][1] = (q.one, q.zero, q.zero)
-    bad = dataclasses.replace(system,
-                              rho_table=tuple(tuple(r) for r in rho))
+    bad = _with_anchor(system, rho)
     report = certify_left_action(enumerate_basis(bad, 3))
     assert not report.ok
     w = report.witnesses[0]

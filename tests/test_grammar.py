@@ -7,6 +7,8 @@ tree is also searched for the later constructs a newer parser takes:
 parameters (3.12)."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -18,15 +20,36 @@ SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"),
                   *(ROOT / "lrhbench").glob("*.py")])
 
 
+_LAYOUT = (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT,
+           tokenize.ENDMARKER)
+
+
+def _parenthesised(segment: str) -> bool:
+    """Whether the source `segment` is one parenthesised expression: its
+    first token is "(" and the ")" matching it is its last token.  It is
+    tokenized inside brackets, so that a line break in it ends nothing."""
+    readline = io.StringIO(f"[{segment}]").readline
+    kinds = [t.exact_type for t in tokenize.generate_tokens(readline)
+             if t.type not in _LAYOUT][1:-1]
+    if kinds[0] != tokenize.LPAR:
+        return False
+    depth = 0
+    for k, kind in enumerate(kinds):
+        depth += (kind == tokenize.LPAR) - (kind == tokenize.RPAR)
+        if depth == 0:
+            return k == len(kinds) - 1
+    return False
+
+
 def _starred_subscript(node, text: str) -> bool:
     """a[*b] parses to the same tree as the 3.10-legal a[(*b,)]; only the
-    source of the slice, which has no parenthesis, tells them apart.  A
-    slice such as `(x), *b`, which starts with a parenthesis that does not
-    enclose it, is taken here; a 3.10 interpreter refuses it."""
+    source of the slice tells them apart: the legal one is enclosed by
+    one pair of parentheses.  A slice such as `(x), *b` starts with a
+    parenthesis that does not enclose it, and is refused."""
     return isinstance(node, ast.Subscript) \
         and isinstance(node.slice, ast.Tuple) \
         and any(isinstance(elt, ast.Starred) for elt in node.slice.elts) \
-        and not ast.get_source_segment(text, node.slice).startswith("(")
+        and not _parenthesised(ast.get_source_segment(text, node.slice))
 
 
 def _refuse_newer_syntax(text: str, name: str) -> None:
@@ -69,8 +92,9 @@ def test_script_is_python_3_10(path):
     "class Box[T]:\n    pass\n",
     "type Pair = tuple\n",
     "a[*b]\n",
+    "a[(x), *b]\n",
 ], ids=["except-star", "generic-function", "generic-class", "type-alias",
-        "starred-subscript"])
+        "starred-subscript", "starred-subscript-after-a-parenthesis"])
 def test_newer_syntax_is_refused(text):
     with pytest.raises(SyntaxError):
         _refuse_newer_syntax(text, "sample.py")
@@ -79,5 +103,6 @@ def test_newer_syntax_is_refused(text):
 def test_3_10_syntax_is_taken():
     _refuse_newer_syntax("match x:\n    case [a, *rest]:\n        pass\n"
                          "with (open(a) as f, open(b) as g):\n    pass\n"
-                         "a[(*b,)]\n",
+                         "a[(*b,)]\n"
+                         "a[(x, *b)]\n",
                          "sample.py")

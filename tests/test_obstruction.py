@@ -508,3 +508,22 @@ def test_theorem1_computes_the_criterion_once(q, monkeypatch):
                             partial(counted, name, getattr(module, name)))
     assert theorem1_pipeline(q, degree=4).to_dict() == expected
     assert calls == {"character_criterion": 1, "check_anchor_r_linear": 1}
+
+
+def test_check_runs_the_r_linearity_check_once(monkeypatch, capsys):
+    """`check` on a character file runs check_anchor_r_linear once: the
+    character criterion takes the sweep's report as its condition (a).
+    The output is the one an uncounted run gives."""
+    assert main(["check", "obstructed-example"]) == 0
+    expected = capsys.readouterr()
+    calls = Counter()
+
+    def counted(real, *args):
+        calls[real.__name__] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lierinehart, "check_anchor_r_linear",
+                        partial(counted, lierinehart.check_anchor_r_linear))
+    assert main(["check", "obstructed-example"]) == 0
+    assert capsys.readouterr() == expected
+    assert calls == {"check_anchor_r_linear": 1}

@@ -48,6 +48,9 @@ CASES = {
     "bad-variable-name": (
         LrhInputError, "bad variable name",
         lambda q, ob: make_monomial_quotient(("1x",), ("1x^2",), q)),
+    "variable-name-ending-in-a-newline": (
+        LrhInputError, "bad variable name",
+        lambda q, ob: make_monomial_quotient(("x\n",), ("x\n^2",), q)),
     "variable-images-without-monomials": (
         UnsupportedInputError, "needs a monomial-quotient algebra",
         lambda q, ob: Derivation.from_variable_images(
