@@ -473,8 +473,14 @@ class Derivation:
     @classmethod
     def from_columns(cls, algebra: CommAlgebra, columns) -> "Derivation":
         """The map whose column j is the reduced sparse raw row
-        columns[j], kept in kernel form as its sparse_columns."""
+        columns[j], kept in kernel form as its sparse_columns; columns
+        that do not fit the algebra are refused."""
         fld, n = algebra.field, algebra.dim
+        columns = tuple(columns)
+        if len(columns) != n or not all(
+                k in range(n) for k in chain.from_iterable(columns)):
+            raise LrhInputError("derivation columns do not fit an algebra "
+                                f"of dimension {n}")
         cols = tuple({k: fld.kernel(v) for k, v in sorted(col.items()) if v}
                      for col in columns)
         d = cls(algebra, tuple(zip(*(dense_row(fld, c, n) for c in cols))))
@@ -497,6 +503,9 @@ class Derivation:
         if algebra.monomials is None:
             raise UnsupportedInputError(
                 "Leibniz extension needs a monomial-quotient algebra")
+        if set(images) != set(algebra.variables):
+            raise LrhInputError("variable images must name exactly the "
+                                f"variables {', '.join(algebra.variables)}")
         algebra.require(images.values(), "variable image in another algebra")
         table = algebra.sparse_table
         index = {m: k for k, m in enumerate(algebra.monomials)}
@@ -536,6 +545,9 @@ class Character:
         if algebra.monomials is None:
             raise UnsupportedInputError(
                 "variable-valued characters need a monomial-quotient algebra")
+        if set(values) != set(algebra.variables):
+            raise LrhInputError("variable values must name exactly the "
+                                f"variables {', '.join(algebra.variables)}")
         fld = algebra.field
         out = []
         for m in algebra.monomials:
@@ -547,20 +559,16 @@ class Character:
         return cls(algebra, tuple(out))
 
 
-def commutator_columns(d1: Derivation, d2: Derivation) -> tuple:
-    """The sparse raw columns of d1.d2 - d2.d1, over d1's algebra."""
+def derivation_commutator(d1: Derivation, d2: Derivation) -> Derivation:
+    """d1.d2 - d2.d1: column j combines d1(d2(e_j)) - d2(d1(e_j)) over
+    the derivations' sparse columns, and is {} when both e_j go to 0."""
+    d1.algebra.require((d2,), "commutator across algebras")
     cols1, cols2 = d1.sparse_columns, d2.sparse_columns
     reduce = d1.algebra.field.reduce
-    # column j is d1(d2(e_j)) - d2(d1(e_j)); {} when both e_j go to 0
-    return tuple(combine_rows(reduce, (c2, cols1),
-                              ({t: -x for t, x in c1.items()}, cols2))
-                 if c1 or c2 else {}
-                 for c1, c2 in zip(cols1, cols2))
-
-
-def derivation_commutator(d1: Derivation, d2: Derivation) -> Derivation:
-    d1.algebra.require((d2,), "commutator across algebras")
-    return Derivation.from_columns(d1.algebra, commutator_columns(d1, d2))
+    return Derivation.from_columns(d1.algebra, (
+        combine_rows(reduce, (c2, cols1),
+                     ({t: -x for t, x in c1.items()}, cols2))
+        if c1 or c2 else {} for c1, c2 in zip(cols1, cols2)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .finalg import (
     Character,
     Derivation,
     combine_rows,
+    dense_row,
     make_monomial_quotient,
     sparse_row,
 )
@@ -128,12 +129,11 @@ def partial_map_system(data: LieRinehartData) -> LinearSystem:
                 entries.append((len(rhs), c, fld.wrap(v)))
         rhs.append(target)
 
-    for a in range(m):
-        rho_a = data.anchor.rho(a).matrix
-        for i in range(n):
-            for k in range(n):
+    for a, d in enumerate(data.anchor.derivations):
+        for i, image in enumerate(d.sparse_columns):
+            for k, target in enumerate(dense_row(fld, image, n)):
                 emit({col(a, j): mult[i][j][k] for j in range(n)
-                      if k in mult[i][j]}, rho_a[k][i])
+                      if k in mult[i][j]}, target)
     for a in range(m):
         for b in range(a + 1, m):
             bracket = L.sparse_table[a][b]

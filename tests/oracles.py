@@ -241,14 +241,6 @@ def naive_apply(matrix, vec, p):
                      for row in matrix], p)
 
 
-def naive_of_vector(matrices, vec, p):
-    """sum_a vec[a] matrices[a]: the anchor of a general Lie element."""
-    n = len(matrices[0])
-    return [_reduced([sum(vec[a] * matrices[a][i][j]
-                          for a in range(len(vec))) for j in range(n)], p)
-            for i in range(n)]
-
-
 def _basis(t, size):
     return [int(k == t) for k in range(size)]
 

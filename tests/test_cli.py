@@ -281,6 +281,21 @@ def test_committed_criterion_fails_file_renders_failing_witnesses(capsys):
         ["r-linearity", "anchor-into-kernel"]
 
 
+def test_committed_lie_hom_fails_file_pins_the_commutator_witness(capsys):
+    """The CI workflow checks tests/data/lie-hom-fails.lrh under python
+    -O, so that a failing anchor-homomorphism witness is rendered there:
+    on K[x]/(x^3) the anchors x |-> x and x |-> x^2 of an abelian L
+    commute to x |-> x^2, not to anchor([b1, b2]) = 0, so the difference
+    is x |-> -x^2."""
+    path = Path(__file__).parent / "data" / "lie-hom-fails.lrh"
+    assert main(["check", str(path), "--format", "structured"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    hom, = (r for r in reports if r["name"] == "anchor-lie-homomorphism")
+    assert hom == {"name": "anchor-lie-homomorphism", "verdict": "fail",
+                   "witnesses": [{"pair": ["b1", "b2"], "difference-matrix": [
+                       ["0", "0", "0"], ["0", "0", "0"], ["0", "-1", "0"]]}]}
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("run", [
     ["check"],

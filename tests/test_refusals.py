@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from lrhopf import (
-    Anchor,
     Character,
     Derivation,
     LrhInputError,
@@ -36,6 +35,10 @@ def _negation_is_scaling_by_minus_one(q, obstructed):
     return -e == (-1) * e and -e != e
 
 
+def _dual_numbers(q):
+    return make_monomial_quotient(("x",), ("x^2",), q)
+
+
 # label: (expected error, or None for a call that must return True,
 #         text the error must contain, call on (q, obstructed))
 CASES = {
@@ -59,6 +62,35 @@ CASES = {
         UnsupportedInputError, "need a monomial-quotient algebra",
         lambda q, ob: Character.from_variable_values(
             make_base_field_algebra(q), {})),
+    "derivation-column-row-below-zero": (
+        LrhInputError, "derivation columns do not fit an algebra of "
+        "dimension 2",
+        lambda q, ob: Derivation.from_columns(_dual_numbers(q),
+                                              [{}, {-1: 1}])),
+    "derivation-column-row-past-the-dimension": (
+        LrhInputError, "derivation columns do not fit",
+        lambda q, ob: Derivation.from_columns(_dual_numbers(q),
+                                              [{}, {2: 1}])),
+    "derivation-of-too-few-columns": (
+        LrhInputError, "derivation columns do not fit",
+        lambda q, ob: Derivation.from_columns(_dual_numbers(q), [{}])),
+    "variable-images-missing-a-variable": (
+        LrhInputError, "variable images must name exactly the variables "
+        "x, y",
+        lambda q, ob: Derivation.from_variable_images(
+            ob[0], {"x": ob[0].zero})),
+    "variable-images-of-an-unknown-variable": (
+        LrhInputError, "variable images must name exactly the variables",
+        lambda q, ob: Derivation.from_variable_images(
+            ob[0], {"x": ob[0].zero, "y": ob[0].zero, "z": ob[0].zero})),
+    "variable-values-missing-a-variable": (
+        LrhInputError, "variable values must name exactly the variables "
+        "x, y",
+        lambda q, ob: Character.from_variable_values(ob[0], {"y": q.zero})),
+    "variable-values-of-an-unknown-variable": (
+        LrhInputError, "variable values must name exactly the variables",
+        lambda q, ob: Character.from_variable_values(
+            ob[0], {"x": q.zero, "y": q.zero, "z": q.zero})),
     "bracket-index-out-of-range": (
         LrhInputError, r"bracket index pair \(0,1\) out of range",
         lambda q, ob: lie_algebra_from_brackets(
@@ -93,9 +125,6 @@ CASES = {
     "element-times-str": (TypeError, None, lambda q, ob: ob[0].unit * "x"),
     "element-times-fraction": (
         TypeError, None, lambda q, ob: ob[0].unit * Fraction(1, 2)),
-    "columns-of-an-empty-anchor": (
-        LrhInputError, "an empty anchor has no algebra",
-        lambda q, ob: Anchor(()).columns_of({})),
     "negated-enveloping-element": (
         None, None, _negation_is_scaling_by_minus_one),
 }
