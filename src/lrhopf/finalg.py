@@ -8,12 +8,13 @@ then lexicographically with 1 first.
 
 Tables, derivation matrices and character values hold Scalars.  Each
 algebra and derivation also caches its table as sparse raw rows in the
-field's kernel form (over Q an integral value is an int), and every
-product goes through one kernel on them, combine_rows: element products,
-derivation images and the check_* functions, which turn the defining
-laws into verdicts with explicit first witnesses, iterated in
-deterministic index order.  Scalars (Field.wrap) are made only for a
-public result or to render a witness.
+field's kernel form (over Q an integral value is an int), which its
+constructor builds first and keeps, making the Scalar table from them.
+Every product goes through one kernel on the rows, combine_rows:
+element products, derivation images and the check_* functions, which
+turn the defining laws into verdicts with explicit first witnesses,
+iterated in deterministic index order.  Scalars (Field.wrap) are made
+only for a public result or to render a witness.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from math import prod
+from operator import add, ge
 from typing import Sequence
 
 from .errors import (
@@ -162,6 +164,31 @@ def dense_row(fld: Field, row: dict, size: int) -> tuple:
     return tuple(out)
 
 
+def dense_table(fld: Field, table, size: int) -> tuple:
+    """The Scalar vectors of a table of sparse raw rows, table[i][j], of
+    length `size`; every empty row is one shared vector of `zero`s."""
+    zero = (fld.zero,) * size
+    return tuple(tuple(dense_row(fld, row, size) if row else zero
+                       for row in rows) for rows in table)
+
+
+def entry_table(fld: Field, shape: tuple, entries: dict, what: str) -> list:
+    """The sparse raw rows table[i][j] of the scalars entries[(i, j, k)]
+    (Field.scalar), as nested lists of `shape`, keys ascending; an index
+    outside `shape` is refused, named as `what`, in the order given."""
+    rows, cols, size = shape
+    raw = {}
+    for (i, j, k), c in entries.items():
+        if not (0 <= i < rows and 0 <= j < cols and 0 <= k < size):
+            raise LrhInputError(f"{what} ({i},{j},{k}) out of range")
+        raw[i, j, k] = fld.kernel(fld.scalar(c).value)
+    table = [[{} for _ in range(cols)] for _ in range(rows)]
+    for (i, j, k), v in sorted(raw.items()):
+        if v:
+            table[i][j][k] = v
+    return table
+
+
 @dataclass(frozen=True)
 class CommAlgebra:
     field: Field
@@ -184,6 +211,17 @@ class CommAlgebra:
         """mul_table as sparse raw rows, sparse_table[i][j] = e_i.e_j;
         made on first use and kept by this object, not by its copies."""
         return sparse_table(self.mul_table)
+
+    @classmethod
+    def from_rows(cls, fld: Field, labels: tuple, table,
+                  **named) -> "CommAlgebra":
+        """The algebra whose products are the sparse raw rows `table`,
+        kept as its sparse_table and made into its mul_table."""
+        table = tuple(map(tuple, table))
+        algebra = cls(field=fld, labels=labels, mul_table=dense_table(
+            fld, table, len(labels)), **named)
+        algebra.__dict__["sparse_table"] = table
+        return algebra
 
     def render_row(self, row: dict) -> str:
         """Text of the element with sparse raw coefficients `row`."""
@@ -344,10 +382,6 @@ def monomial_label(exps: Sequence[int], variables: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def _divisible(m: Sequence[int], by: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(m, by))
-
-
 def make_monomial_quotient(variables: Sequence[str],
                            relations: Sequence[str],
                            fld: Field = Field(0)) -> CommAlgebra:
@@ -380,38 +414,30 @@ def make_monomial_quotient(variables: Sequence[str],
             f"enumerate, over the limit of {MAX_MONOMIALS} (MAX_MONOMIALS)")
 
     basis = [m for m in product(*(range(b) for b in bounds))
-             if not any(_divisible(m, r) for r in rel_exps)]
+             if not any(all(map(ge, m, r)) for r in rel_exps)]
     basis.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
     index = {m: k for k, m in enumerate(basis)}
 
     n = len(basis)
     check_table_size("the quotient algebra", n)
-    units = [tuple(fld.one if t == k else fld.zero for t in range(n))
-             for k in range(n)]
-    zero_vec = (fld.zero,) * n
     table = []
     for mi in basis:
         row = []
         for mj in basis:
-            k = index.get(tuple(a + b for a, b in zip(mi, mj)))
+            k = index.get(tuple(map(add, mi, mj)))
             # a product outside the basis lies in the ideal
-            row.append(zero_vec if k is None else units[k])
-        table.append(tuple(row))
-
-    labels = tuple(monomial_label(m, variables) for m in basis)
-    algebra = CommAlgebra(field=fld, labels=labels, mul_table=tuple(table),
-                          variables=variables, monomials=tuple(basis),
-                          relations=tuple(sorted(
-                              monomial_label(r, variables)
-                              for r in rel_exps)))
-    check_table_size("the quotient algebra", n, algebra.sparse_table)
-    return algebra
+            row.append({} if k is None else {k: 1})
+        table.append(row)
+    check_table_size("the quotient algebra", n, table)
+    return CommAlgebra.from_rows(
+        fld, tuple(monomial_label(m, variables) for m in basis), table,
+        variables=variables, monomials=tuple(basis), relations=tuple(sorted(
+            monomial_label(r, variables) for r in rel_exps)))
 
 
 def make_base_field_algebra(fld: Field) -> CommAlgebra:
     """R = K itself: the one-dimensional algebra."""
-    return CommAlgebra(field=fld, labels=("1",),
-                       mul_table=(((fld.one,),),))
+    return CommAlgebra.from_rows(fld, ("1",), [[{0: 1}]])
 
 
 def algebra_from_constants(fld: Field, labels: Sequence[str],
@@ -423,22 +449,15 @@ def algebra_from_constants(fld: Field, labels: Sequence[str],
     if len(set(labels)) != n:
         raise LrhInputError("duplicate algebra labels")
     check_table_size("the algebra", n)
-    table = [[[fld.zero] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in constants.items():
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise LrhInputError(f"structure constant index ({i},{j},{k}) "
-                                f"out of range")
-        table[i][j][k] = fld.scalar(c)
+    table = entry_table(fld, (n, n, n), constants, "structure constant index")
+    given = {(i, j) for i, j, _ in constants}
     for j in range(n):  # unit row/column, unless explicitly given
-        if not any((0, j, k) in constants for k in range(n)):
-            table[0][j] = [fld.one if k == j else fld.zero for k in range(n)]
-        if not any((j, 0, k) in constants for k in range(n)):
-            table[j][0] = [fld.one if k == j else fld.zero for k in range(n)]
-    algebra = CommAlgebra(field=fld, labels=labels,
-                          mul_table=tuple(tuple(tuple(v) for v in row)
-                                          for row in table))
-    check_table_size("the algebra", n, algebra.sparse_table)
-    return algebra
+        if (0, j) not in given:
+            table[0][j] = {j: 1}
+        if (j, 0) not in given:
+            table[j][0] = {j: 1}
+    check_table_size("the algebra", n, table)
+    return CommAlgebra.from_rows(fld, labels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +508,7 @@ class Derivation:
 
     @classmethod
     def zero(cls, algebra: CommAlgebra) -> "Derivation":
-        z = algebra.field.zero
-        n = algebra.dim
-        return cls(algebra, tuple((z,) * n for _ in range(n)))
+        return cls.from_columns(algebra, ({},) * algebra.dim)
 
     @classmethod
     def from_variable_images(cls, algebra: CommAlgebra,
@@ -507,22 +524,22 @@ class Derivation:
             raise LrhInputError("variable images must name exactly the "
                                 f"variables {', '.join(algebra.variables)}")
         algebra.require(images.values(), "variable image in another algebra")
-        table = algebra.sparse_table
-        index = {m: k for k, m in enumerate(algebra.monomials)}
-        images = {v: sparse_row(image.coeffs) for v, image in images.items()}
-        cols = []
-        for m in algebra.monomials:
-            # D(m) = sum_v m_v (m / v) D(v): rows of the table of m / v
-            terms = []
-            for v_idx, v in enumerate(algebra.variables):
-                if m[v_idx] == 0:
-                    continue
-                lowered = tuple(e - 1 if t == v_idx else e
-                                for t, e in enumerate(m))
-                terms.append(({t: m[v_idx] * c for t, c in images[v].items()},
-                              table[index[lowered]]))
-            cols.append(combine_rows(algebra.field.reduce, *terms))
-        return cls.from_columns(algebra, cols)
+        return cls.from_columns(algebra, leibniz_columns(algebra, {
+            v: sparse_row(image.coeffs) for v, image in images.items()}))
+
+
+def leibniz_columns(algebra: CommAlgebra, images: dict) -> list:
+    """The columns D(e_j), as sparse raw rows, of the Leibniz extension
+    of D(variable) = images[variable], a sparse raw row for each of the
+    monomial quotient's variables (Derivation.from_variable_images)."""
+    table, reduce = algebra.sparse_table, algebra.field.reduce
+    index = {m: k for k, m in enumerate(algebra.monomials)}
+    # D(m) = sum_v m_v (m / v) D(v): rows of the table of m / v
+    return [combine_rows(reduce, *(
+        ({k: e * c for k, c in images[v].items()},
+         table[index[m[:t] + (e - 1,) + m[t + 1:]]])
+        for t, (v, e) in enumerate(zip(algebra.variables, m)) if e))
+        for m in algebra.monomials]
 
 
 @dataclass(frozen=True)
@@ -549,13 +566,15 @@ class Character:
             raise LrhInputError("variable values must name exactly the "
                                 f"variables {', '.join(algebra.variables)}")
         fld = algebra.field
-        out = []
+        raw, out = {}, []
         for m in algebra.monomials:
-            v = fld.one
-            for v_idx, var in enumerate(algebra.variables):
-                for _ in range(m[v_idx]):
-                    v = v * values[var]
-            out.append(v)
+            v = 1
+            for var, e in zip(algebra.variables, m):
+                if e:
+                    if var not in raw:  # coerced or refused as a product
+                        raw[var] = (fld.one * values[var]).value
+                    v *= raw[var] ** e
+            out.append(fld.wrap(fld.reduce(v)))
         return cls(algebra, tuple(out))
 
 

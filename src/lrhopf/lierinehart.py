@@ -37,7 +37,9 @@ from .finalg import (
     check_work,
     combine_rows,
     dense_row,
+    dense_table,
     derivation_work,
+    entry_table,
     product_row,
     render_linear,
     sparse_row,
@@ -85,19 +87,21 @@ def lie_algebra_from_brackets(fld, labels, brackets: dict) -> LieAlgebra:
     labels = tuple(labels)
     m = len(labels)
     check_table_size("the Lie algebra", m)
-    zero = (fld.zero,) * m
-    table = [[zero] * m for _ in range(m)]
+    table = [[{} for _ in range(m)] for _ in range(m)]
     for (a, b), vec in brackets.items():
         if not (0 <= a < m and 0 <= b < m):
             raise LrhInputError(f"bracket index pair ({a},{b}) out of range")
-        vec = tuple(fld.scalar(c) for c in vec)
-        fld.require_vector(vec, m, "bracket vector")
-        table[a][b] = vec
+        vec = [fld.scalar(c).value for c in vec]
+        if len(vec) != m:
+            raise LrhInputError("bracket vector has wrong length")
+        row = table[a][b] = {c: fld.kernel(x) for c, x in enumerate(vec) if x}
         if (b, a) not in brackets:
-            table[b][a] = tuple(-c if c else fld.zero for c in vec)
+            table[b][a] = {c: fld.reduce(-x) for c, x in row.items()}
+    table = tuple(map(tuple, table))
+    check_table_size("the Lie algebra", m, table, sides=3)
     L = LieAlgebra(field=fld, labels=labels,
-                   table=tuple(tuple(row) for row in table))
-    check_table_size("the Lie algebra", m, L.sparse_table, sides=3)
+                   table=dense_table(fld, table, m))
+    L.__dict__["sparse_table"] = table
     return L
 
 
@@ -156,20 +160,16 @@ def tensor_action(algebra: CommAlgebra, lie_dim: int,
     """entries maps (i, a, b) to scalars; everything absent is zero
     except the unit slice, which defaults to the identity."""
     fld = algebra.field
-    tensor = [[[fld.zero] * lie_dim for _ in range(lie_dim)]
-              for _ in range(algebra.dim)]
-    for (i, a, b), c in entries.items():
-        if not (0 <= i < algebra.dim and 0 <= a < lie_dim
-                and 0 <= b < lie_dim):
-            raise LrhInputError(f"action index ({i},{a},{b}) out of range")
-        tensor[i][a][b] = fld.scalar(c)
+    tensor = entry_table(fld, (algebra.dim, lie_dim, lie_dim), entries,
+                         "action index")
     if not any(key[0] == 0 for key in entries):
         for a in range(lie_dim):
-            tensor[0][a] = [fld.one if b == a else fld.zero
-                            for b in range(lie_dim)]
-    return ModuleAction(kind="tensor", algebra=algebra,
-                        tensor=tuple(tuple(tuple(row) for row in slab)
-                                     for slab in tensor))
+            tensor[0][a] = {a: 1}
+    tensor = tuple(map(tuple, tensor))
+    action = ModuleAction(kind="tensor", algebra=algebra,
+                          tensor=dense_table(fld, tensor, lie_dim))
+    action.__dict__["sparse_tensor"] = tensor
+    return action
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,9 @@ from .finalg import (
     CommAlgebra,
     Derivation,
     algebra_from_constants,
+    dense_row,
+    leibniz_columns,
     make_monomial_quotient,
-    sparse_row,
 )
 from .lierinehart import (
     Anchor,
@@ -82,7 +83,7 @@ def _split_terms(text: str) -> list:
 
 
 def _term_pieces(term: str, fld: Field):
-    """(scalar, label-or-None) for one signed term."""
+    """(raw value in kernel form, label-or-None) for one signed term."""
     negative = term.startswith("-")
     if negative:
         term = term[1:].strip()
@@ -90,27 +91,34 @@ def _term_pieces(term: str, fld: Field):
         raise ProblemFileError("dangling sign in expression")
     if term[0].isdigit():
         head, star, tail = term.partition("*")
-        coeff = fld.parse(head)
+        coeff = fld.kernel(fld.parse(head).value)
         label = tail.strip() if star else None
         if star and not label:
             raise ProblemFileError(f"missing label after '*' in {term!r}")
     else:
-        coeff, label = fld.one, term
+        coeff, label = 1, term
     if negative:
-        coeff = -coeff
+        coeff = fld.reduce(-coeff)
     return coeff, label
+
+
+def _expression_row(text: str, algebra: CommAlgebra) -> dict:
+    """The sparse raw row of a linear expression over the algebra's basis
+    labels, keys ascending; a bare scalar means that multiple of the
+    unit."""
+    fld, row = algebra.field, {}
+    for term in _split_terms(str(text)):
+        coeff, label = _term_pieces(term, fld)
+        k = algebra.unit_index if label is None else algebra.index_of(label)
+        row[k] = fld.kernel(fld.reduce(row.get(k, 0) + coeff))
+    return {k: v for k, v in sorted(row.items()) if v}
 
 
 def parse_algebra_expression(text: str, algebra: CommAlgebra):
     """Linear expression over the algebra's basis labels; a bare scalar
     means that multiple of the unit."""
-    coeffs = [algebra.field.zero] * algebra.dim
-    for term in _split_terms(str(text)):
-        coeff, label = _term_pieces(term, algebra.field)
-        index = algebra.unit_index if label is None \
-            else algebra.index_of(label)
-        coeffs[index] = coeffs[index] + coeff
-    return AlgebraElement(algebra, tuple(coeffs))
+    return AlgebraElement(algebra, dense_row(
+        algebra.field, _expression_row(text, algebra), algebra.dim))
 
 
 def parse_generator_expression(text: str, system: RewriteSystem) -> NCElement:
@@ -130,7 +138,7 @@ def parse_generator_expression(text: str, system: RewriteSystem) -> NCElement:
             raise ProblemFileError(
                 f"unknown generator label {label!r} (know "
                 f"{', '.join(system.r_labels + system.l_labels)})")
-        out = out + NCElement.from_word(fld, word, coeff)
+        out = out + NCElement.from_word(fld, word, fld.wrap(coeff))
     return out
 
 
@@ -171,13 +179,14 @@ def _require_names(labels, where: str) -> None:
 
 def _unique_keys(pairs) -> dict:
     """A JSON object as a dict, refusing a key given twice, which
-    json.loads would otherwise read as its last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ProblemFileError(f"key {key!r} is given twice in one "
-                                   f"JSON object")
-        out[key] = value
+    json.loads would otherwise read as its last value: the first key
+    seen again is named."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()  # seen.add gives None: next stops at the first repeat
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ProblemFileError(f"key {key!r} is given twice in one JSON "
+                               f"object")
     return out
 
 
@@ -228,9 +237,8 @@ def _parse_algebra(section, fld: Field) -> CommAlgebra:
                 raise ProblemFileError(
                     f"algebra constant {entry!r} is not [i, j, k, coeff]")
             key, coeff = tuple(entry[:3]), fld.parse(
-                _literal(entry[3], f"algebra.constants[{n}][3]"))
-            constants[key] = constants[key] + coeff if key in constants \
-                else coeff
+                _literal(entry[3], f"algebra.constants[{n}][3]")).value
+            constants[key] = constants.get(key, 0) + coeff
         return algebra_from_constants(fld, labels, constants)
     raise ProblemFileError(f"unknown algebra.kind {kind!r}")
 
@@ -253,7 +261,7 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
             raise ProblemFileError(f"unknown Lie label {label!r}")
         return labels.index(label)
 
-    sparse = {}
+    brackets = {}
     for n, entry in enumerate(_require(section, "brackets", "lie", [list],
                                        [])):
         if len(entry) != 4:
@@ -261,10 +269,9 @@ def _parse_lie(section, fld: Field, r_labels) -> LieAlgebra:
                 f"bracket entry {entry!r} is not [a, b, c, coeff]")
         la, lb, lc, coeff = entry
         a, b, c = lindex(la), lindex(lb), lindex(lc)
-        vec = list(sparse.get((a, b), (fld.zero,) * dim))
-        vec[c] = vec[c] + fld.parse(_literal(coeff, f"lie.brackets[{n}][3]"))
-        sparse[(a, b)] = tuple(vec)
-    return lie_algebra_from_brackets(fld, labels, sparse)
+        vec = brackets.setdefault((a, b), [0] * dim)
+        vec[c] += fld.parse(_literal(coeff, f"lie.brackets[{n}][3]")).value
+    return lie_algebra_from_brackets(fld, labels, brackets)
 
 
 def _generator_keys(R: CommAlgebra, unit: bool) -> dict:
@@ -311,12 +318,10 @@ def _parse_anchor(section, R: CommAlgebra, L: LieAlgebra) -> Anchor:
         images = _parse_keyed(
             _require(section, label, "anchor", dict, {}), keys,
             f"anchor.{label}", f"anchor.{label} names unknown generator",
-            lambda text: parse_algebra_expression(text, R))
-        derivations.append(
-            Derivation.from_variable_images(R, images)
-            if R.monomials is not None else Derivation.from_columns(R, [
-                sparse_row(images[lab].coeffs) if lab in images else {}
-                for lab in R.labels]))
+            lambda text: _expression_row(text, R))
+        derivations.append(Derivation.from_columns(R, leibniz_columns(
+            R, images) if R.monomials is not None else [
+                images.get(lab, {}) for lab in R.labels]))
     anchor = Anchor(tuple(derivations))
     check_anchor_size(R, L, anchor)
     return anchor
@@ -351,8 +356,8 @@ def _parse_action(section, R: CommAlgebra, L: LieAlgebra) -> ModuleAction:
                 raise ProblemFileError(f"unknown Lie label in {entry!r}")
             key = (R.labels.index(rl), L.labels.index(la),
                    L.labels.index(lb))
-            entries[key] = entries.get(key, R.field.zero) \
-                + R.field.parse(_literal(coeff, f"action.values[{n}][3]"))
+            entries[key] = entries.get(key, 0) + R.field.parse(
+                _literal(coeff, f"action.values[{n}][3]")).value
         return tensor_action(R, L.dim, entries)
     raise ProblemFileError(f"unknown action.kind {kind!r}")
 

@@ -176,12 +176,15 @@ class Field:
                 + (" (fractions are not prime-field literals)"
                    if "/" in text else "")
             )
-        try:
-            value = Fraction(text) if rational else int(text)
+        try:  # a literal with no "/" reads faster through int()
+            if "/" in text:  # a fraction, over Q only
+                return Scalar(self, Fraction(text))
+            value = int(text)
         except ValueError:  # more digits than int() converts from text
             raise FieldMismatchError(
                 f"literal of {len(text)} characters is too long") from None
-        return Scalar(self, value) if rational else self.scalar(value)
+        return Scalar(self, Fraction(value) if rational
+                      else self.reduce(value))
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"

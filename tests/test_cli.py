@@ -497,12 +497,18 @@ REPEATED_KEY_TEXT = (Path(__file__).parent / "data"
 @pytest.mark.parametrize("text, key", [
     (REPEATED_KEY_TEXT, "a"),
     (REPEATED_KEY_TEXT.replace('{"a": {"x": "1"}, ', "{"), "x"),
-], ids=["anchor", "character"])
+    (json.dumps(MONOMIAL_DOC)[:-1] + ', "a": 1, "b": 2, "b": 3, "a": 4}',
+     "b"),
+    (json.dumps(MONOMIAL_DOC).replace(
+        '{"a": {"x": "y"}}', '{"a": {"x": "y", "y": "0", "x": "x"}}'), "x"),
+], ids=["anchor", "character", "first-repeat", "nested-anchor"])
 def test_repeated_keys_are_input_errors(text, key, tmp_path, capsys):
     """JSON objects that give a key twice are refused, naming the key.
     json.loads alone would keep the last value, and the committed
     repeated-key.lrh would then pass every check, though x -> 1 is no
-    derivation and chi(x) = 1 no character of K[x]/(x^2)."""
+    derivation and chi(x) = 1 no character of K[x]/(x^2).  Of two
+    repeated keys, the one whose second occurrence comes first is named,
+    and a repeat inside a nested anchor object is named too."""
     bad = tmp_path / "bad.lrh"
     bad.write_text(text)
     assert main(["check", str(bad)]) == 2
@@ -532,6 +538,26 @@ def test_repeated_entries_add_up():
         [["x", "a", "b", "7"]]))
     assert twice == summed
     assert twice.R.mul_table[1][1][0].value == Fraction(5, 3)
+
+    # tests/data/summed-entries.lrh, which the CI workflow checks under
+    # python -O, against each of its sums given once: a fraction given
+    # twice, and pairs that cancel to zero
+    path = Path(__file__).parent / "data" / "summed-entries.lrh"
+    text = path.read_text()
+    once = json.loads(text)
+    once["algebra"]["constants"] = [[0, 1, 1, "1"], [1, 1, 0, "0"]]
+    once["lie"]["brackets"] = [["a", "b", "b", "1"], ["a", "b", "a", "0"]]
+    once["action"]["values"] = [["1", "a", "a", "1"], ["1", "b", "b", "1"],
+                                ["x", "a", "b", "0"]]
+    given, written = parse_problem_text(text), parse_problem_text(
+        json.dumps(once))
+    assert given == written
+    assert render_problem(given) == render_problem(written)
+    assert all(r.ok for r in validate_lie_rinehart(given))
+    for data in (given, written):
+        assert data.R.sparse_table == (({0: 1}, {1: 1}), ({1: 1}, {}))
+        assert data.L.sparse_table == (({}, {1: 1}), ({1: -1}, {}))
+        assert data.action.sparse_tensor == (({0: 1}, {1: 1}), ({}, {}))
 
 
 # ------------------------------------------------------------ command: main

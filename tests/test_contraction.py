@@ -3,8 +3,10 @@ products, brackets, actions, derivations, anchors, and the first
 failures reported by the axiom checks built on them."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -26,6 +28,7 @@ from lrhopf import (
     tensor_action,
 )
 from lrhopf.lierinehart import LieAlgebra, LieRinehartData, ModuleAction
+from lrhopf.problemfile import parse_problem_text, render_problem
 
 import oracles
 
@@ -250,18 +253,65 @@ def test_action_check_refuses_a_foreign_algebra(q):
                                           1, {}))
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def _summed_entries_doc(rng, fld):
+    """A structure-constants problem file with a tensor action, in which
+    constants, brackets and tensor entries are each given twice, and as
+    a pair that cancels to zero, with a fractional value over Q, and
+    with a zero unit-row override; valid or not."""
+    p = fld.characteristic
+    n, m = rng.randint(2, 3), rng.randint(1, 3)
+    r_labels = ["1"] + [f"e{t}" for t in range(1, n)]
+    l_labels = [f"b{a}" for a in range(m)]
+
+    def summed(index):
+        """An entry given twice and a pair that cancels, at random
+        indices drawn by `index`, each with a coefficient."""
+        c = rng.choice(("1/2", "2/3", "3")) if not p \
+            else str(rng.randint(1, 2 * p))
+        twice, cancels = index(), index()
+        return [twice + [c], twice + [c], cancels + [c], cancels + ["-" + c]]
+
+    constants = summed(lambda: [rng.randrange(n) for _ in range(3)])
+    constants.append([0, rng.randrange(1, n), 0, "0"])
+    brackets = summed(lambda: [rng.choice(l_labels) for _ in range(3)])
+    values = summed(lambda: [rng.choice(r_labels), rng.choice(l_labels),
+                             rng.choice(l_labels)])
+    image = f"2*{r_labels[-1]} + 1 - 1 - {r_labels[1]}"
+    return {"field": {"kind": fld.kind, "p": p} if p else {"kind": fld.kind},
+            "algebra": {"kind": "structure-constants", "dim": n,
+                        "labels": r_labels, "constants": constants},
+            "lie": {"dim": m, "labels": l_labels, "brackets": brackets},
+            "anchor": {l_labels[0]: {r_labels[1]: image}},
+            "action": {"kind": "tensor", "values": values}}
+
+
+@pytest.mark.parametrize("fld", FIELDS + [Field(7)], ids=str)
 def test_cached_rows_are_the_nonzero_raw_entries(fld):
     """Each structure's sparse rows hold exactly the nonzero raw entries
-    of its dense table, are made once, and belong to that object: a
-    dataclasses.replace copy starts without them."""
+    of its dense table, integral values as ints and keys ascending, are
+    made once, and belong to that object: a dataclasses.replace copy
+    starts without them and rebuilds equal rows.  The structures are
+    random valid ones with one entry broken, and structures parsed from
+    problem files, whose constructors keep the rows they build: rendered
+    random valid structures, and structure-constants files whose entries
+    add up."""
     def nonzero(vec):
         return {k: x for k, x in enumerate(oracles.raw(vec)) if x}
 
     rng = random.Random(f"cached-rows/{fld}")
-    for _ in range(20):
-        data = oracles.break_one_entry(
-            rng, oracles.random_valid_structure(rng, fld))
+    cases = [(oracles.break_one_entry(
+        rng, oracles.random_valid_structure(rng, fld)), False)
+        for _ in range(20)]
+    cases += [(parse_problem_text(render_problem(
+        oracles.random_valid_structure(rng, fld))), True) for _ in range(10)]
+    cases += [(parse_problem_text(json.dumps(_summed_entries_doc(rng, fld))),
+               True) for _ in range(20)]
+    for data, parsed in cases:
+        owners = [(data.R, "sparse_table"), (data.L, "sparse_table"),
+                  (data.action, "sparse_tensor")]
+        owners += [(d, "sparse_columns") for d in data.anchor.derivations]
+        if parsed:  # kept by the constructors, before any check reads it
+            assert all(name in vars(owner) for owner, name in owners)
         for owner, name, table in (
                 (data.R, "sparse_table", data.R.mul_table),
                 (data.L, "sparse_table", data.L.table),
@@ -271,11 +321,18 @@ def test_cached_rows_are_the_nonzero_raw_entries(fld):
         for d in data.anchor.derivations:
             assert d.sparse_columns == tuple(
                 nonzero(col) for col in zip(*d.matrix))
-        for owner, name in ((data.R, "sparse_table"),
-                            (data.L, "sparse_table"),
-                            (data.action, "sparse_tensor"),
-                            (data.anchor.derivations[0], "sparse_columns")):
+        for owner, name in owners:
+            rows = getattr(owner, name)
+            if name != "sparse_columns":
+                rows = chain.from_iterable(rows)
+            for row in rows:
+                assert list(row) == sorted(row)
+                for v in row.values():
+                    assert type(v) is (int if v.denominator == 1
+                                       else Fraction)
+        for owner, name in owners[:4]:
             rows = getattr(owner, name)
             assert getattr(owner, name) is rows
             copy = dataclasses.replace(owner)
             assert copy == owner and name not in vars(copy)
+            assert getattr(copy, name) == rows

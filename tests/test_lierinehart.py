@@ -1,6 +1,7 @@
 """Lie algebras, module actions, anchors, and the character criterion."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -605,6 +606,38 @@ def test_validation_reads_the_cached_derivation_columns(obstructed,
     assert [r.to_dict() for r in validate_lie_rinehart(data)] == first
     assert make_character_module(R, L, anchor, chi).validated
     assert built == []
+
+
+def test_parsed_structures_are_checked_on_the_rows_they_were_built_from(
+        monkeypatch):
+    """Every constructor a problem file goes through keeps the sparse raw
+    rows it builds, and expressions parse to rows: parse_problem and then
+    validate_lie_rinehart build no sparse row from a Scalar vector, on
+    both presets and every file of tests/data that parses.  sparse_row
+    is counted under each name that a module of the package binds it
+    to."""
+    built = []
+    sparse_row = finalg.sparse_row
+
+    def counted(vec):
+        built.append(vec)
+        return sparse_row(vec)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lrhopf") and \
+                getattr(module, "sparse_row", None) is sparse_row:
+            monkeypatch.setattr(module, "sparse_row", counted)
+    sources = sorted(PRESETS) + sorted(
+        str(path) for path in (Path(__file__).parent / "data").glob("*.lrh"))
+    checked = 0
+    for source in sources:
+        try:
+            data = parse_problem(source)
+        except LrhInputError:
+            continue
+        validate_lie_rinehart(data)
+        checked += 1
+    assert checked >= 8 and built == []
 
 
 def test_given_anchor_columns_are_kept_in_kernel_form(q, monkeypatch):

@@ -201,6 +201,27 @@ def test_parse_literals():
         q.parse("x")
     with pytest.raises(FieldMismatchError):
         q.parse("1.5")
+    # A literal with no "/" is read through int(), and gives the value
+    # Fraction(text) gives over Q (as a Fraction) and int(text) over
+    # GF(7), or the refusal it gave before.  An Arabic-Indic three is a
+    # digit to the grammar, int() and Fraction() alike.
+    g7 = Field(7)
+    for text in ("0", "-0", "+7", "007", "3/06", "-1/2", "1/0", "1e3", "½",
+                 "\u0663", "7" * 4300):
+        if text in ("1/0", "1e3", "½"):
+            with pytest.raises(FieldMismatchError, match="bad rational"):
+                q.parse(text)
+        else:
+            value = q.parse(text).value
+            assert type(value) is Fraction and value == Fraction(text)
+        if "/" in text:
+            with pytest.raises(FieldMismatchError, match="fractions are not"):
+                g7.parse(text)
+        elif text in ("1e3", "½"):
+            with pytest.raises(FieldMismatchError, match="bad GF"):
+                g7.parse(text)
+        else:
+            assert g7.parse(text).value == int(text) % 7
 
 
 def test_gf_fraction_scalar_refused():
