@@ -35,8 +35,8 @@ Raw values are in the field's kernel form (`Field.kernel`): over Q an
 integral coefficient is an int, in the compiled rules, the memos and the
 divisibility systems, and a Scalar is made only for what is returned.
 The rules are compiled from the sparse raw rows each structure caches,
-and the induced action on the base algebra runs on them through
-`finalg.combine_rows`, the one accumulation kernel.
+and the left action on the base algebra and obstruction's right action
+are one fold on those rows, letter by letter through `combine_rows`.
 """
 
 from __future__ import annotations
@@ -772,6 +772,21 @@ def check_local_confluence(env: TruncatedEnvelope) -> VerdictReport:
 # ---------------------------------------------------------------------------
 # the induced action on the base algebra
 
+def _act_on_row(R, terms, row: dict, columns, backward=False) -> dict:
+    """sum_t c_t w_t(row) over the (word w_t, raw value c_t) `terms`, each
+    word folded letter by letter: R-letter k multiplies by e_k through
+    R.sparse_table[k], on either side as R is commutative, and L-letter a
+    maps e_j to columns[a][j]; `backward` folds right to left."""
+    tables, images = {R_KIND: R.sparse_table, L_KIND: columns}, []
+    for word, _ in terms:
+        acc = row
+        for x in reversed(word) if backward else word:
+            acc = combine_rows(R.field.reduce, (acc, tables[x.kind][x.index]))
+        images.append(acc)
+    return combine_rows(R.field.reduce, (
+        dict(enumerate(c for _, c in terms)), images))
+
+
 def left_action_on_R(v: NCElement, r: AlgebraElement,
                      env: TruncatedEnvelope) -> AlgebraElement:
     """Act on the base algebra: an R-letter multiplies, an L-letter applies
@@ -779,21 +794,9 @@ def left_action_on_R(v: NCElement, r: AlgebraElement,
     alg = env.system.source.R
     alg.require((r,), "element does not live in the base algebra")
     env.system.require((v,), "element")
-    reduce = alg.field.reduce
-    tables = {R_KIND: alg.sparse_table,
-              L_KIND: [d.sparse_columns
-                       for d in env.system.source.anchor.derivations]}
-    images = []
-    for word in v.terms:
-        acc = sparse_row(r.coeffs)
-        for letter in reversed(word):
-            # e_i.r and rho_a(r) are both r combined with a table row
-            acc = combine_rows(reduce,
-                               (acc, tables[letter.kind][letter.index]))
-        images.append(acc)
-    coeffs = sparse_row(tuple(v.terms.values()))
-    return AlgebraElement(alg, dense_row(alg.field, combine_rows(
-        reduce, (coeffs, images)), alg.dim))
+    columns = [d.sparse_columns for d in env.system.source.anchor.derivations]
+    return AlgebraElement(alg, dense_row(alg.field, _act_on_row(
+        alg, _kernel_terms(v), sparse_row(r.coeffs), columns, True), alg.dim))
 
 
 def _relation_pairs(system: RewriteSystem) -> list:
@@ -818,27 +821,28 @@ def relation_elements(system: RewriteSystem) -> list:
             for x, y in _relation_pairs(system)]
 
 
-def relations_act_as_zero(system: RewriteSystem, act, name: str,
-                          narrative: str) -> VerdictReport:
-    """Well-definedness of an action on the base algebra: `act(relation,
-    basis element)` must vanish for every defining relation and every
-    basis element; the first nonzero image is the witness."""
+def relations_act_as_zero(system: RewriteSystem, columns, backward: bool,
+                          name: str, narrative: str) -> VerdictReport:
+    """Well-definedness of an action on the base algebra: every defining
+    relation, acting by _act_on_row with these `columns` and direction,
+    must kill every basis element; the first nonzero image is the witness."""
     alg = system.source.R
     for rel_name, rel in relation_elements(system):
+        terms = _kernel_terms(rel)
         for i in range(alg.dim):
-            image = act(rel, alg.basis_element(i))
+            image = _act_on_row(alg, terms, {i: 1}, columns, backward)
             if image:
                 return VerdictReport(name=name, verdict=FAIL, witnesses=[{
                     "relation": rel_name, "argument": alg.labels[i],
-                    "image": str(image)}])
+                    "image": alg.render_row(image)}])
     return VerdictReport(name=name, verdict=PASS, narrative=[narrative])
 
 
 def certify_left_action(env: TruncatedEnvelope) -> VerdictReport:
     """The induced left action is well defined on the base algebra."""
-    return relations_act_as_zero(
-        env.system, lambda rel, r: left_action_on_R(rel, r, env),
-        "left-action-well-defined",
+    return relations_act_as_zero(env.system, [
+        d.sparse_columns for d in env.system.source.anchor.derivations],
+        True, "left-action-well-defined",
         "every defining relation acts as zero on every base basis element")
 
 

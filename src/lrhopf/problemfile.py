@@ -37,12 +37,10 @@ from importlib import resources
 from .errors import LrhInputError, ProblemFileError
 from .finalg import (
     _NAME_RE,
-    AlgebraElement,
     Character,
     CommAlgebra,
     Derivation,
     algebra_from_constants,
-    dense_row,
     leibniz_columns,
     make_monomial_quotient,
 )
@@ -112,13 +110,6 @@ def _expression_row(text: str, algebra: CommAlgebra) -> dict:
         k = algebra.unit_index if label is None else algebra.index_of(label)
         row[k] = fld.kernel(fld.reduce(row.get(k, 0) + coeff))
     return {k: v for k, v in sorted(row.items()) if v}
-
-
-def parse_algebra_expression(text: str, algebra: CommAlgebra):
-    """Linear expression over the algebra's basis labels; a bare scalar
-    means that multiple of the unit."""
-    return AlgebraElement(algebra, dense_row(
-        algebra.field, _expression_row(text, algebra), algebra.dim))
 
 
 def parse_generator_expression(text: str, system: RewriteSystem) -> NCElement:

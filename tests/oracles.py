@@ -15,9 +15,12 @@ checks on dense Scalar tables,
 ``reference_verify_divide_certificate``, its certificate replay that
 normalises every column from scratch, ``reference_check_local_confluence``,
 its confluence check with one reduction per overlap in sorted order,
-``reference_basis_labels``, its letter-by-letter basis labels, and
+``reference_basis_labels``, its letter-by-letter basis labels,
 ``reference_verify_witness`` and ``reference_verify_certificate``, its
-solver replays in Scalar arithmetic.
+solver replays in Scalar arithmetic, and ``reference_verify_partial``,
+``reference_right_act_word``, ``reference_build_and_verify_right_action``,
+``reference_left_action_on_R`` and ``reference_certify_left_action``, its
+action replays, which fold AlgebraElements letter by letter.
 """
 
 from dataclasses import replace
@@ -48,11 +51,12 @@ from lrhopf import (
     normal_form,
     tensor_action,
 )
-from lrhopf.enveloping import (_columns, _combine, _from_raw,
+from lrhopf.enveloping import (R_KIND, _columns, _combine, _from_raw,
                                _kernel_terms, _normal_column, _reduce,
                                _relation_pairs, _word_sort_key,
-                               rewrite_once_at)
-from lrhopf.finalg import render_linear
+                               relation_elements, rewrite_once_at)
+from lrhopf.finalg import (AlgebraElement, combine_rows, render_linear,
+                           sparse_row)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +510,111 @@ def reference_verify_certificate(system: LinearSystem, u) -> bool:
         return False
     return bool(sum((u[r] * s for r, s in enumerate(system.rhs)),
                     system.field.zero))
+
+
+# ---------------------------------------------------------------------------
+# reference action replays
+#
+# The package's former replays of the right-extension evidence and its
+# relation check, in Scalar and AlgebraElement arithmetic, with a left
+# action folded the same way on the dense anchor matrices.  The row fold
+# must reproduce each report and each acted-on element exactly.
+
+def reference_verify_partial(p) -> VerdictReport:
+    name = "partial-map"
+    data = p.data
+    R, L = data.R, data.L
+    chi = data.action.character
+    for a in range(L.dim):
+        for i in range(R.dim):
+            shifted = R.basis_element(i) - chi.values[i] * R.unit
+            lhs = p.values[a] * shifted
+            rhs = data.anchor.rho(a).column(i)
+            if lhs.coeffs != rhs.coeffs:
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "condition": "anchor-reconstruction",
+                    "pair": [L.labels[a], R.labels[i]],
+                    "lhs": str(lhs), "rhs": str(rhs)}])
+    reduce = R.field.reduce
+    values = [sparse_row(v.coeffs) for v in p.values]
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            lhs = combine_rows(reduce, (L.sparse_table[a][b], values))
+            rhs = combine_rows(
+                reduce, (values[b], data.anchor.rho(a).sparse_columns),
+                ({j: -x for j, x in values[a].items()},
+                 data.anchor.rho(b).sparse_columns))
+            if lhs != rhs:
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "condition": "bracket-compatibility",
+                    "pair": [L.labels[a], L.labels[b]],
+                    "lhs": R.render_row(lhs), "rhs": R.render_row(rhs)}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[
+        "anchor reconstruction and bracket compatibility replayed on all "
+        "basis pairs"])
+
+
+def reference_right_act_word(p, a_elem, word):
+    """Left to right: an R-letter multiplies, an L-letter sends r to
+    chi(r) * values[letter]."""
+    R = p.data.R
+    chi = p.data.action.character
+    acc = a_elem
+    for letter in word:
+        if letter.kind == R_KIND:
+            acc = acc * R.basis_element(letter.index)
+        else:
+            acc = chi.apply(acc) * p.values[letter.index]
+    return acc
+
+
+def _reference_left_act_word(env, r, word):
+    """Right to left: an R-letter multiplies, an L-letter applies the
+    dense matrix of its anchor derivation."""
+    R = env.system.source.R
+    acc = r
+    for letter in reversed(word):
+        if letter.kind == R_KIND:
+            acc = R.basis_element(letter.index) * acc
+        else:
+            matrix = env.system.source.anchor.rho(letter.index).matrix
+            acc = AlgebraElement(R, _dense_combine(
+                tuple(zip(*matrix)), acc.coeffs, R.dim, R.field.zero))
+    return acc
+
+
+def reference_left_action_on_R(v, r, env):
+    return sum((c * _reference_left_act_word(env, r, w)
+                for w, c in v.terms.items()), env.system.source.R.zero)
+
+
+def _reference_relations_act_as_zero(system, act, name, narrative):
+    alg = system.source.R
+    for rel_name, rel in relation_elements(system):
+        for i in range(alg.dim):
+            image = act(rel, alg.basis_element(i))
+            if image:
+                return VerdictReport(name=name, verdict=FAIL, witnesses=[{
+                    "relation": rel_name, "argument": alg.labels[i],
+                    "image": str(image)}])
+    return VerdictReport(name=name, verdict=PASS, narrative=[narrative])
+
+
+def reference_build_and_verify_right_action(p, env) -> VerdictReport:
+    return _reference_relations_act_as_zero(
+        env.system,
+        lambda rel, r: sum((c * reference_right_act_word(p, r, w)
+                            for w, c in rel.terms.items()), p.data.R.zero),
+        "right-action-well-defined",
+        "every defining relation acts as zero on every base basis element "
+        "under the candidate right action")
+
+
+def reference_certify_left_action(env) -> VerdictReport:
+    return _reference_relations_act_as_zero(
+        env.system, lambda rel, r: reference_left_action_on_R(rel, r, env),
+        "left-action-well-defined",
+        "every defining relation acts as zero on every base basis element")
 
 
 # ---------------------------------------------------------------------------

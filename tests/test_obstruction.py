@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 
 from lrhopf import (
+    AlgebraMismatchError,
     Anchor,
     Character,
     Derivation,
@@ -19,14 +20,17 @@ from lrhopf import (
     UnsupportedInputError,
     build_and_verify_right_action,
     build_rewrite_system,
+    certify_left_action,
     enumerate_basis,
     l_letter,
+    left_action_on_R,
     left_divide,
     lie_algebra_from_brackets,
     make_character_module,
     make_monomial_quotient,
     normal_form,
     obstructed_example,
+    parse_problem,
     partial_map_from_witness,
     partial_map_system,
     r_letter,
@@ -214,6 +218,95 @@ def test_right_action_requires_matching_envelope(euler, obstructed):
     from lrhopf import LrhInputError
     with pytest.raises(LrhInputError):
         build_and_verify_right_action(p, foreign)
+
+
+def test_right_action_accepts_the_validated_copy_of_its_structure():
+    """The documented flow: the envelope is built from a copy of the
+    parsed structure marked validated, the candidate from the structure
+    as parsed.  The flag is no part of the structure, so the check runs
+    and passes."""
+    data = parse_problem("euler-example")
+    assert all(r.ok for r in validate_lie_rinehart(data))
+    env = enumerate_basis(build_rewrite_system(
+        replace(data, validated=True)), 4)
+    p = partial_map_from_witness(data, solve_partial(data))
+    assert build_and_verify_right_action(p, env).verdict == "pass"
+
+
+@pytest.mark.parametrize("word", [(), (r_letter(1),), (l_letter(0),),
+                                  (r_letter(1), l_letter(0))])
+def test_right_act_word_refuses_an_element_of_another_algebra(euler, q,
+                                                              word):
+    """An element of K[x]/(x^3) is refused by the fold on K[x]/(x^2),
+    whatever the word, the empty one included."""
+    p = partial_map_from_witness(euler[4], solve_partial(euler[4]))
+    cubic = make_monomial_quotient(("x",), ("x^3",), q)
+    with pytest.raises(AlgebraMismatchError):
+        right_act_word(p, cubic.basis_element(2), word)
+
+
+@pytest.mark.parametrize("p", (0, 2, 3, 7))
+def test_row_replays_match_the_dense_reference(classical, p):
+    """On seeded valid structures, and on copies with one entry broken
+    and marked validated by hand, verify_partial, the right-action check,
+    certify_left_action, left_action_on_R and right_act_word give exactly
+    what the former AlgebraElement folds in oracles give, failing
+    witnesses included.  The candidates are random images, most of which
+    fail, and the solver's witness when there is one.  The right action
+    multiplies by an R-letter on the left, as a commutative R allows, so
+    a copy whose base algebra is broken gets the left action only.
+    The first structure is R = K with [b1, b2] = b1, on which random
+    images meet condition (1) and fail bracket compatibility.  Letters
+    are drawn from the sorted letters: a frozenset's order changes with
+    the hash seed."""
+    fld = Field(p)
+    rng = random.Random(f"row-replays/{p}")
+    seen = Counter()
+    for draw in range(60):
+        valid = oracles.random_valid_structure(rng, fld) if draw else \
+            classical(("b1", "b2"), {(0, 1): (fld.one, fld.zero)}, fld)
+        data = valid if rng.random() < 0.6 else \
+            oracles.break_one_entry(rng, valid)
+        data = replace(data, validated=True)
+        env = enumerate_basis(build_rewrite_system(data), 2)
+        R, letters = data.R, sorted(env.system.letters)
+        report = certify_left_action(env)
+        assert report == oracles.reference_certify_left_action(env)
+        seen["left", report.verdict] += 1
+        for _ in range(3):
+            v = oracles.random_nc_element(rng, env.system)
+            r = oracles.random_element(rng, R)
+            assert left_action_on_R(v, r, env).coeffs == \
+                oracles.reference_left_action_on_R(v, r, env).coeffs
+        if data.action.kind != "character" or R != valid.R:
+            continue
+        candidates = [tuple(oracles.random_element(rng, R)
+                            for _ in range(data.L.dim)) for _ in range(3)]
+        out = solve_partial(data)
+        if out.feasible:
+            candidates.append(partial_map_from_witness(data, out).values)
+        for values in candidates:
+            candidate = PartialMap(data=data, values=values)
+            report = verify_partial(candidate)
+            assert report == oracles.reference_verify_partial(candidate)
+            seen["partial", report.witnesses[0]["condition"]
+                 if report.witnesses else report.verdict] += 1
+            report = build_and_verify_right_action(candidate, env)
+            assert report == \
+                oracles.reference_build_and_verify_right_action(candidate,
+                                                                env)
+            seen["right", report.verdict] += 1
+            for _ in range(3):
+                word = tuple(rng.choice(letters)
+                             for _ in range(rng.randint(0, 3)))
+                r = oracles.random_element(rng, R)
+                assert right_act_word(candidate, r, word).coeffs == \
+                    oracles.reference_right_act_word(candidate, r,
+                                                     word).coeffs
+    assert {("left", "pass"), ("left", "fail"), ("right", "pass"),
+            ("right", "fail"), ("partial", "pass"),
+            ("partial", "anchor-reconstruction"),
+            ("partial", "bracket-compatibility")} <= set(seen), seen
 
 
 # -------------------------------------------------------- classical sanity
